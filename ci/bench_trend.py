@@ -4,6 +4,7 @@ artifacts against the previous run's and flag regressions.
 
 Usage:
     bench_trend.py --previous DIR --current DIR [--threshold 0.25] [--fail]
+                   [--require-baseline]
 
 Both directories hold BENCH_micro_crypto.json / BENCH_micro_sim.json (any
 BENCH_*.json present in both is compared). Tracked series are the numeric
@@ -12,6 +13,11 @@ A tracked mean more than --threshold above the previous run emits a GitHub
 "::warning" annotation (or "::error" + exit 1 with --fail); missing previous
 artifacts are not an error, so the gate degrades gracefully on the first
 run, on forks, and on expired artifact retention.
+
+Against a committed baseline directory, pass --require-baseline: then a
+current artifact without a readable baseline, or a run that compares no
+tracked series at all, is an "::error" and exit 1 instead of a skip, so
+the gate cannot pass by default.
 """
 
 import argparse
@@ -55,12 +61,25 @@ def main():
                         help="relative regression that trips the gate (default 0.25)")
     parser.add_argument("--fail", action="store_true",
                         help="exit non-zero on regression instead of only warning")
+    parser.add_argument("--require-baseline", action="store_true",
+                        help="exit 1 when a current artifact has no readable baseline "
+                             "or no tracked series is compared")
     args = parser.parse_args()
+
+    missing = []
+
+    def no_baseline(message):
+        """A skip normally; an error that fails the gate with --require-baseline."""
+        if args.require_baseline:
+            print(f"::error title=bench baseline missing::{message}")
+            missing.append(message)
+        else:
+            print(f"bench-trend: {message}; skipping")
 
     current_files = sorted(glob.glob(os.path.join(args.current, "BENCH_*.json")))
     if not current_files:
-        print(f"bench-trend: no BENCH_*.json under {args.current}; nothing to compare")
-        return 0
+        no_baseline(f"no BENCH_*.json under {args.current}; nothing to compare")
+        return 1 if missing else 0
 
     regressions = []
     compared = 0
@@ -68,7 +87,7 @@ def main():
         name = os.path.basename(current_path)
         previous_path = os.path.join(args.previous, name)
         if not os.path.exists(previous_path):
-            print(f"bench-trend: no previous {name}; skipping (first run or expired artifact)")
+            no_baseline(f"no previous {name} under {args.previous}")
             continue
         try:
             with open(previous_path) as f:
@@ -76,7 +95,7 @@ def main():
             with open(current_path) as f:
                 current = tracked(numeric_leaves(json.load(f)))
         except (OSError, json.JSONDecodeError) as e:
-            print(f"bench-trend: cannot parse {name}: {e}; skipping")
+            no_baseline(f"cannot parse {name}: {e}")
             continue
 
         for path, now in sorted(current.items()):
@@ -114,6 +133,10 @@ def main():
 
     print(f"bench-trend: {compared} tracked series compared, "
           f"{len(regressions)} over the {args.threshold * 100.0:.0f}% threshold")
+    if compared == 0 and not missing:
+        no_baseline("no tracked series had a comparable baseline")
+    if missing:
+        return 1
     return 1 if (regressions and args.fail) else 0
 
 

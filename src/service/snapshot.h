@@ -2,11 +2,11 @@
 //
 // The service answers F(u, v) from a Snapshot: an epoch number plus a map
 // from live node to an immutable per-node state (position, tentative
-// neighbor list N(u), validated functional list). Per-node states are held
-// by shared_ptr and shared across snapshots -- ingesting an event clones
-// only the nodes inside the affected radio disc, so consecutive snapshots
-// share almost all of their payload and readers holding an old epoch cost
-// nothing but its retention.
+// neighbor list N(u), validated functional list). The map is a persistent
+// radix trie (util::RadixMap) of shared_ptr per-node states: ingesting an
+// event clones only the nodes inside the affected radio disc and the trie
+// nodes on their paths, so consecutive snapshots share almost all of their
+// payload and readers holding an old epoch cost nothing but its retention.
 //
 // canonical_json() / digest() deliberately exclude the epoch: they describe
 // the topology itself, so an incrementally-maintained snapshot and a
@@ -20,9 +20,9 @@
 #include <string>
 
 #include "topology/graph.h"
-#include "util/flat.h"
 #include "util/geometry.h"
 #include "util/ids.h"
+#include "util/radix_map.h"
 
 namespace snd::service {
 
@@ -38,7 +38,8 @@ struct NodeState {
 
 class Snapshot {
  public:
-  using NodeMap = util::FlatMap<NodeId, std::shared_ptr<const NodeState>>;
+  /// Live nodes ascending by id; iteration yields (id, state) pairs.
+  using NodeMap = util::RadixMap<std::shared_ptr<const NodeState>>;
 
   /// `nodes` must be non-null and is shared, not copied: the service hands
   /// the same immutable map to the snapshot it publishes and to the next

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,15 +15,17 @@ namespace snd::service {
 
 namespace {
 
-/// Packs the two signed cell coordinates into one map key.
-std::uint64_t pack_cell(std::int32_t cx, std::int32_t cy) {
+/// Cell indices are clamped into int32; the extremes collect every farther
+/// coordinate (and NaN), so cell_index is total and a cell range never
+/// spans more than a disc's worth of cells.
+constexpr std::int64_t kMinCell = std::numeric_limits<std::int32_t>::min();
+constexpr std::int64_t kMaxCell = std::numeric_limits<std::int32_t>::max();
+
+/// Packs the two cell coordinates (each within int32) into one map key.
+std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
   const auto ux = static_cast<std::uint32_t>(cx);
   const auto uy = static_cast<std::uint32_t>(cy);
   return (static_cast<std::uint64_t>(ux) << 32) | uy;
-}
-
-std::int32_t cell_coord(double v, double cell) {
-  return static_cast<std::int32_t>(std::floor(v / cell));
 }
 
 /// Sorted-list insert/erase returning whether the list changed.
@@ -41,40 +45,52 @@ bool erase_value(topology::NeighborList& list, NodeId v) {
 
 }  // namespace
 
-void SpatialGrid::insert(NodeId id, util::Vec2 position) {
-  cells_.get_or_insert(cell_key(position)).push_back(id);
-}
-
-void SpatialGrid::erase(NodeId id, util::Vec2 position) {
-  auto* bucket = cells_.find(cell_key(position));
-  if (bucket == nullptr) return;
-  const auto it = std::find(bucket->begin(), bucket->end(), id);
-  if (it != bucket->end()) bucket->erase(it);
-  if (bucket->empty()) cells_.erase(cell_key(position));
+std::int64_t SpatialGrid::cell_index(double coordinate) const {
+  const double index = std::floor(coordinate / cell_);
+  if (!(index > static_cast<double>(kMinCell))) return kMinCell;  // NaN too
+  if (!(index < static_cast<double>(kMaxCell))) return kMaxCell;
+  return static_cast<std::int64_t>(index);
 }
 
 std::uint64_t SpatialGrid::cell_key(util::Vec2 position) const {
-  return pack_cell(cell_coord(position.x, cell_), cell_coord(position.y, cell_));
+  return pack_cell(cell_index(position.x), cell_index(position.y));
 }
 
-std::vector<NodeId> SpatialGrid::query_disc(
-    util::Vec2 center, double radius,
-    const util::FlatMap<NodeId, util::Vec2>& positions) const {
+bool SpatialGrid::indexable(util::Vec2 position) const {
+  const auto inside = [&](double coordinate) {
+    return std::isfinite(coordinate) && cell_index(coordinate - cell_) > kMinCell &&
+           cell_index(coordinate + cell_) < kMaxCell;
+  };
+  return inside(position.x) && inside(position.y);
+}
+
+void SpatialGrid::insert(NodeId id, util::Vec2 position) {
+  cells_.get_or_insert(cell_key(position)).push_back({id, position});
+}
+
+void SpatialGrid::erase(NodeId id, util::Vec2 position) {
+  const std::uint64_t key = cell_key(position);
+  auto* bucket = cells_.find(key);
+  if (bucket == nullptr) return;
+  const auto it = std::find_if(bucket->begin(), bucket->end(),
+                               [id](const Entry& entry) { return entry.id == id; });
+  if (it != bucket->end()) bucket->erase(it);
+  if (bucket->empty()) cells_.erase(key);
+}
+
+std::vector<NodeId> SpatialGrid::query_disc(util::Vec2 center, double radius) const {
   const double r2 = radius * radius;
-  const std::int32_t x_lo = cell_coord(center.x - radius, cell_);
-  const std::int32_t x_hi = cell_coord(center.x + radius, cell_);
-  const std::int32_t y_lo = cell_coord(center.y - radius, cell_);
-  const std::int32_t y_hi = cell_coord(center.y + radius, cell_);
+  const std::int64_t x_lo = cell_index(center.x - radius);
+  const std::int64_t x_hi = cell_index(center.x + radius);
+  const std::int64_t y_lo = cell_index(center.y - radius);
+  const std::int64_t y_hi = cell_index(center.y + radius);
   std::vector<NodeId> result;
-  for (std::int32_t cx = x_lo; cx <= x_hi; ++cx) {
-    for (std::int32_t cy = y_lo; cy <= y_hi; ++cy) {
+  for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
+    for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
       const auto* bucket = cells_.find(pack_cell(cx, cy));
       if (bucket == nullptr) continue;
-      for (const NodeId id : *bucket) {
-        const auto* position = positions.find(id);
-        if (position != nullptr && util::distance_squared(*position, center) <= r2) {
-          result.push_back(id);
-        }
+      for (const Entry& entry : *bucket) {
+        if (util::distance_squared(entry.position, center) <= r2) result.push_back(entry.id);
       }
     }
   }
@@ -91,8 +107,7 @@ ValidationService::ValidationService(ServiceConfig config)
 
 topology::NeighborList ValidationService::derive_neighbors(NodeId id,
                                                            util::Vec2 position) const {
-  topology::NeighborList neighbors =
-      grid_.query_disc(position, config_.radio_range, positions_);
+  topology::NeighborList neighbors = grid_.query_disc(position, config_.radio_range);
   // query_disc includes the node itself when indexed; N(u) excludes u.
   const auto self = std::lower_bound(neighbors.begin(), neighbors.end(), id);
   if (self != neighbors.end() && *self == id) neighbors.erase(self);
@@ -133,13 +148,16 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
   topology::NeighborList lose;
   bool live_after = true;
 
+  if (event.kind != EventKind::kRevoke && !grid_.indexable(event.position)) {
+    return ApplyResult::failure(std::string(event_kind_name(event.kind)) + ": node " +
+                                std::to_string(id) + " position out of range");
+  }
   switch (event.kind) {
     case EventKind::kDeploy: {
-      if (positions_.contains(id)) {
+      if (nodes.contains(id)) {
         return ApplyResult::failure("deploy: node " + std::to_string(id) +
                                     " already live");
       }
-      positions_.insert_or_assign(id, event.position);
       grid_.insert(id, event.position);
       auto state = std::make_shared<NodeState>();
       state->position = event.position;
@@ -150,28 +168,26 @@ ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
       break;
     }
     case EventKind::kRevoke: {
-      const auto* position = positions_.find(id);
-      if (position == nullptr) {
+      const auto* state = nodes.find(id);
+      if (state == nullptr) {
         return ApplyResult::failure("revoke: node " + std::to_string(id) +
                                     " not live");
       }
-      lose = (*nodes.find(id))->neighbors;
+      lose = (*state)->neighbors;
       process = lose;
-      grid_.erase(id, *position);
-      positions_.erase(id);
+      grid_.erase(id, (*state)->position);
       nodes.erase(id);
       live_after = false;
       break;
     }
     case EventKind::kUpdate: {
-      const auto* position = positions_.find(id);
-      if (position == nullptr) {
+      const auto* state = nodes.find(id);
+      if (state == nullptr) {
         return ApplyResult::failure("update: node " + std::to_string(id) +
                                     " not live");
       }
-      const topology::NeighborList old_neighbors = (*nodes.find(id))->neighbors;
-      grid_.erase(id, *position);
-      positions_.insert_or_assign(id, event.position);
+      const topology::NeighborList old_neighbors = (*state)->neighbors;
+      grid_.erase(id, (*state)->position);
       grid_.insert(id, event.position);
       NodeState moved = clone_state(nodes, id);
       moved.position = event.position;
@@ -296,12 +312,8 @@ std::size_t ValidationService::apply_all(std::span<const TopologyEvent> events) 
 
 void ValidationService::seed_topology(
     std::span<const std::pair<NodeId, util::Vec2>> nodes) {
-  for (const auto& [id, position] : nodes) {
-    positions_.insert_or_assign(id, position);
-    grid_.insert(id, position);
-  }
+  for (const auto& [id, position] : nodes) grid_.insert(id, position);
   Snapshot::NodeMap map;
-  map.reserve(nodes.size());
   for (const auto& [id, position] : nodes) {
     auto state = std::make_shared<NodeState>();
     state->position = position;
@@ -330,14 +342,13 @@ std::shared_ptr<const Snapshot> ValidationService::snapshot() const {
 
 std::shared_ptr<const Snapshot> ValidationService::rebuild() const {
   Snapshot::NodeMap map;
-  map.reserve(positions_.size());
-  for (const auto& [id, position] : positions_) {
+  for (const auto& [id, live] : *map_) {
     auto state = std::make_shared<NodeState>();
-    state->position = position;
-    state->neighbors = derive_neighbors(id, position);
+    state->position = live->position;
+    state->neighbors = derive_neighbors(id, live->position);
     map.insert_or_assign(id, std::move(state));
   }
-  for (const auto& [id, position] : positions_) {
+  for (const auto& [id, live] : *map_) {
     topology::NeighborList validated = derive_validated(id, map);
     NodeState next = clone_state(map, id);
     next.validated = std::move(validated);

@@ -58,9 +58,10 @@ inline constexpr std::uint32_t kMaxFrameBytes = 8u << 20;
 [[nodiscard]] util::Bytes frame(const util::Bytes& payload);
 
 /// Executes one request payload against the service, appending the response
-/// payload to `out`. Returns false only for kShutdown (the caller should
-/// stop serving after sending the response); malformed requests produce a
-/// kError response and return true.
+/// payload to `out`. Returns false only for a well-formed kShutdown (the
+/// caller should stop serving after sending the response); malformed
+/// requests -- wrong length for their opcode included -- produce a kError
+/// response and return true.
 bool handle_request(ValidationService& service, std::span<const std::uint8_t> payload,
                     util::Bytes& out);
 

@@ -209,7 +209,9 @@ TEST(ScenarioRuntimeTest, ReplayAttackerDoesNotPerturbProtocolState) {
   // run's (the channel is lossless here: no RNG consumption differs).
   const auto snapshot = [](bool attack) {
     ScenarioConfig scenario;
-    if (attack) EXPECT_TRUE(scenario.arm_family("replay"));
+    if (attack) {
+      EXPECT_TRUE(scenario.arm_family("replay"));
+    }
     ArmedRun run(small_config(44), scenario, 20);
     std::vector<std::pair<NodeId, topology::NeighborList>> state;
     for (const core::SndNode* agent : run.deployment.agents()) {

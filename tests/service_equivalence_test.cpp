@@ -39,7 +39,7 @@ void expect_equivalent(const ValidationService& service, const char* context) {
 
 TEST(ServiceEquivalenceTest, SeededTopologyMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {200.0, 200.0}};
-  ValidationService service({25.0, 2});
+  ValidationService service({.radio_range = 25.0, .threshold_t = 2});
   service.seed_topology(random_field(300, field, 11));
   expect_equivalent(service, "after seed_topology");
 }
@@ -47,7 +47,7 @@ TEST(ServiceEquivalenceTest, SeededTopologyMatchesRebuild) {
 TEST(ServiceEquivalenceTest, RandomizedSequencesMatchRebuild) {
   const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    ValidationService service({25.0, 2});
+    ValidationService service({.radio_range = 25.0, .threshold_t = 2});
     const auto initial = random_field(120, field, util::derive_seed(500, seed));
     service.seed_topology(initial);
     std::vector<NodeId> live;
@@ -62,7 +62,7 @@ TEST(ServiceEquivalenceTest, RandomizedSequencesMatchRebuild) {
 
 TEST(ServiceEquivalenceTest, BatchIngestionMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
-  ValidationService service({25.0, 2});
+  ValidationService service({.radio_range = 25.0, .threshold_t = 2});
   const auto initial = random_field(150, field, 77);
   service.seed_topology(initial);
   std::vector<NodeId> live;
@@ -74,7 +74,7 @@ TEST(ServiceEquivalenceTest, BatchIngestionMatchesRebuild) {
 
 TEST(ServiceEquivalenceTest, RejectedEventsLeaveTopologyEquivalent) {
   const util::Rect field{{0.0, 0.0}, {100.0, 100.0}};
-  ValidationService service({25.0, 1});
+  ValidationService service({.radio_range = 25.0, .threshold_t = 1});
   service.seed_topology(random_field(50, field, 5));
   EXPECT_FALSE(service.apply(TopologyEvent::deploy(3, {1.0, 1.0})).ok);
   EXPECT_FALSE(service.apply(TopologyEvent::revoke(9999)).ok);
@@ -86,7 +86,7 @@ TEST(ServiceEquivalenceTest, DenseClusterStressMatchesRebuild) {
   // Everything inside a couple of radio ranges: every event touches a large
   // fraction of the network, exercising the pair-recheck pass heavily.
   const util::Rect field{{0.0, 0.0}, {40.0, 40.0}};
-  ValidationService service({25.0, 3});
+  ValidationService service({.radio_range = 25.0, .threshold_t = 3});
   const auto initial = random_field(80, field, 21);
   service.seed_topology(initial);
   std::vector<NodeId> live;
@@ -102,7 +102,7 @@ TEST(ServiceEquivalenceTest, DenseClusterStressMatchesRebuild) {
 
 TEST(ServiceEquivalenceTest, FaultPlanDrivenSequenceMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {120.0, 120.0}};
-  ValidationService service({25.0, 2});
+  ValidationService service({.radio_range = 25.0, .threshold_t = 2});
   const auto initial = random_field(100, field, 31);
   service.seed_topology(initial);
 

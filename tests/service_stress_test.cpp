@@ -18,7 +18,7 @@ namespace {
 
 TEST(ServiceStressTest, ConcurrentReadersDuringIngestion) {
   const util::Rect field{{0.0, 0.0}, {120.0, 120.0}};
-  ValidationService service({25.0, 2});
+  ValidationService service({.radio_range = 25.0, .threshold_t = 2});
 
   util::Rng rng(7);
   std::vector<std::pair<NodeId, util::Vec2>> initial;
@@ -80,7 +80,7 @@ TEST(ServiceStressTest, ConcurrentReadersDuringIngestion) {
 
 TEST(ServiceStressTest, BatchIngestionPublishesOnce) {
   const util::Rect field{{0.0, 0.0}, {80.0, 80.0}};
-  ValidationService service({20.0, 1});
+  ValidationService service({.radio_range = 20.0, .threshold_t = 1});
   util::Rng rng(3);
   std::vector<std::pair<NodeId, util::Vec2>> initial;
   std::vector<NodeId> live;

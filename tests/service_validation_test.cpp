@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -206,6 +208,76 @@ TEST(ServiceWireTest, MalformedRequestsAnswerErrorWithoutMutating) {
     EXPECT_EQ(out[0], wire::kError);
   }
   EXPECT_EQ(service.snapshot()->canonical_json(), before);
+}
+
+// -- Position validation -----------------------------------------------------
+
+/// 50 * (2^31 - 1) - 25: with R = 50 the deploy's disc ends in cell
+/// INT32_MAX, where the grid's old int32 cell loop wrapped and never returned.
+constexpr double kBoundary = 107374182325.0;
+
+ServiceConfig range50_config() {
+  ServiceConfig config;
+  config.radio_range = 50.0;
+  config.threshold_t = 1;
+  return config;
+}
+
+TEST(ServicePositionTest, DeployAtCellRangeLimitIsRejected) {
+  ValidationService service(range50_config());
+  for (const util::Vec2 position : {util::Vec2{kBoundary, 0.0}, util::Vec2{0.0, kBoundary},
+                                    util::Vec2{-kBoundary, 0.0}, util::Vec2{0.0, -kBoundary}}) {
+    const ApplyResult result = service.apply(TopologyEvent::deploy(1, position));
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("out of range"), std::string::npos) << result.error;
+  }
+  EXPECT_EQ(service.snapshot()->epoch(), 0u);
+  EXPECT_EQ(service.events_applied(), 0u);
+  EXPECT_EQ(service.node_count(), 0u);
+
+  // One cell further in, positions are indexed exactly and find each other.
+  ASSERT_TRUE(service.apply(TopologyEvent::deploy(2, {kBoundary - 50.0, 0.0})).ok);
+  ASSERT_TRUE(service.apply(TopologyEvent::deploy(3, {kBoundary - 60.0, 0.0})).ok);
+  ASSERT_TRUE(service.apply(TopologyEvent::deploy(4, {-kBoundary + 50.0, 0.0})).ok);
+  EXPECT_EQ(service.snapshot()->find(2)->neighbors, topology::NeighborList{3});
+  EXPECT_TRUE(service.snapshot()->find(4)->neighbors.empty());
+  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+}
+
+TEST(ServicePositionTest, DeployAtCellRangeLimitAnswersWireError) {
+  ValidationService service(range50_config());
+  service.seed_topology(clique4());
+  const std::uint64_t epoch = service.snapshot()->epoch();
+  util::Bytes out;
+  ASSERT_TRUE(wire::handle_request(
+      service, wire::encode_event(TopologyEvent::deploy(9, {kBoundary, 0.0})), out));
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0], wire::kError);
+  EXPECT_EQ(service.snapshot()->epoch(), epoch);
+  EXPECT_EQ(service.node_count(), 4u);
+}
+
+TEST(ServicePositionTest, NonFiniteOrOutOfRangeEventsLeaveTheWorldAlone) {
+  ValidationService service(range50_config());
+  service.seed_topology(clique4());
+  const std::string before = service.snapshot()->canonical_json();
+  const std::uint64_t epoch = service.snapshot()->epoch();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, kBoundary, -kBoundary}) {
+    for (const util::Vec2 position : {util::Vec2{bad, 0.0}, util::Vec2{0.0, bad}}) {
+      EXPECT_FALSE(service.apply(TopologyEvent::deploy(9, position)).ok) << bad;
+      EXPECT_FALSE(service.apply(TopologyEvent::update(2, position)).ok) << bad;
+    }
+  }
+  // Batches skip the rejected events and apply the rest.
+  const std::vector<TopologyEvent> batch = {TopologyEvent::update(2, {nan, nan}),
+                                            TopologyEvent::update(2, {1.5, 0.0})};
+  EXPECT_EQ(service.snapshot()->canonical_json(), before);
+  EXPECT_EQ(service.snapshot()->epoch(), epoch);
+  EXPECT_EQ(service.apply_all(batch), 1u);
+  EXPECT_EQ(service.snapshot()->find(2)->position, (util::Vec2{1.5, 0.0}));
+  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
 }
 
 // -- Commitment maintenance --------------------------------------------------
