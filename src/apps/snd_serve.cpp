@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -147,6 +148,11 @@ int main(int argc, char** argv) {
   const util::cli::Driver cli = spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
   if (!obs::apply_obs(obs_config, std::cerr)) return 2;
+
+  // A client that disconnects before reading its replies must cost only
+  // its own connection: with SIGPIPE ignored, write_exact sees EPIPE and the
+  // daemon drops that client instead of dying.
+  std::signal(SIGPIPE, SIG_IGN);
 
   const std::string socket_path = cli.get("socket");
   const bool stdio = cli.get_bool("stdio");

@@ -1,10 +1,29 @@
 #include "core/validation.h"
 
+#include <algorithm>
+
 namespace snd::core {
 
 bool meets_threshold(const topology::NeighborList& nu, const topology::NeighborList& nv,
                      std::size_t t) {
-  return topology::intersection_size(nu, nv) >= t + 1;
+  // The merge of topology::intersection_size, stopped as soon as the verdict
+  // is decided: t+1 matches found, or fewer elements left in the shorter
+  // remainder than matches still missing.
+  const std::size_t need = t + 1;
+  std::size_t found = 0;
+  auto ia = nu.begin();
+  auto ib = nv.begin();
+  while (ia != nu.end() && ib != nv.end()) {
+    const auto left = static_cast<std::size_t>(std::min(nu.end() - ia, nv.end() - ib));
+    if (found + left < need) return false;
+    const NodeId va = *ia;
+    const NodeId vb = *ib;
+    found += static_cast<std::size_t>(va == vb);
+    if (found == need) return true;
+    ia += static_cast<std::ptrdiff_t>(va <= vb);
+    ib += static_cast<std::ptrdiff_t>(vb <= va);
+  }
+  return found >= need;
 }
 
 bool CommonNeighborValidator::validate(NodeId u, NodeId v, const topology::Digraph& B) const {

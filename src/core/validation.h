@@ -85,7 +85,9 @@ class LinkThresholdValidator final : public ValidationFunction {
 };
 
 /// Shared threshold predicate: |N(u) ∩ N(v)| >= t + 1. Used by both the
-/// graph-level validator above and the wire protocol's record check.
+/// graph-level validator above and the wire protocol's record check. Stops
+/// merging as soon as the verdict is decided, so it never walks further than
+/// topology::intersection_size.
 bool meets_threshold(const topology::NeighborList& nu, const topology::NeighborList& nv,
                      std::size_t t);
 

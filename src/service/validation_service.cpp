@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -28,20 +27,82 @@ std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
   return (static_cast<std::uint64_t>(ux) << 32) | uy;
 }
 
-/// Sorted-list insert/erase returning whether the list changed.
-bool insert_value(topology::NeighborList& list, NodeId v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it != list.end() && *it == v) return false;
-  list.insert(it, v);
+/// `list` with `value` inserted at index `at`, built at its exact size.
+template <typename T>
+std::vector<T> spliced_in(const std::vector<T>& list, std::size_t at, T value) {
+  const auto split = list.begin() + static_cast<std::ptrdiff_t>(at);
+  std::vector<T> out;
+  out.reserve(list.size() + 1);
+  out.insert(out.end(), list.begin(), split);
+  out.push_back(value);
+  out.insert(out.end(), split, list.end());
+  return out;
+}
+
+/// `list` without its element at index `at`, built at its exact size.
+template <typename T>
+std::vector<T> spliced_out(const std::vector<T>& list, std::size_t at) {
+  const auto split = list.begin() + static_cast<std::ptrdiff_t>(at);
+  std::vector<T> out;
+  out.reserve(list.size() - 1);
+  out.insert(out.end(), list.begin(), split);
+  out.insert(out.end(), split + 1, list.end());
+  return out;
+}
+
+/// The members of `neighbors` whose common-neighbor count (the parallel
+/// entry of `counts`) reaches `need` = t+1, built at its exact size.
+topology::NeighborList validated_from(const topology::NeighborList& neighbors,
+                                      const std::vector<std::uint32_t>& counts,
+                                      std::size_t need) {
+  const auto kept = std::count_if(counts.begin(), counts.end(),
+                                  [need](std::uint32_t count) { return count >= need; });
+  topology::NeighborList validated;
+  validated.reserve(static_cast<std::size_t>(kept));
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    if (counts[i] >= need) validated.push_back(neighbors[i]);
+  }
+  return validated;
+}
+
+/// Whether `validated_from(state.neighbors, counts, need)` would equal
+/// state.validated, checked without building it.
+bool same_verdicts(const NodeState& state, const std::vector<std::uint32_t>& counts,
+                   std::size_t need) {
+  auto accepted = state.validated.begin();
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const bool was = accepted != state.validated.end() && *accepted == state.neighbors[i];
+    if ((counts[i] >= need) != was) return false;
+    accepted += static_cast<std::ptrdiff_t>(was);
+  }
   return true;
 }
 
-bool erase_value(topology::NeighborList& list, NodeId v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it == list.end() || *it != v) return false;
-  list.erase(it);
-  return true;
+/// One merge walk of `neighbors` against `others`: adds `step` (1, or -1
+/// modulo 2^32) to the parallel entry of `counts` of every common member,
+/// and returns how many there were.
+std::uint32_t shift_common(const topology::NeighborList& neighbors,
+                           std::vector<std::uint32_t>& counts,
+                           const topology::NeighborList& others, std::uint32_t step) {
+  // Branch-free like topology::intersection_size: a walk this short
+  // mispredicts a data-dependent branch on about every other step.
+  std::uint32_t common = 0;
+  std::size_t i = 0;
+  std::size_t k = 0;
+  while (i < neighbors.size() && k < others.size()) {
+    const NodeId a = neighbors[i];
+    const NodeId b = others[k];
+    const bool match = a == b;
+    counts[i] += match ? step : 0u;
+    common += static_cast<std::uint32_t>(match);
+    i += static_cast<std::size_t>(a <= b);
+    k += static_cast<std::size_t>(b <= a);
+  }
+  return common;
 }
+
+constexpr std::uint32_t kCountUp = 1;
+constexpr std::uint32_t kCountDown = ~std::uint32_t{0};
 
 }  // namespace
 
@@ -137,132 +198,119 @@ NodeState ValidationService::clone_state(const Snapshot::NodeMap& nodes, NodeId 
 ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
                                             Snapshot::NodeMap& nodes) {
   const NodeId id = event.node;
-
-  // Pre-existing nodes inside the event's radio disc(s). `gain` / `lose`
-  // are the (disjoint) subsets whose tentative list picks up / drops the
-  // event node; `process` is their union plus, for updates, the nodes that
-  // stay adjacent across the move (their pair verdicts can still flip
-  // because N(id) changed).
-  topology::NeighborList process;
-  topology::NeighborList gain;
-  topology::NeighborList lose;
-  bool live_after = true;
-
   if (event.kind != EventKind::kRevoke && !grid_.indexable(event.position)) {
     return ApplyResult::failure(std::string(event_kind_name(event.kind)) + ": node " +
                                 std::to_string(id) + " position out of range");
   }
-  switch (event.kind) {
-    case EventKind::kDeploy: {
-      if (nodes.contains(id)) {
-        return ApplyResult::failure("deploy: node " + std::to_string(id) +
-                                    " already live");
-      }
-      grid_.insert(id, event.position);
-      auto state = std::make_shared<NodeState>();
-      state->position = event.position;
-      state->neighbors = derive_neighbors(id, event.position);
-      gain = state->neighbors;
-      process = gain;
-      nodes.insert_or_assign(id, std::move(state));
-      break;
-    }
-    case EventKind::kRevoke: {
-      const auto* state = nodes.find(id);
-      if (state == nullptr) {
-        return ApplyResult::failure("revoke: node " + std::to_string(id) +
-                                    " not live");
-      }
-      lose = (*state)->neighbors;
-      process = lose;
-      grid_.erase(id, (*state)->position);
-      nodes.erase(id);
-      live_after = false;
-      break;
-    }
-    case EventKind::kUpdate: {
-      const auto* state = nodes.find(id);
-      if (state == nullptr) {
-        return ApplyResult::failure("update: node " + std::to_string(id) +
-                                    " not live");
-      }
-      const topology::NeighborList old_neighbors = (*state)->neighbors;
-      grid_.erase(id, (*state)->position);
-      grid_.insert(id, event.position);
-      NodeState moved = clone_state(nodes, id);
-      moved.position = event.position;
-      moved.neighbors = derive_neighbors(id, event.position);
-      const topology::NeighborList& new_neighbors = moved.neighbors;
-      std::set_difference(new_neighbors.begin(), new_neighbors.end(),
-                          old_neighbors.begin(), old_neighbors.end(),
-                          std::back_inserter(gain));
-      std::set_difference(old_neighbors.begin(), old_neighbors.end(),
-                          new_neighbors.begin(), new_neighbors.end(),
-                          std::back_inserter(lose));
-      std::set_union(old_neighbors.begin(), old_neighbors.end(),
-                     new_neighbors.begin(), new_neighbors.end(),
-                     std::back_inserter(process));
-      nodes.insert_or_assign(id, std::make_shared<const NodeState>(std::move(moved)));
-      break;
-    }
+  const auto* entry = nodes.find(id);
+  // Held to the end: nodes[id] is replaced or erased below.
+  const std::shared_ptr<const NodeState> before = entry != nullptr ? *entry : nullptr;
+  if (event.kind == EventKind::kDeploy && before != nullptr) {
+    return ApplyResult::failure("deploy: node " + std::to_string(id) + " already live");
+  }
+  if (event.kind != EventKind::kDeploy && before == nullptr) {
+    return ApplyResult::failure(std::string(event_kind_name(event.kind)) + ": node " +
+                                std::to_string(id) + " not live");
   }
 
-  // Pass 1: splice the event node in/out of its neighbors' tentative lists
-  // (all lists must be final before any threshold is evaluated). Dropping
-  // the event node also drops it from the validated list -- validated(a) is
-  // a subset of N(a) by construction, and `id` is the only id whose
-  // membership this event can change.
-  for (const NodeId a : gain) {
-    NodeState next = clone_state(nodes, a);
-    insert_value(next.neighbors, id);
-    nodes.insert_or_assign(a, std::make_shared<const NodeState>(std::move(next)));
-  }
-  for (const NodeId a : lose) {
-    NodeState next = clone_state(nodes, a);
-    erase_value(next.neighbors, id);
-    erase_value(next.validated, id);
-    nodes.insert_or_assign(a, std::make_shared<const NodeState>(std::move(next)));
+  // Nothing is rejected past this point. `removed` is N(id) before the
+  // event and `added` N(id) after it: an update removes the node from its
+  // old disc and adds it to its new one.
+  const topology::NeighborList no_neighbors;
+  const topology::NeighborList& removed = before != nullptr ? before->neighbors : no_neighbors;
+  topology::NeighborList added;
+  if (before != nullptr) grid_.erase(id, before->position);
+  if (event.kind != EventKind::kRevoke) {
+    grid_.insert(id, event.position);
+    added = derive_neighbors(id, event.position);
   }
 
-  // Pass 2: recheck exactly the pairs the event can have flipped. A pair's
-  // predicate (adjacency + common-neighbor count) reads only N(a) and N(v),
-  // and the event changed only `id`'s membership anywhere -- so both
-  // endpoints lie in the disc(s), i.e. in `process` (or are `id` itself).
-  topology::NeighborList affected = process;
-  if (live_after) insert_value(affected, id);
-  for (const NodeId a : process) {
-    const NodeState& current = **nodes.find(a);
-    const topology::NeighborList candidates =
-        topology::intersect(current.neighbors, affected);
-    if (candidates.empty()) continue;
-    NodeState next = current;
-    bool changed = false;
-    for (const NodeId v : candidates) {
-      const NodeState& peer = **nodes.find(v);
-      if (core::meets_threshold(next.neighbors, peer.neighbors, config_.threshold_t)) {
-        changed |= insert_value(next.validated, v);
-      } else {
-        changed |= erase_value(next.validated, v);
-      }
-    }
-    if (changed) {
-      nodes.insert_or_assign(a, std::make_shared<const NodeState>(std::move(next)));
-    }
-  }
-  if (live_after) {
-    NodeState next = clone_state(nodes, id);
-    next.validated = derive_validated(id, nodes);
-    nodes.insert_or_assign(id, std::make_shared<const NodeState>(std::move(next)));
+  // The nodes whose tentative list loses and/or gains `id`: removed ∪ added,
+  // ascending. Their pre-event states are read through raw pointers, each
+  // until its own entry is replaced.
+  struct Touched {
+    NodeId id;
+    const NodeState* state;
+    std::vector<std::uint32_t>* counts;
+    bool lost;    // id in N(a) before the event
+    bool gained;  // id in N(a) after it
+    std::uint32_t common = 0;  // |N(a) ∩ added| = c(a, id) after the event
+  };
+  std::vector<Touched> touched;
+  touched.reserve(removed.size() + added.size());
+  auto r = removed.begin();
+  auto g = added.begin();
+  while (r != removed.end() || g != added.end()) {
+    const bool lost = g == added.end() || (r != removed.end() && *r <= *g);
+    const bool gained = r == removed.end() || (g != added.end() && *g <= *r);
+    const NodeId a = lost ? *r : *g;
+    touched.push_back({a, nodes.find(a)->get(), &counts_.at(a), lost, gained});
+    r += static_cast<std::ptrdiff_t>(lost);
+    g += static_cast<std::ptrdiff_t>(gained);
   }
 
-  // The only tentative lists this event changed are those of gain/lose
-  // members and the event node itself -- exactly the commitments to refresh
-  // (one batched drain; a revoked id is erased inside the helper).
+  // A pair (a, b) has `id` in N(a) ∩ N(b) exactly when both lie in N(id), so
+  // the event moves c(a, b) by -1 for a, b in `removed` and by +1 for a, b in
+  // `added` (both, for an update's nodes that stay adjacent). One walk of
+  // N(a) per side does it; `id` itself is in neither list, so whether N(a)
+  // still holds it does not matter.
+  for (Touched& a : touched) {
+    if (a.lost) shift_common(a.state->neighbors, *a.counts, removed, kCountDown);
+    if (a.gained) a.common = shift_common(a.state->neighbors, *a.counts, added, kCountUp);
+  }
+
+  // Splice `id` into or out of each touched list and count row, then
+  // rederive the validated list from the counts; a node that keeps `id` as
+  // a neighbor only changes if one of its verdicts flipped. Each changed
+  // node is cloned once.
+  const std::size_t need = config_.threshold_t + 1;
+  std::vector<std::uint32_t> own_counts;  // parallel to `added`
+  own_counts.reserve(added.size());
+  for (const Touched& a : touched) {
+    const NodeState& old = *a.state;
+    std::vector<std::uint32_t>& counts = *a.counts;
+    const auto at = static_cast<std::size_t>(
+        std::lower_bound(old.neighbors.begin(), old.neighbors.end(), id) -
+        old.neighbors.begin());
+    NodeState next;
+    next.position = old.position;
+    if (a.gained) own_counts.push_back(a.common);
+    if (a.lost && a.gained) {
+      counts[at] = a.common;
+      if (same_verdicts(old, counts, need)) continue;
+      next.neighbors = old.neighbors;
+    } else if (a.gained) {
+      next.neighbors = spliced_in(old.neighbors, at, id);
+      counts = spliced_in(counts, at, a.common);
+    } else {
+      next.neighbors = spliced_out(old.neighbors, at);
+      counts = spliced_out(counts, at);
+    }
+    next.validated = validated_from(next.neighbors, counts, need);
+    nodes.insert_or_assign(a.id, std::make_shared<const NodeState>(std::move(next)));
+  }
+
+  if (event.kind == EventKind::kRevoke) {
+    counts_.erase(id);
+    nodes.erase(id);
+  } else {
+    NodeState self;
+    self.position = event.position;
+    self.validated = validated_from(added, own_counts, need);
+    self.neighbors = std::move(added);
+    counts_.insert_or_assign(id, std::move(own_counts));
+    nodes.insert_or_assign(id, std::make_shared<const NodeState>(std::move(self)));
+  }
+
+  // The only tentative lists this event changed are those of the nodes that
+  // lost or gained `id`, and `id`'s own -- exactly the commitments to
+  // refresh (one batched drain; a revoked id is erased inside the helper).
   if (config_.master_key.present()) {
     topology::NeighborList dirty;
-    std::set_union(gain.begin(), gain.end(), lose.begin(), lose.end(),
-                   std::back_inserter(dirty));
-    insert_value(dirty, id);
+    for (const Touched& a : touched) {
+      if (a.lost != a.gained) dirty.push_back(a.id);
+    }
+    dirty.insert(std::lower_bound(dirty.begin(), dirty.end(), id), id);
     refresh_commitments(dirty, nodes);
   }
 
@@ -320,10 +368,18 @@ void ValidationService::seed_topology(
     state->neighbors = derive_neighbors(id, position);
     map.insert_or_assign(id, std::move(state));
   }
+  const std::size_t need = config_.threshold_t + 1;
+  counts_.reserve(counts_.size() + nodes.size());
   for (const auto& [id, position] : nodes) {
-    topology::NeighborList validated = derive_validated(id, map);
     NodeState next = clone_state(map, id);
-    next.validated = std::move(validated);
+    std::vector<std::uint32_t> counts;
+    counts.reserve(next.neighbors.size());
+    for (const NodeId other : next.neighbors) {
+      counts.push_back(static_cast<std::uint32_t>(
+          topology::intersection_size(next.neighbors, (*map.find(other))->neighbors)));
+    }
+    next.validated = validated_from(next.neighbors, counts, need);
+    counts_.insert_or_assign(id, std::move(counts));
     map.insert_or_assign(id, std::make_shared<const NodeState>(std::move(next)));
   }
   if (config_.master_key.present()) {
@@ -333,6 +389,11 @@ void ValidationService::seed_topology(
     refresh_commitments(ids, map);
   }
   publish(std::move(map));
+}
+
+const std::vector<std::uint32_t>* ValidationService::common_counts(NodeId id) const {
+  const auto it = counts_.find(id);
+  return it != counts_.end() ? &it->second : nullptr;
 }
 
 std::shared_ptr<const Snapshot> ValidationService::snapshot() const {

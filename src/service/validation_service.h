@@ -17,22 +17,27 @@
 // paper's Theorem 4 incremental-deployment safety.
 //
 // Ingestion exploits a bound sharper than that safe 2R envelope. The only
-// list membership any single event changes is that of its own node, so for
-// a pair of pre-existing nodes (a, v) the predicate
+// list membership any single event changes is that of its own node x, so
+// for a pair of pre-existing nodes (a, v) the predicate
 //
 //   v in N(a)  and  |N(a) ∩ N(v)| >= t+1
 //
-// can flip only when the event node enters or leaves N(a) ∩ N(v) (or is v
-// itself) -- which requires BOTH a and v within R of p. Ingestion therefore
-// re-splices tentative lists across disc(p, R) and rechecks exactly the
-// validated pairs with both endpoints in that disc; an update event uses
-// the union of the old- and new-position discs. Everything else is
-// structurally shared with the previous epoch: the node map is a persistent
-// radix trie, so starting an epoch copies nothing and each changed node
-// copies only its trie path -- O(|disc| · height) per event, whatever the
-// node count. rebuild() recomputes the world from scratch through the same
-// derivation helpers; the equivalence suite asserts both paths serialize
-// byte-identically after arbitrary event sequences.
+// can flip only when x enters or leaves N(a) ∩ N(v) (or is v itself) --
+// which requires BOTH a and v within R of p. The service keeps, next to
+// each live node's list, a private row of common-neighbor counts
+// c(a, v) = |N(a) ∩ N(v)| parallel to N(a) (about 4 bytes per tentative
+// edge; never part of a Snapshot). Removing x from a disc lowers c(a, v) by
+// one for every adjacent pair inside it, and adding x raises it by one, so
+// ingestion walks each a in the disc once against N(x) -- |disc| merge walks,
+// O(d²) for degree d, whatever t is -- and rederives the verdicts of the
+// nodes whose counts moved. An update does both, over its old and new discs.
+// Everything else is structurally shared with the previous epoch: the node
+// map is a persistent radix trie, so starting an epoch copies nothing and
+// each changed node copies only its trie path -- O(|disc| · height) per
+// event, whatever the node count. rebuild() recomputes the world from
+// scratch with the threshold predicate, using no counts; the equivalence
+// suite asserts both paths serialize byte-identically after arbitrary event
+// sequences, and that every count row matches a recount.
 //
 // ## Concurrency
 //
@@ -49,6 +54,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/key.h"
@@ -134,8 +140,8 @@ class ValidationService {
   /// replaying the batch through apply one by one).
   std::size_t apply_all(std::span<const TopologyEvent> events);
 
-  /// Bulk bootstrap: deploys all nodes, then derives every list once --
-  /// O(n · deg²) instead of n incremental events' O(n · deg³) -- and
+  /// Bulk bootstrap: deploys all nodes, then derives every list and count
+  /// row once -- one intersection per tentative edge, O(n · deg²) -- and
   /// publishes one epoch. Requires distinct ids; call on an empty service.
   void seed_topology(std::span<const std::pair<NodeId, util::Vec2>> nodes);
 
@@ -169,11 +175,17 @@ class ValidationService {
   }
   [[nodiscard]] std::size_t commitment_count() const { return commitments_.size(); }
 
+  /// id's row of the common-neighbor count index: entry i is
+  /// |N(id) ∩ N(N(id)[i])|, the count the threshold rule compares with t+1.
+  /// nullptr when id is not live. Call from the ingest thread only.
+  [[nodiscard]] const std::vector<std::uint32_t>* common_counts(NodeId id) const;
+
  private:
   /// Tentative list for `id`: live nodes within R, excluding `id` itself.
   [[nodiscard]] topology::NeighborList derive_neighbors(NodeId id,
                                                         util::Vec2 position) const;
-  /// Validated list for `id` given the current tentative lists in `nodes`.
+  /// Validated list for `id` given the current tentative lists in `nodes`,
+  /// by the threshold predicate alone (rebuild()'s reference path).
   [[nodiscard]] topology::NeighborList derive_validated(
       NodeId id, const Snapshot::NodeMap& nodes) const;
 
@@ -200,6 +212,11 @@ class ValidationService {
   /// of Snapshot -- commitments are secrets of the K-holding role, not of
   /// the published topology.
   util::FlatMap<NodeId, crypto::Digest> commitments_;
+  /// The common-neighbor count index: each live node's row of
+  /// |N(u) ∩ N(v)| over v in N(u), parallel to N(u) (see common_counts).
+  /// Service-private like the commitments: readers never need it, and
+  /// Snapshot::canonical_json() stays the topology alone.
+  std::unordered_map<NodeId, std::vector<std::uint32_t>> counts_;
 
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const Snapshot> current_;

@@ -22,12 +22,6 @@ std::size_t intersection_size(const NeighborList& a, const NeighborList& b) {
   return count;
 }
 
-NeighborList intersect(const NeighborList& a, const NeighborList& b) {
-  NeighborList out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  return out;
-}
-
 void insert_sorted(NeighborList& list, NodeId id) {
   const auto it = std::lower_bound(list.begin(), list.end(), id);
   if (it == list.end() || *it != id) list.insert(it, id);

@@ -20,8 +20,6 @@ using NeighborList = std::vector<NodeId>;
 
 /// Number of elements common to two sorted NeighborLists.
 std::size_t intersection_size(const NeighborList& a, const NeighborList& b);
-/// The common elements themselves (sorted).
-NeighborList intersect(const NeighborList& a, const NeighborList& b);
 /// Insert preserving sort order; no-op if already present.
 void insert_sorted(NeighborList& list, NodeId id);
 /// Header-inline: membership runs once per delivered packet copy against the

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace snd::core {
@@ -17,6 +21,42 @@ TEST(ThresholdTest, ExactBoundary) {
 TEST(ThresholdTest, ZeroThresholdNeedsOneCommon) {
   EXPECT_TRUE(meets_threshold({1}, {1}, 0));
   EXPECT_FALSE(meets_threshold({1}, {2}, 0));
+}
+
+// meets_threshold stops merging once its verdict is decided; every stop
+// must agree with the full count, at every t up to past both list sizes.
+TEST(ThresholdTest, EarlyExitAgreesWithFullCount) {
+  util::Rng rng(20090622);
+  const auto random_list = [&rng](std::size_t size, std::uint64_t universe) {
+    topology::NeighborList list;
+    while (list.size() < size) {
+      topology::insert_sorted(list, static_cast<NodeId>(rng.uniform_int(universe)));
+    }
+    return list;
+  };
+  std::vector<std::pair<topology::NeighborList, topology::NeighborList>> cases = {
+      {{}, {}},
+      {{}, {1, 2, 3}},
+      {{4, 5, 6}, {}},
+      {{1, 2, 3, 4}, {1, 2, 3, 4}},  // identical
+      {{1, 3, 5, 7}, {2, 4, 6, 8}},  // disjoint, interleaved
+      {{1, 2, 3}, {10, 11, 12}},     // disjoint, one list ahead
+  };
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t universe = 1 + rng.uniform_int(64);
+    const std::size_t a = rng.uniform_int(std::min<std::uint64_t>(universe, 40) + 1);
+    const std::size_t b = rng.uniform_int(std::min<std::uint64_t>(universe, 40) + 1);
+    cases.emplace_back(random_list(a, universe), random_list(b, universe));
+  }
+  for (const auto& [nu, nv] : cases) {
+    const std::size_t common = topology::intersection_size(nu, nv);
+    for (std::size_t t = 0; t <= std::max(nu.size(), nv.size()) + 1; ++t) {
+      ASSERT_EQ(meets_threshold(nu, nv, t), common >= t + 1)
+          << "t=" << t << " |nu|=" << nu.size() << " |nv|=" << nv.size()
+          << " common=" << common;
+      ASSERT_EQ(meets_threshold(nv, nu, t), common >= t + 1) << "swapped, t=" << t;
+    }
+  }
 }
 
 TEST(CommonNeighborValidatorTest, ValidatesWithEnoughOverlap) {

@@ -5,12 +5,16 @@
 // affected-region bound were ever too tight, these tests would diverge.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "fault/plan.h"
 #include "service/events.h"
 #include "service/validation_service.h"
+#include "topology/graph.h"
 #include "util/rng.h"
 
 namespace snd::service {
@@ -35,6 +39,36 @@ void expect_equivalent(const ValidationService& service, const char* context) {
   const auto rebuilt = service.rebuild();
   ASSERT_EQ(incremental->canonical_json(), rebuilt->canonical_json()) << context;
   EXPECT_EQ(incremental->digest(), rebuilt->digest()) << context;
+}
+
+/// Every live node's row of the count index equals a from-scratch recount
+/// of |N(u) ∩ N(v)| over v in N(u).
+void expect_counts_recount(const ValidationService& service, const std::string& context) {
+  const auto snapshot = service.snapshot();
+  for (const auto& [id, state] : snapshot->nodes()) {
+    const std::vector<std::uint32_t>* counts = service.common_counts(id);
+    ASSERT_NE(counts, nullptr) << context << ": node " << id;
+    ASSERT_EQ(counts->size(), state->neighbors.size()) << context << ": node " << id;
+    for (std::size_t i = 0; i < counts->size(); ++i) {
+      const NodeId other = state->neighbors[i];
+      const NodeState* peer = snapshot->find(other);
+      ASSERT_NE(peer, nullptr) << context << ": node " << id << " lists dead " << other;
+      ASSERT_EQ((*counts)[i], topology::intersection_size(state->neighbors, peer->neighbors))
+          << context << ": c(" << id << ", " << other << ")";
+    }
+  }
+}
+
+void expect_consistent(const ValidationService& service, const std::string& context) {
+  expect_equivalent(service, context.c_str());
+  expect_counts_recount(service, context);
+}
+
+std::vector<NodeId> ids_of(const std::vector<std::pair<NodeId, util::Vec2>>& nodes) {
+  std::vector<NodeId> ids;
+  ids.reserve(nodes.size());
+  for (const auto& [id, position] : nodes) ids.push_back(id);
+  return ids;
 }
 
 TEST(ServiceEquivalenceTest, SeededTopologyMatchesRebuild) {
@@ -98,6 +132,92 @@ TEST(ServiceEquivalenceTest, DenseClusterStressMatchesRebuild) {
     if (i % 97 == 0) expect_equivalent(service, "mid-sequence");
   }
   expect_equivalent(service, "after dense-cluster sequence");
+}
+
+// The count index against a recount, across the threshold range: the
+// paper's Fig. 3 field (200 nodes in 100x100 m, R = 50, about 100
+// neighbors) and a sparse one, at t from 0 to past every degree, where
+// verdicts all hold, flip often, or never hold.
+TEST(ServiceEquivalenceTest, CountIndexMatchesRecountAcrossThresholds) {
+  struct Field {
+    const char* name;
+    util::Rect area;
+    std::size_t nodes;
+    std::size_t events;
+  };
+  const Field fields[] = {
+      {"paper", {{0.0, 0.0}, {100.0, 100.0}}, 200, 120},
+      {"sparse", {{0.0, 0.0}, {400.0, 400.0}}, 150, 300},
+  };
+  for (const Field& field : fields) {
+    for (const std::size_t t : {0u, 1u, 5u, 50u, 150u, 1000u}) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        const std::string context = std::string(field.name) + " t=" + std::to_string(t) +
+                                    " seed=" + std::to_string(seed);
+        ValidationService service({.radio_range = 50.0, .threshold_t = t});
+        const auto initial = random_field(field.nodes, field.area, util::derive_seed(900, seed));
+        service.seed_topology(initial);
+        expect_counts_recount(service, context + " after seed_topology");
+        const auto events = random_events(field.events, field.area, ids_of(initial), seed);
+        for (const TopologyEvent& event : events) {
+          ASSERT_TRUE(service.apply(event).ok) << context;
+        }
+        expect_consistent(service, context);
+      }
+    }
+  }
+}
+
+TEST(ServiceEquivalenceTest, CountIndexEdgeCases) {
+  const util::Rect field{{0.0, 0.0}, {100.0, 100.0}};
+  ValidationService service({.radio_range = 50.0, .threshold_t = 5});
+  const auto initial = random_field(200, field, 41);
+  service.seed_topology(initial);
+
+  const util::Vec2 home = service.snapshot()->find(7)->position;
+  ASSERT_TRUE(service.apply(TopologyEvent::update(7, home)).ok);
+  expect_consistent(service, "update to the same position");
+
+  const util::Vec2 start = service.snapshot()->find(8)->position;
+  ASSERT_TRUE(service.apply(TopologyEvent::update(8, {start.x + 10.0, start.y - 5.0})).ok);
+  expect_consistent(service, "update inside the node's own disc");
+
+  ASSERT_TRUE(service.apply(TopologyEvent::deploy(10'000, {1000.0, 1000.0})).ok);
+  ASSERT_NE(service.common_counts(10'000), nullptr);
+  EXPECT_TRUE(service.common_counts(10'000)->empty());
+  expect_consistent(service, "deploy into an empty area");
+
+  ASSERT_TRUE(service.apply(TopologyEvent::revoke(10'000)).ok);
+  EXPECT_EQ(service.common_counts(10'000), nullptr);
+  expect_consistent(service, "revoke of an isolated node");
+
+  const std::vector<TopologyEvent> batch = {TopologyEvent::deploy(20'000, {50.0, 50.0}),
+                                            TopologyEvent::revoke(20'000)};
+  EXPECT_EQ(service.apply_all(batch), 2u);
+  EXPECT_EQ(service.snapshot()->find(20'000), nullptr);
+  EXPECT_EQ(service.common_counts(20'000), nullptr);
+  expect_consistent(service, "batch deploying and revoking one id");
+
+  // Rejected events change nothing: not the topology, and not one count.
+  std::vector<std::vector<std::uint32_t>> rows;
+  for (const auto& [id, state] : service.snapshot()->nodes()) {
+    rows.push_back(*service.common_counts(id));
+  }
+  const std::uint64_t epoch = service.snapshot()->epoch();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(service.apply(TopologyEvent::deploy(3, {1.0, 1.0})).ok);
+  EXPECT_FALSE(service.apply(TopologyEvent::deploy(30'000, {nan, 1.0})).ok);
+  EXPECT_FALSE(service.apply(TopologyEvent::update(4, {1.0, nan})).ok);
+  EXPECT_FALSE(service.apply(TopologyEvent::update(9999, {1.0, 1.0})).ok);
+  EXPECT_FALSE(service.apply(TopologyEvent::revoke(9999)).ok);
+  EXPECT_EQ(service.apply_all(std::vector<TopologyEvent>{TopologyEvent::revoke(9999)}), 0u);
+  EXPECT_EQ(service.snapshot()->epoch(), epoch + 1);  // the batch still publishes
+  std::size_t index = 0;
+  for (const auto& [id, state] : service.snapshot()->nodes()) {
+    ASSERT_EQ(*service.common_counts(id), rows[index++]) << "node " << id;
+  }
+  EXPECT_EQ(service.common_counts(30'000), nullptr);
+  expect_consistent(service, "after rejected events");
 }
 
 TEST(ServiceEquivalenceTest, FaultPlanDrivenSequenceMatchesRebuild) {

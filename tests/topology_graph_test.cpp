@@ -13,11 +13,6 @@ TEST(NeighborListTest, IntersectionSize) {
   EXPECT_EQ(intersection_size(a, a), 4u);
 }
 
-TEST(NeighborListTest, Intersect) {
-  EXPECT_EQ(intersect({1, 2, 3}, {2, 3, 4}), (NeighborList{2, 3}));
-  EXPECT_EQ(intersect({1}, {2}), NeighborList{});
-}
-
 TEST(NeighborListTest, InsertSortedMaintainsOrder) {
   NeighborList list;
   for (NodeId id : {5u, 1u, 3u, 1u, 9u, 3u}) insert_sorted(list, id);
