@@ -15,8 +15,10 @@
 // functional topology from scratch and asserts the incrementally-maintained
 // snapshot serializes byte-identically (--verify-rebuild, on by default;
 // exit 1 on divergence). Results go to BENCH_serve.json: QPS plus
-// us_per_query_p50/p99 and us_per_event_p50/p99 (ingest latency), which
+// us_per_query_p50/p99, us_per_event_p50/p99 (ingest latency) and
+// bootstrap.us_per_node (seed_topology wall time per node), which
 // ci/bench_trend.py picks up automatically ("us_per" keys are trend-gated).
+// A bootstrap position the service cannot index exits 2.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -188,6 +190,7 @@ int main(int argc, char** argv) {
 
   std::printf("== serve_qps: %zu queries against %zu nodes (%.0fx%.0f m, R=%.0f, t=%zu) ==\n",
               queries, nodes, width, width, config.radio_range, config.threshold_t);
+  double bootstrap_s = 0.0;
   {
     util::Rng rng(seed);
     std::vector<std::pair<NodeId, util::Vec2>> bootstrap;
@@ -197,8 +200,13 @@ int main(int argc, char** argv) {
                              util::Vec2{rng.uniform(0.0, width), rng.uniform(0.0, width)});
     }
     const auto start = Clock::now();
-    service.seed_topology(bootstrap);
-    std::printf("bootstrap: %.2f s, %zu validated edges\n", since_ns(start) / 1e9,
+    const service::ApplyResult seeded = service.seed_topology(bootstrap);
+    bootstrap_s = since_ns(start) / 1e9;
+    if (!seeded.ok) {
+      std::cerr << "serve_qps: " << seeded.error << "\n";
+      return 2;
+    }
+    std::printf("bootstrap: %.2f s, %zu validated edges\n", bootstrap_s,
                 service.snapshot()->validated_edge_count());
   }
 
@@ -308,6 +316,9 @@ int main(int argc, char** argv) {
                 "    \"us_per_query_p99\": %.4f,\n"
                 "    \"us_per_query_mean\": %.4f\n"
                 "  },\n"
+                "  \"bootstrap\": {\n"
+                "    \"us_per_node\": %.3f\n"
+                "  },\n"
                 "  \"ingest\": {\n"
                 "    \"us_per_event_p50\": %.2f,\n"
                 "    \"us_per_event_p99\": %.2f\n"
@@ -317,7 +328,8 @@ int main(int argc, char** argv) {
                 "}\n",
                 socket_mode ? "socket" : "inproc", queries, nodes,
                 static_cast<std::size_t>(ingest_ns.count()), wall_s, qps, p50_us, p99_us,
-                latency_ns.mean() / 1e3, ingest_p50_us, ingest_p99_us,
+                latency_ns.mean() / 1e3, bootstrap_s * 1e6 / static_cast<double>(nodes),
+                ingest_p50_us, ingest_p99_us,
                 static_cast<double>(accepted) / static_cast<double>(queries),
                 equivalent ? "true" : "false");
   const std::string path = bench_artifact_path("BENCH_serve.json");

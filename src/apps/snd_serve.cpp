@@ -8,7 +8,8 @@
 //
 // The bootstrap flags deploy a seeded uniform-random topology before
 // serving, so a load generator can connect to a populated service; clients
-// grow or shrink it afterwards with kEvent requests. A kShutdown request
+// grow or shrink it afterwards with kEvent requests. A bootstrap position
+// the service cannot index (see SpatialGrid::indexable) exits 2. A kShutdown request
 // (or EOF in --stdio mode) stops the daemon. See docs/SERVICE.md for the
 // frame layouts and epoch semantics.
 #include <sys/socket.h>
@@ -176,7 +177,11 @@ int main(int argc, char** argv) {
       bootstrap.emplace_back(static_cast<NodeId>(i),
                              util::Vec2{rng.uniform(0.0, width), rng.uniform(0.0, width)});
     }
-    service.seed_topology(bootstrap);
+    const service::ApplyResult seeded = service.seed_topology(bootstrap);
+    if (!seeded.ok) {
+      std::cerr << "snd_serve: " << seeded.error << "\n";
+      return 2;
+    }
   }
 
   if (stdio) {

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,11 +23,16 @@ namespace {
 constexpr std::int64_t kMinCell = std::numeric_limits<std::int32_t>::min();
 constexpr std::int64_t kMaxCell = std::numeric_limits<std::int32_t>::max();
 
-/// Packs the two cell coordinates (each within int32) into one map key.
-std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
-  const auto ux = static_cast<std::uint32_t>(cx);
-  const auto uy = static_cast<std::uint32_t>(cy);
-  return (static_cast<std::uint64_t>(ux) << 32) | uy;
+/// Whether coordinates `a` and `b` differ by at most `radius` before
+/// rounding: b − a can round to ±radius from just beyond it.
+bool within_exactly(double a, double b, double radius) {
+  const double difference = b - a;
+  if (std::fabs(difference) != radius) return std::fabs(difference) < radius;
+  // TwoSum: b − a == difference + error exactly.
+  const double b_virtual = difference + a;
+  const double minus_a_virtual = difference - b_virtual;
+  const double error = (b - b_virtual) + (-a - minus_a_virtual);
+  return difference > 0 ? error <= 0 : error >= 0;
 }
 
 /// `list` with `value` inserted at index `at`, built at its exact size.
@@ -113,8 +121,25 @@ std::int64_t SpatialGrid::cell_index(double coordinate) const {
   return static_cast<std::int64_t>(index);
 }
 
+std::uint64_t SpatialGrid::cell_key(std::int64_t cx, std::int64_t cy) {
+  // Flipping the sign bit makes unsigned order the signed order.
+  const auto ux = static_cast<std::uint32_t>(cx) ^ 0x8000'0000u;
+  const auto uy = static_cast<std::uint32_t>(cy) ^ 0x8000'0000u;
+  return (static_cast<std::uint64_t>(ux) << 32) | uy;
+}
+
 std::uint64_t SpatialGrid::cell_key(util::Vec2 position) const {
-  return pack_cell(cell_index(position.x), cell_index(position.y));
+  return cell_key(cell_index(position.x), cell_index(position.y));
+}
+
+SpatialGrid::CellRange SpatialGrid::disc_cells(util::Vec2 center, double radius) const {
+  return {cell_index(center.x - radius), cell_index(center.x + radius),
+          cell_index(center.y - radius), cell_index(center.y + radius)};
+}
+
+bool SpatialGrid::in_range(util::Vec2 a, util::Vec2 b, double radius) {
+  return util::distance_squared(a, b) <= radius * radius &&
+         within_exactly(a.x, b.x, radius) && within_exactly(a.y, b.y, radius);
 }
 
 bool SpatialGrid::indexable(util::Vec2 position) const {
@@ -126,32 +151,28 @@ bool SpatialGrid::indexable(util::Vec2 position) const {
 }
 
 void SpatialGrid::insert(NodeId id, util::Vec2 position) {
-  cells_.get_or_insert(cell_key(position)).push_back({id, position});
+  cells_[cell_key(position)].push_back({id, position});
 }
 
 void SpatialGrid::erase(NodeId id, util::Vec2 position) {
-  const std::uint64_t key = cell_key(position);
-  auto* bucket = cells_.find(key);
-  if (bucket == nullptr) return;
-  const auto it = std::find_if(bucket->begin(), bucket->end(),
+  const auto bucket = cells_.find(cell_key(position));
+  if (bucket == cells_.end()) return;
+  std::vector<Entry>& entries = bucket->second;
+  const auto it = std::find_if(entries.begin(), entries.end(),
                                [id](const Entry& entry) { return entry.id == id; });
-  if (it != bucket->end()) bucket->erase(it);
-  if (bucket->empty()) cells_.erase(key);
+  if (it != entries.end()) entries.erase(it);
+  if (entries.empty()) cells_.erase(bucket);
 }
 
 std::vector<NodeId> SpatialGrid::query_disc(util::Vec2 center, double radius) const {
-  const double r2 = radius * radius;
-  const std::int64_t x_lo = cell_index(center.x - radius);
-  const std::int64_t x_hi = cell_index(center.x + radius);
-  const std::int64_t y_lo = cell_index(center.y - radius);
-  const std::int64_t y_hi = cell_index(center.y + radius);
+  const CellRange range = disc_cells(center, radius);
   std::vector<NodeId> result;
-  for (std::int64_t cx = x_lo; cx <= x_hi; ++cx) {
-    for (std::int64_t cy = y_lo; cy <= y_hi; ++cy) {
-      const auto* bucket = cells_.find(pack_cell(cx, cy));
-      if (bucket == nullptr) continue;
-      for (const Entry& entry : *bucket) {
-        if (util::distance_squared(entry.position, center) <= r2) result.push_back(entry.id);
+  for (std::int64_t cx = range.x_lo; cx <= range.x_hi; ++cx) {
+    for (std::int64_t cy = range.y_lo; cy <= range.y_hi; ++cy) {
+      const auto bucket = cells_.find(cell_key(cx, cy));
+      if (bucket == cells_.end()) continue;
+      for (const Entry& entry : bucket->second) {
+        if (in_range(center, entry.position, radius)) result.push_back(entry.id);
       }
     }
   }
@@ -358,37 +379,128 @@ std::size_t ValidationService::apply_all(std::span<const TopologyEvent> events) 
   return applied;
 }
 
-void ValidationService::seed_topology(
+ApplyResult ValidationService::seed_topology(
     std::span<const std::pair<NodeId, util::Vec2>> nodes) {
-  for (const auto& [id, position] : nodes) grid_.insert(id, position);
-  Snapshot::NodeMap map;
   for (const auto& [id, position] : nodes) {
-    auto state = std::make_shared<NodeState>();
-    state->position = position;
-    state->neighbors = derive_neighbors(id, position);
-    map.insert_or_assign(id, std::move(state));
-  }
-  const std::size_t need = config_.threshold_t + 1;
-  counts_.reserve(counts_.size() + nodes.size());
-  for (const auto& [id, position] : nodes) {
-    NodeState next = clone_state(map, id);
-    std::vector<std::uint32_t> counts;
-    counts.reserve(next.neighbors.size());
-    for (const NodeId other : next.neighbors) {
-      counts.push_back(static_cast<std::uint32_t>(
-          topology::intersection_size(next.neighbors, (*map.find(other))->neighbors)));
+    if (!grid_.indexable(position)) {
+      return ApplyResult::failure("seed: node " + std::to_string(id) +
+                                  " position out of range");
     }
-    next.validated = validated_from(next.neighbors, counts, need);
-    counts_.insert_or_assign(id, std::move(counts));
-    map.insert_or_assign(id, std::make_shared<const NodeState>(std::move(next)));
+  }
+  const std::size_t n = nodes.size();
+  const double radius = config_.radio_range;
+
+  // Slot i is the i-th node in (cell, input index) order: `origin[i]` is its
+  // index in `nodes`, `ids[i]` its id, and `rows[i]` becomes N(u) as
+  // ascending slots.
+  std::vector<std::uint32_t> origin(n);
+  std::vector<NodeId> ids(n);
+  std::vector<topology::NeighborList> rows(n);
+  {
+    struct Keyed {
+      std::uint64_t key;
+      std::uint32_t index;
+    };
+    std::vector<util::Vec2> positions(n);
+    std::vector<Keyed> cells;  // each occupied cell's key and first slot
+    {
+      std::vector<Keyed> order(n);
+      for (std::uint32_t k = 0; k < n; ++k) order[k] = {grid_.cell_key(nodes[k].second), k};
+      std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
+        return a.key != b.key ? a.key < b.key : a.index < b.index;
+      });
+      for (std::uint32_t i = 0; i < n; ++i) {
+        origin[i] = order[i].index;
+        std::tie(ids[i], positions[i]) = nodes[origin[i]];
+        grid_.insert(ids[i], positions[i]);
+        if (i == 0 || order[i].key != order[i - 1].key) cells.push_back({order[i].key, i});
+      }
+    }
+
+    // The cell range of u's disc, as one run of slots per column, tested
+    // with the predicate query_disc uses. The nodes of a cell nearly always
+    // share a range, so its runs are looked up once.
+    const auto first_slot = [&](std::uint64_t key) {
+      const auto cell = std::lower_bound(
+          cells.begin(), cells.end(), key,
+          [](const Keyed& entry, std::uint64_t wanted) { return entry.key < wanted; });
+      return cell != cells.end() ? cell->index : static_cast<std::uint32_t>(n);
+    };
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+    std::optional<SpatialGrid::CellRange> runs_of;
+    topology::NeighborList found;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const SpatialGrid::CellRange range = grid_.disc_cells(positions[i], radius);
+      if (range != runs_of) {
+        runs.clear();
+        for (std::int64_t cx = range.x_lo; cx <= range.x_hi; ++cx) {
+          runs.emplace_back(first_slot(SpatialGrid::cell_key(cx, range.y_lo)),
+                            first_slot(SpatialGrid::cell_key(cx, range.y_hi + 1)));
+        }
+        runs_of = range;
+      }
+      found.clear();
+      for (const auto& [begin, end] : runs) {
+        for (std::uint32_t j = begin; j < end; ++j) {
+          if (j != i && SpatialGrid::in_range(positions[i], positions[j], radius)) {
+            found.push_back(j);
+          }
+        }
+      }
+      rows[i].assign(found.begin(), found.end());
+    }
+  }
+
+  // One intersection per undirected edge (i, j), i < j, written into both
+  // count rows. N(·) is symmetric and i runs upward, so row j's entries
+  // below j are written in order: `filled[j]` so far, and the next is i.
+  std::vector<std::vector<std::uint32_t>> counts(n);
+  for (std::uint32_t i = 0; i < n; ++i) counts[i].resize(rows[i].size());
+  {
+    std::vector<std::uint32_t> filled(n, 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const topology::NeighborList& row = rows[i];
+      for (std::size_t k = filled[i]; k < row.size(); ++k) {
+        const std::uint32_t j = row[k];
+        const auto common =
+            static_cast<std::uint32_t>(topology::intersection_size(row, rows[j]));
+        counts[i][k] = common;
+        counts[j][filled[j]++] = common;
+      }
+    }
+  }
+
+  // Each row and its counts turn into ids in place, sorted by id together;
+  // each NodeState is built once, and the node map filled by ascending id.
+  std::vector<std::uint32_t> by_id(n);
+  std::iota(by_id.begin(), by_id.end(), 0u);
+  std::sort(by_id.begin(), by_id.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return ids[a] < ids[b]; });
+  const std::size_t need = config_.threshold_t + 1;
+  Snapshot::NodeMap map;
+  counts_.reserve(counts_.size() + n);
+  std::vector<std::pair<NodeId, std::uint32_t>> entries;
+  for (const std::uint32_t i : by_id) {
+    topology::NeighborList& row = rows[i];
+    std::vector<std::uint32_t>& row_counts = counts[i];
+    entries.clear();
+    for (std::size_t k = 0; k < row.size(); ++k) entries.emplace_back(ids[row[k]], row_counts[k]);
+    std::sort(entries.begin(), entries.end());
+    for (std::size_t k = 0; k < row.size(); ++k) std::tie(row[k], row_counts[k]) = entries[k];
+    NodeState state;
+    state.position = nodes[origin[i]].second;
+    state.validated = validated_from(row, row_counts, need);
+    state.neighbors = std::move(row);
+    map.insert_or_assign(ids[i], std::make_shared<const NodeState>(std::move(state)));
+    counts_.insert_or_assign(ids[i], std::move(row_counts));
   }
   if (config_.master_key.present()) {
-    std::vector<NodeId> ids;
-    ids.reserve(nodes.size());
-    for (const auto& [id, position] : nodes) ids.push_back(id);
-    refresh_commitments(ids, map);
+    std::vector<NodeId> ascending(n);
+    for (std::size_t k = 0; k < n; ++k) ascending[k] = ids[by_id[k]];
+    refresh_commitments(ascending, map);
   }
   publish(std::move(map));
+  return ApplyResult::success();
 }
 
 const std::vector<std::uint32_t>* ValidationService::common_counts(NodeId id) const {

@@ -68,24 +68,47 @@
 
 namespace snd::service {
 
-/// Uniform grid over node positions with cell size R; every disc query the
-/// service makes has radius R, i.e. a block of at most 3x3 cells. Buckets
-/// hold each node's position next to its id, so a query reads nothing else.
+/// Uniform grid over node positions with cell size R, in a hash map keyed by
+/// the packed cell. Buckets hold each node's position next to its id, so a
+/// disc query reads nothing else. A disc of radius R usually spans 3x3
+/// cells; rounding in floor((x ± R)/R) can widen that to 4 columns or rows.
 class SpatialGrid {
  public:
+  /// The cells a disc query visits, inclusive on both ends of both axes.
+  struct CellRange {
+    std::int64_t x_lo, x_hi, y_lo, y_hi;
+    friend bool operator==(const CellRange&, const CellRange&) = default;
+  };
+
   explicit SpatialGrid(double cell_size) : cell_(cell_size) {}
 
   /// Whether `position` is finite and the cell range of disc(position, R)
   /// lies strictly inside int32 on both axes. Cell indices are clamped into
   /// int32, so the two extreme indices also collect every farther position;
   /// a disc that stays clear of them is indexed exactly. The service
-  /// rejects events at positions that fail this.
+  /// rejects events and bootstrap nodes at positions that fail this.
   [[nodiscard]] bool indexable(util::Vec2 position) const;
+
+  /// Whether `b` is within `radius` of `a`: their rounded squared distance
+  /// is at most radius², and neither coordinate differs by more than
+  /// `radius` before rounding. The second clause only matters for a
+  /// difference that rounds to exactly ±radius; it keeps every accepted
+  /// node inside the cell range of the other's disc, so the relation is
+  /// symmetric and a disc query finds every node it accepts.
+  [[nodiscard]] static bool in_range(util::Vec2 a, util::Vec2 b, double radius);
+
+  /// The cells whose nodes a query of disc(center, radius) tests.
+  [[nodiscard]] CellRange disc_cells(util::Vec2 center, double radius) const;
+  /// The map key of the cell holding `position`. Keys order cells by x,
+  /// then y (both signed), so the cells of one column between two y
+  /// indices have consecutive keys.
+  [[nodiscard]] std::uint64_t cell_key(util::Vec2 position) const;
+  [[nodiscard]] static std::uint64_t cell_key(std::int64_t cx, std::int64_t cy);
 
   void insert(NodeId id, util::Vec2 position);
   void erase(NodeId id, util::Vec2 position);
 
-  /// Ids of indexed nodes within `radius` of `center` (inclusive), sorted.
+  /// Ids of indexed nodes in range (see in_range) of `center`, sorted.
   [[nodiscard]] std::vector<NodeId> query_disc(util::Vec2 center, double radius) const;
 
  private:
@@ -95,10 +118,9 @@ class SpatialGrid {
   };
 
   [[nodiscard]] std::int64_t cell_index(double coordinate) const;
-  [[nodiscard]] std::uint64_t cell_key(util::Vec2 position) const;
 
   double cell_;
-  util::FlatMap<std::uint64_t, std::vector<Entry>> cells_;
+  std::unordered_map<std::uint64_t, std::vector<Entry>> cells_;
 };
 
 struct ServiceConfig {
@@ -140,10 +162,13 @@ class ValidationService {
   /// replaying the batch through apply one by one).
   std::size_t apply_all(std::span<const TopologyEvent> events);
 
-  /// Bulk bootstrap: deploys all nodes, then derives every list and count
-  /// row once -- one intersection per tentative edge, O(n · deg²) -- and
-  /// publishes one epoch. Requires distinct ids; call on an empty service.
-  void seed_topology(std::span<const std::pair<NodeId, util::Vec2>> nodes);
+  /// Bulk bootstrap: deploys all nodes and publishes one epoch. One pass
+  /// over the nodes sorted by grid cell derives every tentative list, and
+  /// each common-neighbor count is computed once per undirected edge --
+  /// O(n log n + Σ deg²). Requires distinct ids; call on an empty service.
+  /// Fails, changing nothing, when a position fails SpatialGrid::indexable;
+  /// the error names the first such node.
+  ApplyResult seed_topology(std::span<const std::pair<NodeId, util::Vec2>> nodes);
 
   /// Current snapshot; never null, safe to call from any thread and to
   /// retain across later ingestion.

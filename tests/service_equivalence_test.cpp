@@ -5,6 +5,8 @@
 // affected-region bound were ever too tight, these tests would diverge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -218,6 +220,140 @@ TEST(ServiceEquivalenceTest, CountIndexEdgeCases) {
   }
   EXPECT_EQ(service.common_counts(30'000), nullptr);
   expect_consistent(service, "after rejected events");
+}
+
+// -- The bulk bootstrap against independent derivations -----------------------
+
+using Bootstrap = std::vector<std::pair<NodeId, util::Vec2>>;
+
+struct BootstrapCase {
+  std::string name;
+  double radius;
+  Bootstrap nodes;
+};
+
+/// `value` moved `steps` ulps up (or down, for negative steps).
+double ulps(double value, int steps) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (; steps > 0; --steps) value = std::nextafter(value, inf);
+  for (; steps < 0; ++steps) value = std::nextafter(value, -inf);
+  return value;
+}
+
+/// Ids 1, 2, ... in input order.
+Bootstrap numbered(const std::vector<util::Vec2>& positions) {
+  Bootstrap nodes;
+  for (const util::Vec2 position : positions) {
+    nodes.emplace_back(static_cast<NodeId>(nodes.size() + 1), position);
+  }
+  return nodes;
+}
+
+/// Nodes on the axes at multiples of `radius` from -3R to 3R, each also one
+/// ulp either side: pairs exactly R apart, one ulp closer and one ulp beyond.
+Bootstrap axis_pairs(double radius) {
+  std::vector<util::Vec2> positions;
+  for (int k = -3; k <= 3; ++k) {
+    for (const int step : {-1, 0, 1}) {
+      const double at = ulps(k * radius, step);
+      positions.push_back({at, 0.0});
+      positions.push_back({0.0, at});
+    }
+  }
+  return numbered(positions);
+}
+
+std::vector<BootstrapCase> bootstrap_cases() {
+  std::vector<BootstrapCase> cases;
+
+  // Sparse ids, 0 and 0xFFFFFFFE among them, in shuffled input order.
+  Bootstrap sparse = random_field(300, {{-120.0, -120.0}, {120.0, 120.0}}, 61);
+  for (std::size_t i = 0; i < sparse.size(); ++i) {
+    sparse[i].first = static_cast<NodeId>(i * 9'973'127 + 5);
+  }
+  sparse.front().first = 0;
+  sparse.back().first = 0xFFFF'FFFE;
+  util::Rng(62).shuffle(sparse.begin(), sparse.end());
+  cases.push_back({"sparse shuffled ids", 25.0, sparse});
+
+  cases.push_back({"axis pairs R=1", 1.0, axis_pairs(1.0)});
+  cases.push_back({"axis pairs R=50", 50.0, axis_pairs(50.0)});
+  cases.push_back({"axis pairs R=0.1", 0.1, axis_pairs(0.1)});
+  // 2 and 1 - 2^-53 are 1 + 2^-53 apart, which rounds to exactly R = 1; the
+  // cell range of the disc at 2 starts at cell 1 and misses cell 0.
+  cases.push_back({"one ulp beyond across a cell boundary", 1.0,
+                   numbered({{2.0, 0.0}, {ulps(1.0, -1), 0.0}, {2.0, 0.5}, {0.5, 0.0},
+                             {0.0, 2.0}, {0.0, ulps(1.0, -1)}, {-1.0, 0.0},
+                             {ulps(0.0, -1), 0.0}})});
+
+  // A lattice on cell boundaries, around the origin into negative cells.
+  std::vector<util::Vec2> lattice;
+  for (int i = -4; i <= 4; ++i) {
+    for (int j = -4; j <= 4; ++j) lattice.push_back({i * 25.0, j * 25.0});
+  }
+  cases.push_back({"cell-boundary lattice", 25.0, numbered(lattice)});
+
+  // R = 0.1: floor((x ± R)/R) rounds, so a disc can span four columns
+  // (x = 0.3 reaches cell 4). Both i/10 and i·0.1, which differ for some i.
+  std::vector<util::Vec2> tenths;
+  for (int i = -2; i <= 10; ++i) {
+    for (int j = -2; j <= 10; ++j) {
+      tenths.push_back({i / 10.0, j / 10.0});
+      tenths.push_back({i * 0.1, j * 0.1});
+    }
+  }
+  const Bootstrap scattered = random_field(150, {{-0.5, -0.5}, {1.0, 1.0}}, 63);
+  for (const auto& [id, position] : scattered) tenths.push_back(position);
+  cases.push_back({"R=0.1 tenths", 0.1, numbered(tenths)});
+
+  std::vector<util::Vec2> coincident(12, util::Vec2{7.0, -3.0});
+  coincident.push_back({7.0, 2.0});
+  coincident.push_back({12.0, -3.0});
+  coincident.push_back({40.0, 40.0});
+  cases.push_back({"coincident", 5.0, numbered(coincident)});
+
+  cases.push_back({"one cell", 50.0, random_field(60, {{50.0, -100.0}, {99.0, -51.0}}, 64)});
+  cases.push_back({"single node", 50.0, numbered({{-3.5, 4.25}})});
+  cases.push_back({"empty", 50.0, {}});
+  return cases;
+}
+
+TEST(ServiceEquivalenceTest, BulkSeedMatchesIndependentDerivations) {
+  for (const BootstrapCase& input : bootstrap_cases()) {
+    // t = 0, 1, 5, and one above the largest degree. N(·) must be
+    // symmetric, also where a rounded distance is exactly R but the exact
+    // one is not: the count pass and ingestion rely on it.
+    std::size_t largest = 0;
+    {
+      ValidationService probe({.radio_range = input.radius, .threshold_t = 0});
+      ASSERT_TRUE(probe.seed_topology(input.nodes).ok) << input.name;
+      const auto snapshot = probe.snapshot();
+      for (const auto& [id, state] : snapshot->nodes()) {
+        largest = std::max(largest, state->neighbors.size());
+        for (const NodeId other : state->neighbors) {
+          ASSERT_TRUE(topology::contains(snapshot->find(other)->neighbors, id))
+              << input.name << ": " << other << " does not list " << id;
+        }
+      }
+    }
+    for (const std::size_t t : {std::size_t{0}, std::size_t{1}, std::size_t{5}, largest + 1}) {
+      const std::string context = input.name + " t=" + std::to_string(t);
+      const ServiceConfig config{.radio_range = input.radius, .threshold_t = t};
+      ValidationService seeded(config);
+      ASSERT_TRUE(seeded.seed_topology(input.nodes).ok) << context;
+      EXPECT_EQ(seeded.node_count(), input.nodes.size()) << context;
+      expect_consistent(seeded, context);
+
+      ValidationService deployed(config);
+      std::vector<TopologyEvent> deploys;
+      for (const auto& [id, position] : input.nodes) {
+        deploys.push_back(TopologyEvent::deploy(id, position));
+      }
+      ASSERT_EQ(deployed.apply_all(deploys), deploys.size()) << context;
+      ASSERT_EQ(seeded.snapshot()->canonical_json(), deployed.snapshot()->canonical_json())
+          << context;
+    }
+  }
 }
 
 TEST(ServiceEquivalenceTest, FaultPlanDrivenSequenceMatchesRebuild) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -277,6 +278,42 @@ TEST(ServicePositionTest, NonFiniteOrOutOfRangeEventsLeaveTheWorldAlone) {
   EXPECT_EQ(service.snapshot()->epoch(), epoch);
   EXPECT_EQ(service.apply_all(batch), 1u);
   EXPECT_EQ(service.snapshot()->find(2)->position, (util::Vec2{1.5, 0.0}));
+  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+}
+
+TEST(ServicePositionTest, SeedWithAnUnindexablePositionChangesNothing) {
+  // R·(2³¹−2): accepted coordinates are [-limit, limit).
+  const double limit = 50.0 * 2147483646.0;
+  const double below_limit = std::nextafter(limit, 0.0);
+  const double beyond_minus_limit = std::nextafter(-limit, -limit - 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ValidationService service(range50_config());
+  for (const double bad : {nan, inf, -inf, limit, beyond_minus_limit}) {
+    for (const util::Vec2 position : {util::Vec2{bad, 0.0}, util::Vec2{0.0, bad}}) {
+      auto nodes = clique4();
+      nodes.emplace_back(9, position);
+      nodes.emplace_back(10, util::Vec2{nan, nan});
+      const ApplyResult result = service.seed_topology(nodes);
+      EXPECT_FALSE(result.ok) << bad;
+      EXPECT_NE(result.error.find("node 9 position out of range"), std::string::npos)
+          << result.error;
+    }
+  }
+  EXPECT_EQ(service.snapshot()->epoch(), 0u);
+  EXPECT_EQ(service.node_count(), 0u);
+  EXPECT_EQ(service.common_counts(1), nullptr);
+
+  // A valid bootstrap afterwards, with nodes at the innermost rejected
+  // positions' accepted neighbors.
+  auto nodes = clique4();
+  nodes.emplace_back(11, util::Vec2{below_limit, -limit});
+  nodes.emplace_back(12, util::Vec2{limit - 10.0, -limit});
+  ASSERT_TRUE(service.seed_topology(nodes).ok);
+  EXPECT_EQ(service.snapshot()->epoch(), 1u);
+  EXPECT_EQ(service.node_count(), 6u);
+  EXPECT_EQ(service.snapshot()->find(11)->neighbors, topology::NeighborList{12});
+  EXPECT_EQ(service.snapshot()->validated_edge_count(), 12u);
   EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
 }
 
