@@ -25,7 +25,6 @@
 #include "core/deployment_driver.h"
 #include "util/driver_spec.h"
 #include "util/runtime_config.h"
-#include "util/soa.h"
 
 namespace {
 
@@ -118,8 +117,7 @@ int main(int argc, char** argv) {
   const double max_rss_mb = cli.get_double("max-rss-mb");
 
   const std::vector<std::size_t> sizes = parse_nodes_list(nodes_spec);
-  std::printf("== Deployment scale: full discovery, constant degree %.0f, SoA core %s ==\n",
-              degree, util::soa_enabled() ? "on" : "off");
+  std::printf("== Deployment scale: full discovery, constant degree %.0f ==\n", degree);
 
   std::string deployments;
   std::vector<ScaleResult> results;
@@ -156,9 +154,8 @@ int main(int argc, char** argv) {
                 "{\n"
                 "  \"name\": \"scale_deployment\",\n"
                 "  \"degree\": %.0f,\n"
-                "  \"soa\": %s,\n"
                 "  \"deployments\": [\n",
-                degree, util::soa_enabled() ? "true" : "false");
+                degree);
   const std::string json = std::string(head) + deployments + "\n  ]\n}\n";
 
   const std::string path = bench_artifact_path("BENCH_scale.json");

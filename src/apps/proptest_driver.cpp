@@ -2,7 +2,7 @@
 // protocol with invariant oracles, automatic fault-plan shrinking, and
 // FAILCASE replay.
 //
-//   ./proptest_driver [--trials 20] [--seed 1] [--jobs N] [--ab-every 8]
+//   ./proptest_driver [--trials 20] [--seed 1] [--jobs N]
 //                     [--failcase-dir .] [--max-failures 5]
 //                     [--plant none|uncounted_drop|verify_bypass|replay_window_bypass]
 //                     [--adversary FAMILIES | --adversary-config PATH]
@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
       "deployments; failing trials are persisted as replayable failcases.");
   driver_spec.int_flag("trials", 20, "N", "random trials to run", 1)
       .int_flag("seed", 1, "S", "base seed for trial derivation")
-      .int_flag("ab-every", 8, "N", "A/B-compare against the model every N trials", 0)
       .string_flag("failcase-dir", ".", "DIR", "directory for failcase JSON files")
       .int_flag("max-failures", 5, "N", "stop after N failing trials", 1)
       .string_flag("plant", "none", "BUG",
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
   config.trials = static_cast<std::size_t>(cli.get_int("trials"));
   config.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.jobs = jobs;
-  config.ab_every = static_cast<std::size_t>(cli.get_int("ab-every"));
   config.failcase_dir = cli.get("failcase-dir");
   config.max_failures = static_cast<std::size_t>(cli.get_int("max-failures"));
   const std::string replay_path = cli.get("replay-failcase");
@@ -100,8 +98,7 @@ int main(int argc, char** argv) {
   const proptest::PropReport report = proptest::run_property_suite(config);
 
   std::cout << "\npassed " << report.passed << "/" << report.trials << ", failed "
-            << report.failed << ", errored " << report.errored << ", A/B checked "
-            << report.ab_checked << " (mismatches " << report.ab_mismatches << ")\n";
+            << report.failed << ", errored " << report.errored << "\n";
   for (const proptest::FailCase& failcase : report.failcases) {
     std::cout << "\nFAILCASE " << failcase.kind << " trial=" << failcase.trial
               << " seed=" << failcase.trial_seed << " plan " << failcase.plan.actions.size()

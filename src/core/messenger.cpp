@@ -15,38 +15,21 @@ Messenger::Messenger(sim::Network& network, sim::DeviceId device, NodeId identit
     : network_(network),
       device_(device),
       identity_(identity),
-      keys_(std::move(keys)),
-      key_cache_(keys_, identity),
+      key_cache_(std::move(keys), identity),
       // Device-distinct starting nonce so replicas of one identity never
       // collide in the receiver's replay cache; the epoch stride jumps a
       // rebooted device's counters ahead of everything it sent before.
       nonce_counter_((static_cast<std::uint64_t>(device) << 32) +
-                     static_cast<std::uint64_t>(boot_epoch) * kEpochStride),
-      soa_(util::soa_enabled()) {}
-
-crypto::SymmetricKey Messenger::pair_key(NodeId peer) const {
-  auto key = keys_->pairwise(identity_, peer);
-  return key ? std::move(*key) : crypto::SymmetricKey();
-}
+                     static_cast<std::uint64_t>(boot_epoch) * kEpochStride) {}
 
 namespace {
 
-util::Bytes mac_input(NodeId src, NodeId dst, std::uint8_t type,
-                      std::span<const std::uint8_t> payload, std::uint64_t nonce) {
-  util::Bytes input;
-  util::put_u32(input, src);
-  util::put_u32(input, dst);
-  util::put_u8(input, type);
-  util::put_var_bytes(input, payload);
-  util::put_u64(input, nonce);
-  return input;
-}
-
-// Streams the same byte sequence as mac_input() directly into the hash
-// context: u32 src | u32 dst | u8 type | u16 len | payload | u64 nonce.
-// Keeping the two in lockstep is what makes fast and slow MACs bit-equal.
-// Templated over the context so a crypto::HashBatch::Job (send_many's wide
-// MAC path) absorbs exactly the bytes a scalar crypto::Sha256 would.
+// Streams the MAC input directly into the hash context, with no framing
+// buffer: u32 src | u32 dst | u8 type | u16 len | payload | u64 nonce.
+// core_messenger_test frames the same bytes by hand and checks the wire
+// MAC against crypto::short_mac over them. Templated over the context so a
+// crypto::HashBatch::Job (send_many's wide MAC path) absorbs exactly the
+// bytes a scalar crypto::Sha256 would.
 template <typename Ctx>
 void mac_absorb(Ctx& h, NodeId src, NodeId dst, std::uint8_t type,
                 std::span<const std::uint8_t> payload, std::uint64_t nonce) {
@@ -69,24 +52,10 @@ void mac_absorb(Ctx& h, NodeId src, NodeId dst, std::uint8_t type,
 
 }  // namespace
 
-bool Messenger::send(NodeId to, std::uint8_t type, const util::Bytes& payload,
-                     obs::Phase phase) {
-  crypto::ShortMac mac;
-  std::uint64_t nonce = 0;
-  if (crypto::fast_path_enabled()) {
-    const crypto::PairKeyCache::Entry& entry = key_cache_.get(to);
-    if (!entry.key.present()) return false;
-    nonce = ++nonce_counter_;
-    crypto::Sha256 inner = entry.mac.inner_context();
-    mac_absorb(inner, identity_, to, type, payload, nonce);
-    mac = entry.mac.finish_short(std::move(inner));
-  } else {
-    const crypto::SymmetricKey key = pair_key(to);
-    if (!key.present()) return false;
-    nonce = ++nonce_counter_;
-    mac = crypto::short_mac(key, mac_input(identity_, to, type, payload, nonce));
-  }
-
+void Messenger::transmit_authenticated(NodeId to, std::uint8_t type,
+                                       std::span<const std::uint8_t> payload,
+                                       std::uint64_t nonce, const crypto::ShortMac& mac,
+                                       obs::Phase phase) {
   util::Bytes body;
   body.reserve(payload.size() + kAuthOverhead);
   util::put_bytes(body, payload);
@@ -95,14 +64,24 @@ bool Messenger::send(NodeId to, std::uint8_t type, const util::Bytes& payload,
 
   sim::Packet packet{.src = identity_, .dst = to, .type = type, .payload = std::move(body)};
   network_.transmit(device_, std::move(packet), phase);
+}
+
+bool Messenger::send(NodeId to, std::uint8_t type, const util::Bytes& payload,
+                     obs::Phase phase) {
+  const crypto::PairKeyCache::Entry& entry = key_cache_.get(to);
+  if (!entry.key.present()) return false;
+  const std::uint64_t nonce = ++nonce_counter_;
+  crypto::Sha256 inner = entry.mac.inner_context();
+  mac_absorb(inner, identity_, to, type, payload, nonce);
+  transmit_authenticated(to, type, payload, nonce, entry.mac.finish_short(std::move(inner)),
+                         phase);
   return true;
 }
 
 std::size_t Messenger::send_many(std::span<const Outgoing> messages) {
-  // Serial fallback keeps send() semantics verbatim when the slow crypto
-  // path is selected, SIMD batching is off, or a second hash lane would
-  // never fill.
-  if (!crypto::fast_path_enabled() || !util::simd_enabled() || messages.size() < 2) {
+  // Serial fallback keeps send() semantics verbatim when SIMD batching is
+  // off or a second hash lane would never fill.
+  if (!util::simd_enabled() || messages.size() < 2) {
     std::size_t sent = 0;
     for (const Outgoing& m : messages) {
       if (send(m.to, m.type, m.payload, m.phase)) ++sent;
@@ -140,15 +119,7 @@ std::size_t Messenger::send_many(std::span<const Outgoing> messages) {
     const Outgoing& m = messages[p.index];
     crypto::ShortMac mac;
     std::copy_n(outer.digest(j).bytes.begin(), crypto::kShortMacSize, mac.begin());
-
-    util::Bytes body;
-    body.reserve(m.payload.size() + kAuthOverhead);
-    util::put_bytes(body, m.payload);
-    util::put_u64(body, p.nonce);
-    util::put_bytes(body, mac);
-
-    sim::Packet packet{.src = identity_, .dst = m.to, .type = m.type, .payload = std::move(body)};
-    network_.transmit(device_, std::move(packet), m.phase);
+    transmit_authenticated(m.to, m.type, m.payload, p.nonce, mac, m.phase);
   }
   return pending.size();
 }
@@ -175,21 +146,12 @@ std::optional<std::span<const std::uint8_t>> Messenger::open(const sim::Packet& 
   const auto mac = tail.bytes_view(crypto::kShortMacSize);
   if (!nonce || !mac) return std::nullopt;
 
-  if (crypto::fast_path_enabled()) {
-    const crypto::PairKeyCache::Entry& entry = key_cache_.get(packet.src);
-    if (!entry.key.present()) return std::nullopt;
-    crypto::Sha256 inner = entry.mac.inner_context();
-    mac_absorb(inner, packet.src, identity_, packet.type, payload, *nonce);
-    const crypto::ShortMac expected = entry.mac.finish_short(std::move(inner));
-    if (!util::constant_time_equal(expected, *mac)) return std::nullopt;
-  } else {
-    const crypto::SymmetricKey key = pair_key(packet.src);
-    if (!key.present()) return std::nullopt;
-    if (!crypto::verify_short_mac(
-            key, mac_input(packet.src, identity_, packet.type, payload, *nonce), *mac)) {
-      return std::nullopt;
-    }
-  }
+  const crypto::PairKeyCache::Entry& entry = key_cache_.get(packet.src);
+  if (!entry.key.present()) return std::nullopt;
+  crypto::Sha256 inner = entry.mac.inner_context();
+  mac_absorb(inner, packet.src, identity_, packet.type, payload, *nonce);
+  const crypto::ShortMac expected = entry.mac.finish_short(std::move(inner));
+  if (!util::constant_time_equal(expected, *mac)) return std::nullopt;
 
   if (!replay_accept(packet.src, *nonce)) {
     if (fault::planted_bug() == fault::PlantedBug::kReplayWindowBypass) {
@@ -242,18 +204,8 @@ bool Messenger::ReplayWindow::accept(std::uint64_t counter) {
 bool Messenger::replay_accept(NodeId src, std::uint64_t nonce) {
   const std::uint32_t sender_device = static_cast<std::uint32_t>(nonce >> 32);
   const std::uint64_t counter = nonce & 0xffffffffULL;
-  if (soa_) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | sender_device;
-    return replay_windows_flat_.get_or_insert(key).accept(counter);
-  }
-  return replay_windows_[src][sender_device].accept(counter);
-}
-
-std::size_t Messenger::replay_window_count() const {
-  if (soa_) return replay_windows_flat_.size();
-  std::size_t count = 0;
-  for (const auto& [src, windows] : replay_windows_) count += windows.size();
-  return count;
+  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | sender_device;
+  return replay_windows_.get_or_insert(key).accept(counter);
 }
 
 }  // namespace snd::core

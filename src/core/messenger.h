@@ -11,10 +11,10 @@
 // Hot path: pairwise keys and their HMAC midstates are memoized per peer
 // (crypto::PairKeyCache) and the MAC input is streamed straight into the
 // hash context, so a steady-state send()/open() does no key derivation and
-// no heap allocation. The original derive-per-call implementation is kept
-// as the slow path, selected by crypto::set_fast_path_enabled(false) /
-// SND_CRYPTO_FAST=0; both paths produce bit-identical packets and accept
-// decisions.
+// no heap allocation. The tag is HMAC(K_uv, u32 src | u32 dst | u8 type |
+// u16 len | payload | u64 nonce) truncated to crypto::kShortMacSize bytes;
+// tests/core_messenger_test.cpp checks it against crypto::short_mac over
+// those bytes framed independently.
 //
 // Note the protocol's *security* does not rest on this layer -- binding
 // records, relation commitments, and evidences are self-authenticating
@@ -22,7 +22,6 @@
 // shields the honest protocol from trivial spoofing.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -64,10 +63,10 @@ class Messenger {
   /// send() on each element in order: same key-cache touch order, same
   /// nonce assignment (a message with no establishable pairwise key is
   /// skipped without consuming a nonce), same wire bytes, same transmit
-  /// order. The difference is purely mechanical -- with the fast path and
-  /// SND_SIMD on, the burst's MACs drain through the multi-buffer hash
-  /// engine (inner contexts wide, then outer contexts over the inner
-  /// digests). Returns the number of messages actually sent.
+  /// order. The difference is purely mechanical -- with SND_SIMD on, the
+  /// burst's MACs drain through the multi-buffer hash engine (inner
+  /// contexts wide, then outer contexts over the inner digests). Returns the
+  /// number of messages actually sent.
   std::size_t send_many(std::span<const Outgoing> messages);
 
   /// Broadcasts without per-pair authentication (Hello/HelloAck carry no
@@ -98,7 +97,7 @@ class Messenger {
 
   /// Number of (peer, sender-device) replay windows held. Each is O(1)
   /// memory, so this -- not the message count -- bounds replay state.
-  [[nodiscard]] std::size_t replay_window_count() const;
+  [[nodiscard]] std::size_t replay_window_count() const { return replay_windows_.size(); }
 
   /// Messages that authenticated but were rejected by the replay window
   /// (also charged to obs::DropCause::kReplay on the network's metrics).
@@ -113,10 +112,6 @@ class Messenger {
   static constexpr std::uint64_t kEpochStride = 1ULL << 20;
 
  private:
-  /// Slow-path key derivation (the seed implementation), kept verbatim for
-  /// fast/slow A-B verification.
-  crypto::SymmetricKey pair_key(NodeId peer) const;
-
   /// IPsec-style sliding window over one sender-device's nonce counters:
   /// a 64-bit mask of recently seen counters below the highest seen.
   struct ReplayWindow {
@@ -129,25 +124,23 @@ class Messenger {
 
   bool replay_accept(NodeId src, std::uint64_t nonce);
 
+  /// Frames payload | nonce | mac and hands the packet to the radio.
+  void transmit_authenticated(NodeId to, std::uint8_t type,
+                              std::span<const std::uint8_t> payload, std::uint64_t nonce,
+                              const crypto::ShortMac& mac, obs::Phase phase);
+
   sim::Network& network_;
   sim::DeviceId device_;
   NodeId identity_;
-  std::shared_ptr<crypto::KeyPredistribution> keys_;
   crypto::PairKeyCache key_cache_;
   std::uint64_t nonce_counter_;
   std::uint64_t replay_rejects_ = 0;
   std::uint64_t replay_accepts_ = 0;
-  /// Representation of the replay table, captured at construction (see
-  /// util::soa_enabled()). Replay state is lookup-only -- nothing iterates
-  /// it on a decision path -- so the two representations are trivially
-  /// behavior-identical.
-  const bool soa_;
   /// Nonces are (device << 32) + counter, so windows are keyed per
   /// (claimed src identity, sending device): replicas of one identity get
-  /// independent windows and never collide. Seed representation.
-  std::map<NodeId, std::map<std::uint32_t, ReplayWindow>> replay_windows_;
-  /// Flat representation: one sorted array keyed (src << 32) | device.
-  util::FlatMap<std::uint64_t, ReplayWindow> replay_windows_flat_;
+  /// independent windows and never collide. One sorted array keyed
+  /// (src << 32) | device.
+  util::FlatMap<std::uint64_t, ReplayWindow> replay_windows_;
 };
 
 }  // namespace snd::core

@@ -39,10 +39,8 @@
 
 namespace snd::core {
 
-/// Evidence issuers -> E(x, u). Representation (seed std::map vs flat
-/// sorted array) follows util::soa_enabled(); iteration is ascending by
-/// issuer either way.
-using EvidenceMap = util::DualMap<NodeId, crypto::Digest>;
+/// Evidence issuers -> E(x, u), iterated in ascending issuer order.
+using EvidenceMap = util::FlatMap<NodeId, crypto::Digest>;
 
 class SndNode {
  public:
@@ -166,7 +164,7 @@ class SndNode {
   std::optional<BindingRecord> record_;
   /// Verified binding records of tentative neighbors (kept only until
   /// validation; the paper notes R(v) can be deleted after use).
-  util::DualMap<NodeId, BindingRecord> neighbor_records_;
+  util::FlatMap<NodeId, BindingRecord> neighbor_records_;
   /// A record request arrived before our record existed.
   bool pending_record_request_ = false;
   /// An aggregated record broadcast is already scheduled.
@@ -174,9 +172,9 @@ class SndNode {
   /// Evidences received from later deployments: issuer -> E(x, u).
   EvidenceMap evidence_buffer_;
   /// Identities already answered with a HelloAck (duplicate suppression).
-  util::DualSet<NodeId> acked_identities_;
+  util::FlatSet<NodeId> acked_identities_;
   /// Direct-verification verdicts, one per candidate identity.
-  util::DualMap<NodeId, bool> verification_cache_;
+  util::FlatMap<NodeId, bool> verification_cache_;
   /// Update requests this node has issued (diagnostics).
   std::size_t updates_requested_ = 0;
   /// Events scheduled by this agent (cancelled on stop/destruction).

@@ -1,45 +1,17 @@
 #include "crypto/session_cache.h"
 
-#include <atomic>
-
-#include "util/runtime_config.h"
-
 namespace snd::crypto {
 
-namespace {
-
-std::atomic<bool>& fast_path_flag() {
-  static std::atomic<bool> enabled{runtime_config().crypto_fast};
-  return enabled;
-}
-
-}  // namespace
-
-bool fast_path_enabled() { return fast_path_flag().load(std::memory_order_relaxed); }
-
-void set_fast_path_enabled(bool enabled) {
-  fast_path_flag().store(enabled, std::memory_order_relaxed);
-}
-
 const PairKeyCache::Entry& PairKeyCache::get(NodeId peer) {
-  if (soa_) {
-    if (const Entry* hit = entries_flat_.find(peer)) return *hit;
-  } else if (const auto it = entries_.find(peer); it != entries_.end()) {
-    return it->second;
-  }
+  if (const Entry* hit = entries_.find(peer)) return *hit;
 
   auto derived = scheme_->pairwise(self_, peer);
   if (!derived || !derived->present()) return absent_;
 
-  Entry entry;
-  entry.key = std::move(*derived);
-  entry.mac = HmacKey(entry.key);
-  if (soa_) {
-    Entry& slot = entries_flat_.get_or_insert(peer);
-    slot = std::move(entry);
-    return slot;
-  }
-  return entries_.emplace(peer, std::move(entry)).first->second;
+  Entry& slot = entries_.get_or_insert(peer);
+  slot.key = std::move(*derived);
+  slot.mac = HmacKey(slot.key);
+  return slot;
 }
 
 }  // namespace snd::crypto

@@ -4,16 +4,16 @@
 // hot path: a KDF hash for KdcScheme, a λ-degree polynomial evaluation for
 // BlundoScheme. The derivation is deterministic per pair, so each endpoint
 // memoizes the key -- and the HMAC ipad/opad midstates computed from it --
-// the first time it talks to a peer, and every later send()/open() is a map
-// lookup.
+// the first time it talks to a peer, and every later send()/open() is a
+// lookup in a sorted array.
 //
 // Absent keys are deliberately NOT cached: with probabilistic schemes (or
 // incremental deployment, where a peer provisions after our first attempt)
-// a pair that fails today can succeed tomorrow, and the slow path re-derives
-// on every call. Caching only positives keeps the retry semantics identical.
+// a pair that fails today can succeed tomorrow, so a miss re-derives on
+// every call. Caching only positives keeps the retry semantics of deriving
+// per call.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "crypto/hmac.h"
@@ -23,13 +23,6 @@
 
 namespace snd::crypto {
 
-/// Process-wide switch for the cached-key / midstate / zero-alloc fast path.
-/// Defaults to on; the environment variable SND_CRYPTO_FAST=0|off|false
-/// disables it at startup (for A/B bit-identity checks and benchmarks).
-/// The slow path is the seed implementation, kept verbatim.
-[[nodiscard]] bool fast_path_enabled();
-void set_fast_path_enabled(bool enabled);
-
 class PairKeyCache {
  public:
   struct Entry {
@@ -38,38 +31,24 @@ class PairKeyCache {
   };
 
   PairKeyCache(std::shared_ptr<const KeyPredistribution> scheme, NodeId self)
-      : scheme_(std::move(scheme)), self_(self), soa_(util::soa_enabled()) {}
+      : scheme_(std::move(scheme)), self_(self) {}
 
   /// The cached pairwise entry for (self, peer). Derives and caches on the
-  /// first hit; negative results are returned but never stored. With the
-  /// seed map the reference lives until invalidate()/clear(); with the flat
-  /// representation (util::soa_enabled()) any later get() that inserts may
-  /// also invalidate it -- every call site consumes the entry immediately.
+  /// first hit; negative results are returned but never stored. Any later
+  /// get() that inserts, and invalidate()/clear(), may invalidate the
+  /// reference -- every call site consumes the entry immediately.
   const Entry& get(NodeId peer);
 
   /// Drops one peer's entry (e.g. after re-keying in tests).
-  void invalidate(NodeId peer) {
-    if (soa_) {
-      entries_flat_.erase(peer);
-    } else {
-      entries_.erase(peer);
-    }
-  }
-  void clear() {
-    entries_.clear();
-    entries_flat_.clear();
-  }
-  [[nodiscard]] std::size_t size() const {
-    return soa_ ? entries_flat_.size() : entries_.size();
-  }
+  void invalidate(NodeId peer) { entries_.erase(peer); }
+  void clear() { entries_.clear(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] NodeId self() const { return self_; }
 
  private:
   std::shared_ptr<const KeyPredistribution> scheme_;
   NodeId self_;
-  const bool soa_;  // representation, captured at construction
-  std::map<NodeId, Entry> entries_;            // seed representation
-  util::FlatMap<NodeId, Entry> entries_flat_;  // sorted-array representation
+  util::FlatMap<NodeId, Entry> entries_;
   Entry absent_;  // returned (not stored) when derivation fails
 };
 

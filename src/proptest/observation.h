@@ -4,7 +4,7 @@
 // deployment: oracles are pure functions over it, so unit tests can
 // hand-build violating observations and prove each oracle fires, and the
 // canonical serialization gives every trial a digest -- the bit-identity
-// anchor for FAILCASE replay and the fast/slow crypto A-B oracle.
+// anchor for FAILCASE replay.
 #pragma once
 
 #include <array>

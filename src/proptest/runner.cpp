@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "crypto/session_cache.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -124,39 +123,6 @@ PropReport run_property_suite(const PropConfig& config) {
     }
     emit(failcase, config);
     report.failcases.push_back(std::move(failcase));
-  }
-
-  // Phase 3: the fast-vs-slow crypto A/B pass. Serial on purpose: the fast
-  // path toggle is process-global, so it must never flip mid-sweep.
-  if (config.ab_every > 0) {
-    const bool was_fast = crypto::fast_path_enabled();
-    for (std::size_t i = 0; i < results.size(); i += config.ab_every) {
-      if (!results[i].has_value()) continue;
-      const std::uint64_t trial_seed = util::derive_seed(config.base_seed, i);
-      crypto::set_fast_path_enabled(false);
-      const TrialOutcome slow = run_trial(trial_seed);
-      crypto::set_fast_path_enabled(was_fast);
-      ++report.ab_checked;
-      if (slow.digest == results[i]->digest) continue;
-      ++report.ab_mismatches;
-      if (report.failcases.size() >= config.max_failures) continue;
-      FailCase failcase;
-      failcase.kind = "crypto_ab";
-      failcase.trial = i;
-      failcase.base_seed = config.base_seed;
-      failcase.trial_seed = trial_seed;
-      failcase.digest = slow.digest;
-      failcase.violations.push_back(Violation{
-          "crypto.ab", "fast-path digest " + results[i]->digest +
-                           " != slow-path digest " + slow.digest});
-      const Scenario ab_scenario = make_scenario(trial_seed);
-      failcase.plan = ab_scenario.plan;
-      failcase.adversary = ab_scenario.adversary;
-      failcase.unshrunk_actions = failcase.plan.actions.size();
-      emit(failcase, config);
-      report.failcases.push_back(std::move(failcase));
-    }
-    crypto::set_fast_path_enabled(was_fast);
   }
 
   return report;

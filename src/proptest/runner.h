@@ -17,10 +17,6 @@ struct PropConfig {
   std::uint64_t base_seed = 1;
   /// Worker threads for the sweep (0 = hardware concurrency).
   std::size_t jobs = 0;
-  /// Every `ab_every`-th trial is re-run serially with the crypto fast path
-  /// disabled; both runs must produce the same Observation digest
-  /// (fast-vs-slow bit-identity). 0 disables the A/B pass.
-  std::size_t ab_every = 8;
   /// Where FAILCASE_*.json artifacts land ("" = don't write files).
   std::string failcase_dir = ".";
   /// Stop shrinking + emitting after this many failures (the sweep itself
@@ -30,12 +26,12 @@ struct PropConfig {
 
 /// One reproducible failure: the seed + (shrunk) plan that re-create it.
 struct FailCase {
-  /// "invariant" (an oracle fired) or "crypto_ab" (fast/slow digests split).
+  /// "invariant": an oracle fired.
   std::string kind;
   std::size_t trial = 0;
   std::uint64_t base_seed = 0;
   std::uint64_t trial_seed = 0;
-  /// Digest of the failing observation (for "crypto_ab": the slow-path one).
+  /// Digest of the failing observation.
   std::string digest;
   std::vector<Violation> violations;
   /// Minimal plan that still reproduces the failure.
@@ -58,20 +54,18 @@ struct PropReport {
   std::size_t passed = 0;
   std::size_t failed = 0;   ///< trials with oracle violations
   std::size_t errored = 0;  ///< trials that threw (counted by TrialRunner)
-  std::size_t ab_checked = 0;
-  std::size_t ab_mismatches = 0;
   std::vector<FailCase> failcases;
   runner::SweepReport sweep;
 
   [[nodiscard]] bool all_green() const {
-    return failed == 0 && errored == 0 && ab_mismatches == 0;
+    return failed == 0 && errored == 0;
   }
 };
 
 /// Runs the full suite: parallel sweep over `trials` seeds derived from
-/// `base_seed`, serial shrinking of every failure (up to max_failures),
-/// then the serial slow-path A/B pass. Deterministic for fixed config
-/// (modulo SweepReport timing fields).
+/// `base_seed`, then serial shrinking of every failure (up to
+/// max_failures). Deterministic for fixed config (modulo SweepReport
+/// timing fields).
 [[nodiscard]] PropReport run_property_suite(const PropConfig& config);
 
 /// Outcome of replaying a FAILCASE artifact.

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "util/simd.h"
-#include "util/soa.h"
 
 namespace snd::sim {
 
@@ -43,11 +42,9 @@ Network::Network(std::unique_ptr<PropagationModel> propagation, ChannelConfig co
   indexable_ = std::isfinite(cell_size_) && cell_size_ > 0.0;
   use_spatial_index_ = indexable_;
   strip_filter_ = util::simd_enabled() && propagation_->supports_link_classes();
-  if (util::soa_enabled()) packet_pool_ = std::make_shared<PacketPool>();
 }
 
 std::shared_ptr<const Packet> Network::share_packet(Packet&& packet) {
-  if (packet_pool_ == nullptr) return std::make_shared<const Packet>(std::move(packet));
   std::unique_ptr<Packet> slot;
   if (!packet_pool_->free.empty()) {
     slot = std::move(packet_pool_->free.back());

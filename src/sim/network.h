@@ -207,22 +207,19 @@ class Network {
   template <typename Fn>
   void for_each_candidate(util::Vec2 center, Fn&& fn) const;
 
-  /// Recycled Packet buffers for the transmit path (data-oriented core).
-  /// Each transmission shares one immutable Packet among its delivery
-  /// events; with the pool, the Packet (and its payload's heap buffer) is
-  /// returned to a free list when the last event releases it instead of
-  /// going back to the allocator. Null when util::soa_enabled() is off at
-  /// construction -- the seed make_shared path is kept verbatim. Deleters
+  /// Recycled Packet buffers for the transmit path. Each transmission
+  /// shares one immutable Packet among its delivery events; the Packet (and
+  /// its payload's heap buffer) is returned to a free list when the last
+  /// event releases it instead of going back to the allocator. Deleters
   /// hold a weak_ptr, so teardown order against the scheduler is safe; the
   /// member is still declared before scheduler_ so pooled packets owned by
   /// pending events are recycled (not leaked) during destruction.
   struct PacketPool {
     std::vector<std::unique_ptr<Packet>> free;
   };
-  std::shared_ptr<PacketPool> packet_pool_;
+  std::shared_ptr<PacketPool> packet_pool_ = std::make_shared<PacketPool>();
 
-  /// Wraps `packet` for sharing across delivery events: pooled when the
-  /// pool exists, plain make_shared otherwise.
+  /// Wraps `packet` in a pooled Packet for sharing across delivery events.
   [[nodiscard]] std::shared_ptr<const Packet> share_packet(Packet&& packet);
 
   // -- Strip filter ------------------------------------------------------

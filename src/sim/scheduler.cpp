@@ -5,11 +5,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "util/soa.h"
-
 namespace snd::sim {
-
-Scheduler::Scheduler() : soa_(util::soa_enabled()) {}
 
 EventId Scheduler::schedule_at(Time at, EventAction action) {
   const EventId id = next_id_++;
@@ -21,19 +17,15 @@ EventId Scheduler::schedule_at(Time at, EventAction action) {
 void Scheduler::cancel(EventId id) {
   // Only remember cancellations that can still matter.
   if (id >= next_id_) return;
-  if (soa_) {
-    if (id < bits_base_) return;  // below the window: provably already fired
-    const std::size_t index = static_cast<std::size_t>(id - bits_base_);
-    if (index >= cancelled_bits_.capacity()) {
-      // Geometric growth keeps repeated worst-case cancels amortized O(1).
-      cancelled_bits_.resize(std::max(index + 1, cancelled_bits_.capacity() * 2));
-    }
-    if (!cancelled_bits_.test(index)) {
-      cancelled_bits_.set(index);
-      ++cancelled_count_;
-    }
-  } else {
-    cancelled_.insert(id);
+  if (id < bits_base_) return;  // below the window: provably already fired
+  const std::size_t index = static_cast<std::size_t>(id - bits_base_);
+  if (index >= cancelled_bits_.capacity()) {
+    // Geometric growth keeps repeated worst-case cancels amortized O(1).
+    cancelled_bits_.resize(std::max(index + 1, cancelled_bits_.capacity() * 2));
+  }
+  if (!cancelled_bits_.test(index)) {
+    cancelled_bits_.set(index);
+    ++cancelled_count_;
   }
   // Ids of already-fired events are indistinguishable from pending ones
   // here, but once the set clearly outnumbers the heap the excess must be
@@ -42,51 +34,41 @@ void Scheduler::cancel(EventId id) {
 }
 
 bool Scheduler::cancelled_contains(EventId id) const {
-  if (soa_) {
-    if (id < bits_base_) return false;
-    const std::size_t index = static_cast<std::size_t>(id - bits_base_);
-    return index < cancelled_bits_.capacity() && cancelled_bits_.test(index);
-  }
-  return cancelled_.contains(id);
+  if (id < bits_base_) return false;
+  const std::size_t index = static_cast<std::size_t>(id - bits_base_);
+  return index < cancelled_bits_.capacity() && cancelled_bits_.test(index);
 }
 
 void Scheduler::cancelled_erase(EventId id) {
-  // Callers check cancelled_contains first, so the bit/entry exists.
-  if (soa_) {
-    cancelled_bits_.reset(static_cast<std::size_t>(id - bits_base_));
-    --cancelled_count_;
-  } else {
-    cancelled_.erase(id);
-  }
+  // Callers check cancelled_contains first, so the bit exists.
+  cancelled_bits_.reset(static_cast<std::size_t>(id - bits_base_));
+  --cancelled_count_;
 }
 
 void Scheduler::sweep_cancelled() const {
-  if (soa_) {
-    // Rebase the window on the oldest pending id: every bit below it is a
-    // stale cancel-after-fire record, and rebuilding from the heap keeps
-    // only cancels that can still suppress an event.
-    EventId base = next_id_;
-    for (const Entry& entry : heap_) base = std::min(base, entry.id);
-    util::BitSet live;
-    std::uint64_t count = 0;
-    for (const Entry& entry : heap_) {
-      if (!cancelled_contains(entry.id)) continue;
-      const std::size_t index = static_cast<std::size_t>(entry.id - base);
-      if (index >= live.capacity()) live.resize(index + 1);
-      live.set(index);
-      ++count;
-    }
-    cancelled_bits_ = std::move(live);
-    bits_base_ = base;
-    cancelled_count_ = count;
-    return;
-  }
-  std::unordered_set<EventId> live;
-  live.reserve(cancelled_.size());
+  // Rebase the window on the oldest pending id: every bit below it is a
+  // stale cancel-after-fire record, and rebuilding from the heap keeps only
+  // cancels that can still suppress an event.
+  EventId base = next_id_;
+  for (const Entry& entry : heap_) base = std::min(base, entry.id);
+  util::BitSet live;
+  std::uint64_t count = 0;
   for (const Entry& entry : heap_) {
-    if (cancelled_.contains(entry.id)) live.insert(entry.id);
+    if (!cancelled_contains(entry.id)) continue;
+    const std::size_t index = static_cast<std::size_t>(entry.id - base);
+    if (index >= live.capacity()) live.resize(index + 1);
+    live.set(index);
+    ++count;
   }
-  cancelled_ = std::move(live);
+  cancelled_bits_ = std::move(live);
+  bits_base_ = base;
+  cancelled_count_ = count;
+}
+
+void Scheduler::reset_cancelled() {
+  cancelled_bits_.resize(0);
+  bits_base_ = next_id_;
+  cancelled_count_ = 0;
 }
 
 std::uint64_t Scheduler::pending() const {
@@ -99,13 +81,7 @@ std::uint64_t Scheduler::pending() const {
 void Scheduler::set_next_event_id(EventId id) {
   assert(heap_.empty() && "set_next_event_id requires an empty queue");
   next_id_ = std::max(next_id_, id);
-  if (soa_) {
-    cancelled_bits_.resize(0);
-    bits_base_ = next_id_;
-    cancelled_count_ = 0;
-  } else {
-    cancelled_.clear();
-  }
+  reset_cancelled();
 }
 
 // Both sifts percolate a hole instead of swapping: an Entry is ~112 bytes
@@ -158,13 +134,7 @@ void Scheduler::drop_cancelled_head() {
   if (heap_.empty()) {
     // Nothing can be pending: any recorded cancellations are stale
     // (cancel-after-fire) and can be forgotten.
-    if (soa_) {
-      cancelled_bits_.resize(0);
-      bits_base_ = next_id_;
-      cancelled_count_ = 0;
-    } else {
-      cancelled_.clear();
-    }
+    reset_cancelled();
     return;
   }
   while (!heap_.empty() && cancelled_backlog() != 0 && cancelled_contains(heap_.front().id)) {

@@ -7,11 +7,10 @@
 // avoids any per-event node allocation or hash-map traffic. Actions are
 // small-buffer-optimized (util::InplaceFunction) for the same reason --
 // std::function would heap-allocate every delivery closure. Cancellation is
-// the rare case and uses a side set consulted lazily on pop.
+// the rare case: a bitset window over event ids, consulted lazily on pop.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.h"
@@ -29,8 +28,6 @@ using EventAction = util::InplaceFunction<void(), 88>;
 
 class Scheduler {
  public:
-  Scheduler();
-
   /// Schedules `action` at absolute time `at`. Events in the past of the
   /// current clock are clamped to "now" (fire next).
   EventId schedule_at(Time at, EventAction action);
@@ -54,9 +51,7 @@ class Scheduler {
   /// Size of the lazy-cancellation side set; bounded by
   /// pending() + kCancelSweepSlack however many cancel-after-fire calls a
   /// long-running simulation makes (exposed so tests can pin the bound).
-  [[nodiscard]] std::uint64_t cancelled_backlog() const {
-    return soa_ ? cancelled_count_ : static_cast<std::uint64_t>(cancelled_.size());
-  }
+  [[nodiscard]] std::uint64_t cancelled_backlog() const { return cancelled_count_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Test hook: fast-forwards the event-id counter (e.g. to just below
@@ -88,7 +83,7 @@ class Scheduler {
     return a.id < b.id;
   }
 
-  /// Stale-cancellation tolerance: a sweep triggers once cancelled_ exceeds
+  /// Stale-cancellation tolerance: a sweep triggers once the backlog exceeds
   /// the heap size by this much (amortizes the O(heap) sweep cost).
   static constexpr std::size_t kCancelSweepSlack = 64;
 
@@ -98,6 +93,9 @@ class Scheduler {
   /// already fired); afterwards the backlog <= heap_.size(). Const because
   /// it only compacts bookkeeping -- observable state is unchanged.
   void sweep_cancelled() const;
+  /// Forgets every cancellation and starts the window at next_id_ (only
+  /// valid while no event is pending).
+  void reset_cancelled();
   /// Removes cancelled entries sitting at the heap root.
   void drop_cancelled_head();
   /// Pops the top entry, skipping cancelled ones. Returns false if empty.
@@ -105,7 +103,7 @@ class Scheduler {
   /// Next live entry's time without popping; false if empty.
   bool peek(Time& at);
 
-  /// Membership/removal against whichever cancel representation is active.
+  /// Membership/removal against the cancel window.
   [[nodiscard]] bool cancelled_contains(EventId id) const;
   void cancelled_erase(EventId id);
 
@@ -113,17 +111,11 @@ class Scheduler {
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;
-  /// Cancel-set representation, captured at construction (util::soa_enabled()).
-  /// Cancellation semantics are identical either way, so runs stay
-  /// bit-identical across the switch.
-  const bool soa_;
-  /// Seed representation: hash set of cancelled ids.
-  mutable std::unordered_set<EventId> cancelled_;
-  /// SoA representation: one bit per event id in the window
-  /// [bits_base_, next_id_). bits_base_ never exceeds the oldest pending
-  /// id, so any id below it provably fired already and its cancel is a
-  /// no-op. The window is grown lazily on cancel and rebased (shrunk to the
-  /// live range) by sweep_cancelled().
+  /// One bit per cancelled event id in the window [bits_base_, next_id_).
+  /// bits_base_ never exceeds the oldest pending id, so any id below it
+  /// provably fired already and its cancel is a no-op. The window is grown
+  /// lazily on cancel and rebased (shrunk to the live range) by
+  /// sweep_cancelled().
   mutable util::BitSet cancelled_bits_;
   mutable EventId bits_base_ = 1;
   mutable std::uint64_t cancelled_count_ = 0;

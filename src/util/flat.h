@@ -1,33 +1,23 @@
-// Flat sorted-array associative containers for the data-oriented core, and
-// the Dual* wrappers that keep the seed heap-node containers selectable.
+// Flat sorted-array associative containers for the data-oriented core.
 //
 // FlatMap/FlatSet store sorted, duplicate-free contiguous arrays: one
-// allocation, cache-line friendly scans, and iteration in exactly the key
-// order std::map/std::set produce -- which is what lets the SoA layout stay
-// bit-identical to the seed layout (every simulation loop that walks one of
-// these containers draws RNG values in an unchanged order).
-//
-// DualMap/DualSet pick their representation from util::soa_enabled() at
-// construction: the seed std::map/std::set (kept verbatim for A/B byte
-// identity), or the flat arrays. Per-node protocol state is dominated by
+// allocation, cache-line friendly scans, and iteration in ascending key
+// order -- every simulation loop that walks one of these containers draws
+// RNG values in key order, which the golden outcome digests pin
+// (tests/golden_outcome_test.cpp). Per-node protocol state is dominated by
 // containers holding ~radio-degree entries, where a contiguous array beats
 // a red-black tree on every axis that matters at million-node scale: no
 // per-entry 48-byte node header, no pointer chasing, no allocator traffic.
 //
 // References returned by find()/get_or_insert() are invalidated by any
-// mutation of the flat representation (vector growth or shifting); callers
-// on hot paths consume them immediately, as with PairKeyCache.
+// mutation (vector growth or shifting); callers on hot paths consume them
+// immediately, as with PairKeyCache.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
-
-#include "util/soa.h"
 
 namespace snd::util {
 
@@ -123,129 +113,6 @@ class FlatSet {
 
  private:
   std::vector<Key> keys_;
-};
-
-/// Map whose representation -- seed std::map or FlatMap -- is chosen from
-/// util::soa_enabled() at construction. Both iterate in ascending key order
-/// and implement identical semantics, so simulations are bit-identical
-/// across the switch.
-template <typename Key, typename Value>
-class DualMap {
- public:
-  DualMap() : soa_(soa_enabled()) {}
-
-  class const_iterator {
-   public:
-    const_iterator() = default;
-    /// Key/value view of the current entry; references stay valid until the
-    /// container mutates (one step longer than the iterator itself needs).
-    [[nodiscard]] std::pair<const Key&, const Value&> operator*() const {
-      return soa_ ? std::pair<const Key&, const Value&>{flat_->first, flat_->second}
-                  : std::pair<const Key&, const Value&>{map_->first, map_->second};
-    }
-    const_iterator& operator++() {
-      if (soa_) {
-        ++flat_;
-      } else {
-        ++map_;
-      }
-      return *this;
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.soa_ ? a.flat_ == b.flat_ : a.map_ == b.map_;
-    }
-    friend bool operator!=(const const_iterator& a, const const_iterator& b) {
-      return !(a == b);
-    }
-
-   private:
-    friend class DualMap;
-    using MapIt = typename std::map<Key, Value>::const_iterator;
-    using FlatIt = typename std::vector<std::pair<Key, Value>>::const_iterator;
-    const_iterator(MapIt it) : soa_(false), map_(it) {}
-    const_iterator(FlatIt it) : soa_(true), flat_(it) {}
-    bool soa_ = false;
-    MapIt map_{};
-    FlatIt flat_{};
-  };
-
-  [[nodiscard]] const_iterator begin() const {
-    return soa_ ? const_iterator(flat_.begin()) : const_iterator(map_.begin());
-  }
-  [[nodiscard]] const_iterator end() const {
-    return soa_ ? const_iterator(flat_.end()) : const_iterator(map_.end());
-  }
-
-  [[nodiscard]] const Value* find(const Key& key) const {
-    if (soa_) return flat_.find(key);
-    const auto it = map_.find(key);
-    return it != map_.end() ? &it->second : nullptr;
-  }
-  [[nodiscard]] bool contains(const Key& key) const { return find(key) != nullptr; }
-  [[nodiscard]] const Value& at(const Key& key) const {
-    const Value* value = find(key);
-    assert(value != nullptr && "DualMap::at: missing key");
-    return *value;
-  }
-
-  void insert_or_assign(const Key& key, Value value) {
-    if (soa_) {
-      flat_.insert_or_assign(key, std::move(value));
-    } else {
-      map_.insert_or_assign(key, std::move(value));
-    }
-  }
-
-  /// Inserts only if absent; returns true when the insertion happened.
-  bool try_emplace(const Key& key, Value value) {
-    if (soa_) return flat_.try_emplace(key, std::move(value));
-    return map_.emplace(key, std::move(value)).second;
-  }
-
-  [[nodiscard]] std::size_t size() const { return soa_ ? flat_.size() : map_.size(); }
-  [[nodiscard]] bool empty() const { return soa_ ? flat_.empty() : map_.empty(); }
-  void clear() {
-    if (soa_) {
-      flat_.clear();
-    } else {
-      map_.clear();
-    }
-  }
-
- private:
-  bool soa_;
-  std::map<Key, Value> map_;
-  FlatMap<Key, Value> flat_;
-};
-
-/// Set with the same representation switch as DualMap.
-template <typename Key>
-class DualSet {
- public:
-  DualSet() : soa_(soa_enabled()) {}
-
-  /// Returns true when `key` was newly inserted.
-  bool insert(const Key& key) {
-    if (soa_) return flat_.insert(key);
-    return set_.insert(key).second;
-  }
-  [[nodiscard]] bool contains(const Key& key) const {
-    return soa_ ? flat_.contains(key) : set_.contains(key);
-  }
-  [[nodiscard]] std::size_t size() const { return soa_ ? flat_.size() : set_.size(); }
-  [[nodiscard]] bool empty() const { return soa_ ? flat_.empty() : set_.empty(); }
-  void clear() {
-    if (soa_) {
-      flat_.clear();
-    } else {
-      set_.clear();
-    }
-  }
-
- private:
-  bool soa_;
-  std::set<Key> set_;
-  FlatSet<Key> flat_;
 };
 
 }  // namespace snd::util

@@ -12,8 +12,8 @@ std::optional<std::string> env_string(const char* name) {
   return std::string(value);
 }
 
-/// The shared boolean vocabulary of SND_SOA / SND_CRYPTO_FAST: anything but
-/// an explicit "0" / "off" / "false" keeps the feature enabled.
+/// The boolean vocabulary of SND_SIMD: anything but an explicit "0" / "off"
+/// / "false" keeps the feature enabled.
 bool env_enabled(const char* name, bool fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return fallback;
@@ -33,8 +33,6 @@ RuntimeConfig load_runtime_config_from_env() {
   if (auto jobs = env_string("SND_JOBS")) {
     config.jobs = std::strtoll(jobs->c_str(), nullptr, 10);
   }
-  config.soa = env_enabled("SND_SOA", true);
-  config.crypto_fast = env_enabled("SND_CRYPTO_FAST", true);
   config.simd = env_enabled("SND_SIMD", true);
   config.log_level = env_string("SND_LOG_LEVEL");
   config.trace_level = env_string("SND_TRACE_LEVEL");

@@ -1,17 +1,12 @@
 // snd::RuntimeConfig: the single resolution point for every SND_* process
 // environment variable. Historically each subsystem read its own variable
-// with its own parsing rules (util/soa.cpp, crypto/session_cache.cpp,
-// obs/config.cpp, runner/trial_runner.cpp, and three bench drivers all
-// called getenv); this header replaces those scattered fallbacks with one
-// documented struct read once per process.
+// with its own parsing rules (obs/config.cpp, runner/trial_runner.cpp, and
+// three bench drivers all called getenv); this header replaces those
+// scattered fallbacks with one documented struct read once per process.
 //
 // Variables and their meaning (flags always beat the environment):
 //
 //   SND_JOBS         worker threads for Monte-Carlo sweeps (--jobs fallback)
-//   SND_SOA          "0|off|false" selects the seed std::map/std::set node
-//                    state instead of the flat SoA core (default: on)
-//   SND_CRYPTO_FAST  "0|off|false" disables the pairwise-key/midstate cache
-//                    fast path (default: on)
 //   SND_SIMD         "0|off|false" disables the batched/wide execution layer
 //                    (multi-buffer SHA-256, strip candidate filtering) and
 //                    forces the one-at-a-time seed paths (default: on)
@@ -20,6 +15,10 @@
 //   SND_TRACE_JSON   JSON-lines event stream destination (--trace-json)
 //   SND_TRACE_BIN    binary .sndtrace destination (--trace-bin)
 //   SND_BENCH_DIR    directory BENCH_*.json artifacts are written into
+//
+// The flat node state and the cached-key crypto path have no switch; the
+// golden digests in bench/baselines/golden.sha256 and
+// tests/golden_outcome_test.cpp pin their output.
 //
 // The obs string values stay unparsed here: their vocabulary belongs to
 // snd::obs, which validates them in resolve_obs() exactly as it validates
@@ -36,10 +35,6 @@ namespace snd {
 struct RuntimeConfig {
   /// SND_JOBS; nullopt when unset or empty.
   std::optional<std::int64_t> jobs;
-  /// SND_SOA; defaults to the flat data-oriented core.
-  bool soa = true;
-  /// SND_CRYPTO_FAST; defaults to the cached fast path.
-  bool crypto_fast = true;
   /// SND_SIMD; defaults to the batched/wide hot-loop layer.
   bool simd = true;
   /// SND_LOG_LEVEL / SND_TRACE_LEVEL / SND_TRACE_JSON / SND_TRACE_BIN,
@@ -61,8 +56,8 @@ struct RuntimeConfig {
 [[nodiscard]] RuntimeConfig load_runtime_config_from_env();
 
 /// Replaces the singleton (tests only). Subsystems that latched a value at
-/// static-init time (util::soa_enabled, crypto::fast_path_enabled) keep
-/// their own runtime setters; this affects future runtime_config() readers.
+/// static-init time (util::simd_enabled) keep their own runtime setters;
+/// this affects future runtime_config() readers.
 void set_runtime_config_for_testing(const RuntimeConfig& config);
 
 /// `bench_dir`-aware artifact path: "<bench_dir>/<filename>" when

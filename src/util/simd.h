@@ -6,8 +6,8 @@
 // one-at-a-time seed paths at startup (for A/B bit-identity checks and the
 // before/after micro benchmarks). Both paths make identical decisions in
 // identical order -- CI asserts the fig3 event stream and the fig4 canonical
-// report byte-identical across the switch, mirroring SND_CRYPTO_FAST and
-// SND_SOA.
+// report byte-identical across the switch, and both sides match the golden
+// digests in bench/baselines/golden.sha256.
 //
 // The tier probe answers "which wide kernel may run", resolved once from
 // CPUID (GCC/Clang __builtin_cpu_supports) on x86-64 and falling back to the

@@ -9,24 +9,13 @@ constexpr std::size_t kChallengeBytes = 8;
 constexpr std::size_t kResponseBytes = 8 + crypto::kShortMacSize;
 }  // namespace
 
-namespace {
-util::Bytes rtt_mac_input(std::uint64_t nonce, NodeId responder) {
+crypto::ShortMac rtt_response_mac(const crypto::HmacKey& pairwise, std::uint64_t nonce,
+                                  NodeId responder) {
   util::Bytes input;
   util::put_var_bytes(input, util::Bytes{'s', 'n', 'd', '.', 'r', 't', 't'});
   util::put_u64(input, nonce);
   util::put_u32(input, responder);
-  return input;
-}
-}  // namespace
-
-crypto::ShortMac rtt_response_mac(const crypto::SymmetricKey& pairwise, std::uint64_t nonce,
-                                  NodeId responder) {
-  return crypto::short_mac(pairwise, rtt_mac_input(nonce, responder));
-}
-
-crypto::ShortMac rtt_response_mac(const crypto::HmacKey& pairwise, std::uint64_t nonce,
-                                  NodeId responder) {
-  return pairwise.short_mac(rtt_mac_input(nonce, responder));
+  return pairwise.short_mac(input);
 }
 
 RttResponder::RttResponder(sim::Network& network, sim::DeviceId device, NodeId identity,
@@ -34,8 +23,7 @@ RttResponder::RttResponder(sim::Network& network, sim::DeviceId device, NodeId i
     : network_(network),
       device_(device),
       identity_(identity),
-      keys_(std::move(keys)),
-      key_cache_(keys_, identity) {}
+      key_cache_(std::move(keys), identity) {}
 
 bool RttResponder::handle(const sim::Packet& packet) {
   if (packet.type != kRttChallengeType || packet.dst != identity_) return false;
@@ -43,16 +31,9 @@ bool RttResponder::handle(const sim::Packet& packet) {
   const auto nonce = reader.u64();
   if (!nonce || !reader.exhausted()) return true;  // consumed but malformed
 
-  crypto::ShortMac mac;
-  if (crypto::fast_path_enabled()) {
-    const crypto::PairKeyCache::Entry& entry = key_cache_.get(packet.src);
-    if (!entry.key.present()) return true;  // cannot authenticate a response
-    mac = rtt_response_mac(entry.mac, *nonce, identity_);
-  } else {
-    const auto pairwise = keys_->pairwise(identity_, packet.src);
-    if (!pairwise) return true;  // cannot authenticate a response
-    mac = rtt_response_mac(*pairwise, *nonce, identity_);
-  }
+  const crypto::PairKeyCache::Entry& entry = key_cache_.get(packet.src);
+  if (!entry.key.present()) return true;  // cannot authenticate a response
+  const crypto::ShortMac mac = rtt_response_mac(entry.mac, *nonce, identity_);
 
   // Respond after the declared fixed turnaround; the challenger subtracts
   // it from the measured round trip.
@@ -77,8 +58,7 @@ RttChallenger::RttChallenger(sim::Network& network, sim::DeviceId device, NodeId
     : network_(network),
       device_(device),
       identity_(identity),
-      keys_(std::move(keys)),
-      key_cache_(keys_, identity) {}
+      key_cache_(std::move(keys), identity) {}
 
 void RttChallenger::probe(NodeId target, sim::Time timeout, Callback done) {
   const std::uint64_t nonce = next_nonce_++;
@@ -111,20 +91,10 @@ bool RttChallenger::handle(const sim::Packet& packet) {
   const auto it = pending_.find(*nonce);
   if (it == pending_.end() || it->second.finished) return true;
 
-  if (crypto::fast_path_enabled()) {
-    const crypto::PairKeyCache::Entry& entry = key_cache_.get(it->second.target);
-    if (!entry.key.present() ||
-        !util::constant_time_equal(rtt_response_mac(entry.mac, *nonce, it->second.target),
-                                   *mac)) {
-      return true;  // forged response: keep waiting for an authentic one
-    }
-  } else {
-    const auto pairwise = keys_->pairwise(identity_, it->second.target);
-    if (!pairwise ||
-        !util::constant_time_equal(rtt_response_mac(*pairwise, *nonce, it->second.target),
-                                   *mac)) {
-      return true;  // forged response: keep waiting for an authentic one
-    }
+  const crypto::PairKeyCache::Entry& entry = key_cache_.get(it->second.target);
+  if (!entry.key.present() ||
+      !util::constant_time_equal(rtt_response_mac(entry.mac, *nonce, it->second.target), *mac)) {
+    return true;  // forged response: keep waiting for an authentic one
   }
 
   // Subtract every deterministic overhead; what is left is 2x propagation.

@@ -47,7 +47,6 @@ class RttResponder {
   sim::Network& network_;
   sim::DeviceId device_;
   NodeId identity_;
-  std::shared_ptr<crypto::KeyPredistribution> keys_;
   crypto::PairKeyCache key_cache_;
 };
 
@@ -78,16 +77,13 @@ class RttChallenger {
   sim::Network& network_;
   sim::DeviceId device_;
   NodeId identity_;
-  std::shared_ptr<crypto::KeyPredistribution> keys_;
   crypto::PairKeyCache key_cache_;
   std::uint64_t next_nonce_ = 1;
   std::map<std::uint64_t, Pending> pending_;
 };
 
-/// The expected response MAC: HMAC(K_uv, "snd.rtt" | nonce | responder).
-crypto::ShortMac rtt_response_mac(const crypto::SymmetricKey& pairwise, std::uint64_t nonce,
-                                  NodeId responder);
-/// Midstate variant; bit-identical to the SymmetricKey overload.
+/// The expected response MAC: HMAC(K_uv, "snd.rtt" | nonce | responder),
+/// computed from the pair's cached midstates.
 crypto::ShortMac rtt_response_mac(const crypto::HmacKey& pairwise, std::uint64_t nonce,
                                   NodeId responder);
 

@@ -122,7 +122,7 @@ TEST(UpdateExtensionTest, ServerFiltersForgedEvidence) {
 
   SndNode* old_node = deployment.agent(1);
   ASSERT_TRUE(old_node->evidence_buffer().contains(r2));
-  const crypto::Digest genuine = old_node->evidence_buffer().at(r2);
+  const crypto::Digest genuine = *old_node->evidence_buffer().find(r2);
 
   // Hand-roll an update request mixing the genuine evidence with a forged
   // entry for a never-deployed issuer 9999. The K-holding server must admit

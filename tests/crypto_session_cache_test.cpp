@@ -11,14 +11,6 @@
 namespace snd::crypto {
 namespace {
 
-TEST(FastPathFlagTest, ToggleRoundTrips) {
-  const bool before = fast_path_enabled();
-  set_fast_path_enabled(!before);
-  EXPECT_EQ(fast_path_enabled(), !before);
-  set_fast_path_enabled(before);
-  EXPECT_EQ(fast_path_enabled(), before);
-}
-
 TEST(PairKeyCacheTest, DerivesAndCachesOnFirstLookup) {
   std::shared_ptr<const KeyPredistribution> scheme = KdcScheme::from_seed(7);
   PairKeyCache cache(scheme, 1);

@@ -233,14 +233,11 @@ TEST(PropSuiteTest, CleanSuiteIsAllGreen) {
   config.trials = 16;
   config.base_seed = 7;
   config.jobs = 1;
-  config.ab_every = 8;
   config.failcase_dir.clear();  // no artifacts from the green path
   const PropReport report = run_property_suite(config);
   EXPECT_EQ(report.passed, 16u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.errored, 0u);
-  EXPECT_EQ(report.ab_mismatches, 0u);
-  EXPECT_GE(report.ab_checked, 2u);
   EXPECT_TRUE(report.all_green());
   EXPECT_TRUE(report.failcases.empty());
 }
@@ -252,7 +249,6 @@ TEST(PropSuiteTest, PlantedBugIsCaughtShrunkAndReplayedBitIdentically) {
   config.trials = 30;
   config.base_seed = 1;
   config.jobs = 1;
-  config.ab_every = 0;  // the A/B pass is exercised by CleanSuiteIsAllGreen
   config.max_failures = 2;
   config.failcase_dir = ::testing::TempDir();
   const PropReport report = run_property_suite(config);
@@ -299,7 +295,6 @@ TEST(PropSuiteTest, PlantedReplayWindowBypassIsCaughtAndReplayed) {
   config.trials = 8;
   config.base_seed = 7;
   config.jobs = 1;
-  config.ab_every = 0;
   config.max_failures = 1;
   config.failcase_dir = ::testing::TempDir();
   const PropReport report = run_property_suite(config);
@@ -336,7 +331,6 @@ TEST(PropSuiteTest, PlantedVerifyBypassIsCaughtUnderSybilFlood) {
   config.trials = 8;
   config.base_seed = 3;
   config.jobs = 1;
-  config.ab_every = 0;
   config.max_failures = 1;
   config.failcase_dir = ::testing::TempDir();
   const PropReport report = run_property_suite(config);

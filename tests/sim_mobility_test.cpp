@@ -1,10 +1,10 @@
 // Mobility under the spatial index: sustained Network::set_position churn
 // (random-waypoint walks over 120 devices) must leave the grid-indexed
-// receiver resolution bit-identical to the linear field scan, and the SoA
-// core bit-identical to the seed representation. Plus the snapshot-semantics
-// regression: a device crossing a grid-cell boundary while a packet is in
-// the air neither gains nor loses that delivery -- transmit resolves its
-// receiver set eagerly at transmit time in both the grid and linear paths.
+// receiver resolution bit-identical to the linear field scan. Plus the
+// snapshot-semantics regression: a device crossing a grid-cell boundary
+// while a packet is in the air neither gains nor loses that delivery --
+// transmit resolves its receiver set eagerly at transmit time in both the
+// grid and linear paths.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,7 +14,6 @@
 #include "adversary/mobility.h"
 #include "core/deployment_driver.h"
 #include "sim/network.h"
-#include "util/soa.h"
 
 namespace snd::sim {
 namespace {
@@ -58,10 +57,8 @@ struct Snapshot {
 
 /// 121 nodes discovering neighbors while 120 of them walk: every step is a
 /// set_position call racing live broadcast traffic. `spatial_index` toggles
-/// grid vs linear receiver resolution; `soa` the core representation.
-Snapshot run_walking_deployment(bool spatial_index, bool soa) {
-  const bool saved = util::soa_enabled();
-  util::set_soa_enabled(soa);
+/// grid vs linear receiver resolution.
+Snapshot run_walking_deployment(bool spatial_index) {
   Snapshot snap;
   {
     core::DeploymentConfig config;
@@ -89,25 +86,17 @@ Snapshot run_walking_deployment(bool spatial_index, bool soa) {
     }
     for (const Device& d : deployment.network().devices()) snap.positions.push_back(d.position);
   }
-  util::set_soa_enabled(saved);
   return snap;
 }
 
 TEST(MobilitySweepTest, GridMatchesLinearScanUnderChurn) {
-  Snapshot grid = run_walking_deployment(true, util::soa_enabled());
-  Snapshot linear = run_walking_deployment(false, util::soa_enabled());
+  Snapshot grid = run_walking_deployment(true);
+  Snapshot linear = run_walking_deployment(false);
   ASSERT_GT(grid.moves, 1000u) << "walk degenerate -- the sweep exercised no churn";
   grid.summary_json = strip_resolution_dependent(grid.summary_json);
   linear.summary_json = strip_resolution_dependent(linear.summary_json);
   EXPECT_EQ(grid.summary_json, linear.summary_json);
   EXPECT_TRUE(grid == linear);
-}
-
-TEST(MobilitySweepTest, SoaMatchesSeedRepresentationUnderChurn) {
-  const Snapshot flat = run_walking_deployment(true, true);
-  const Snapshot seed = run_walking_deployment(true, false);
-  EXPECT_EQ(flat.summary_json, seed.summary_json);
-  EXPECT_TRUE(flat == seed);
 }
 
 // -- Mid-airtime set_position (snapshot semantics) --------------------------

@@ -7,24 +7,8 @@
 #include <memory>
 #include <vector>
 
-#include "util/soa.h"
-
 namespace snd::sim {
 namespace {
-
-/// Runs `body` with each cancel-set representation (bitset window / hash
-/// set), restoring the process-wide flag afterwards. The representation is
-/// captured at Scheduler construction, so the Scheduler must be built
-/// inside `body`.
-template <typename Body>
-void with_both_cancel_reps(Body&& body) {
-  const bool saved = util::soa_enabled();
-  for (const bool soa : {true, false}) {
-    util::set_soa_enabled(soa);
-    body(soa);
-  }
-  util::set_soa_enabled(saved);
-}
 
 TEST(TimeTest, Construction) {
   EXPECT_EQ(Time::milliseconds(1).ns(), 1'000'000);
@@ -282,29 +266,27 @@ TEST(SchedulerTest, EventIdsSurviveCrossingThirtyTwoBits) {
   // the id counter crosses 2^32 -- a million-node run gets there. The hook
   // fast-forwards the counter so the test doesn't schedule 4 billion
   // events for real.
-  with_both_cancel_reps([](bool soa) {
-    Scheduler scheduler;
-    scheduler.set_next_event_id((std::uint64_t{1} << 32) - 2);
+  Scheduler scheduler;
+  scheduler.set_next_event_id((std::uint64_t{1} << 32) - 2);
 
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 6; ++i) {
-      // Same timestamp: execution order is the id tie-break, which must be
-      // monotone across the 2^32 boundary (no truncation anywhere).
-      ids.push_back(
-          scheduler.schedule_at(Time::milliseconds(5), [&order, i] { order.push_back(i); }));
-    }
-    EXPECT_LT(ids[0], std::uint64_t{1} << 32);
-    EXPECT_GT(ids.back(), std::uint64_t{1} << 32);
-    for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_EQ(ids[i], ids[i - 1] + 1);
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    // Same timestamp: execution order is the id tie-break, which must be
+    // monotone across the 2^32 boundary (no truncation anywhere).
+    ids.push_back(
+        scheduler.schedule_at(Time::milliseconds(5), [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_LT(ids[0], std::uint64_t{1} << 32);
+  EXPECT_GT(ids.back(), std::uint64_t{1} << 32);
+  for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_EQ(ids[i], ids[i - 1] + 1);
 
-    // Cancel one id on each side of the boundary.
-    scheduler.cancel(ids[1]);
-    scheduler.cancel(ids[4]);
-    EXPECT_EQ(scheduler.pending(), 4u) << "soa=" << soa;
-    scheduler.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5})) << "soa=" << soa;
-  });
+  // Cancel one id on each side of the boundary.
+  scheduler.cancel(ids[1]);
+  scheduler.cancel(ids[4]);
+  EXPECT_EQ(scheduler.pending(), 4u);
+  scheduler.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5}));
 }
 
 TEST(SchedulerTest, SetNextEventIdOnlyMovesForward) {
@@ -315,32 +297,29 @@ TEST(SchedulerTest, SetNextEventIdOnlyMovesForward) {
   EXPECT_GE(id, 1000u);
 }
 
-TEST(SchedulerTest, CancelSemanticsIdenticalAcrossRepresentations) {
-  // The bitset cancel window and the seed hash set must agree on every
-  // observable: which events fire, pending counts, and the bounded
-  // cancel-after-fire backlog.
-  with_both_cancel_reps([](bool soa) {
-    Scheduler scheduler;
-    std::vector<EventId> fired;
-    for (int i = 0; i < 300; ++i) fired.push_back(scheduler.schedule_at(Time::zero(), [] {}));
-    scheduler.run();
+TEST(SchedulerTest, CancelWindowSemantics) {
+  // The bitset cancel window decides which events fire, keeps pending
+  // counts exact, and bounds the cancel-after-fire backlog.
+  Scheduler scheduler;
+  std::vector<EventId> fired;
+  for (int i = 0; i < 300; ++i) fired.push_back(scheduler.schedule_at(Time::zero(), [] {}));
+  scheduler.run();
 
-    std::vector<int> order;
-    std::vector<EventId> live;
-    for (int i = 0; i < 8; ++i) {
-      live.push_back(
-          scheduler.schedule_at(Time::milliseconds(1), [&order, i] { order.push_back(i); }));
-    }
-    for (const EventId id : fired) scheduler.cancel(id);  // stale: must sweep, not leak
-    EXPECT_LE(scheduler.cancelled_backlog(), 8u + 65u) << "soa=" << soa;
-    scheduler.cancel(live[2]);
-    scheduler.cancel(live[2]);  // double-cancel counts once
-    scheduler.cancel(live[6]);
-    EXPECT_EQ(scheduler.pending(), 6u) << "soa=" << soa;
-    scheduler.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 5, 7})) << "soa=" << soa;
-    EXPECT_TRUE(scheduler.empty());
-  });
+  std::vector<int> order;
+  std::vector<EventId> live;
+  for (int i = 0; i < 8; ++i) {
+    live.push_back(
+        scheduler.schedule_at(Time::milliseconds(1), [&order, i] { order.push_back(i); }));
+  }
+  for (const EventId id : fired) scheduler.cancel(id);  // stale: must sweep, not leak
+  EXPECT_LE(scheduler.cancelled_backlog(), 8u + 65u);
+  scheduler.cancel(live[2]);
+  scheduler.cancel(live[2]);  // double-cancel counts once
+  scheduler.cancel(live[6]);
+  EXPECT_EQ(scheduler.pending(), 6u);
+  scheduler.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 5, 7}));
+  EXPECT_TRUE(scheduler.empty());
 }
 
 TEST(SchedulerTest, ManyEventsStressOrdering) {

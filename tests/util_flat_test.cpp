@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/soa.h"
-
 namespace snd::util {
 namespace {
 
@@ -71,71 +69,6 @@ TEST(FlatSetTest, InsertContainsOrdering) {
   EXPECT_TRUE(set.contains(1));
   EXPECT_FALSE(set.contains(9));
   EXPECT_EQ(set.keys(), (std::vector<int>{1, 2, 3}));
-}
-
-/// Runs `body` once with the flat representation and once with the seed
-/// heap-node representation, restoring the process-wide flag afterwards.
-template <typename Body>
-void with_both_representations(Body&& body) {
-  const bool saved = soa_enabled();
-  for (const bool soa : {true, false}) {
-    set_soa_enabled(soa);
-    body(soa);
-  }
-  set_soa_enabled(saved);
-}
-
-TEST(DualMapTest, SemanticsIdenticalAcrossRepresentations) {
-  with_both_representations([](bool soa) {
-    DualMap<int, int> map;
-    EXPECT_TRUE(map.empty()) << "soa=" << soa;
-    EXPECT_TRUE(map.try_emplace(2, 20));
-    EXPECT_TRUE(map.try_emplace(1, 10));
-    EXPECT_FALSE(map.try_emplace(2, 99));
-    map.insert_or_assign(3, 30);
-    map.insert_or_assign(3, 33);
-
-    EXPECT_EQ(map.size(), 3u);
-    ASSERT_NE(map.find(1), nullptr);
-    EXPECT_EQ(*map.find(1), 10);
-    EXPECT_EQ(map.find(9), nullptr);
-    EXPECT_TRUE(map.contains(3));
-    EXPECT_EQ(map.at(3), 33);
-
-    std::vector<int> keys;
-    for (const auto& [k, v] : map) keys.push_back(k);
-    EXPECT_EQ(keys, (std::vector<int>{1, 2, 3})) << "soa=" << soa;
-
-    map.clear();
-    EXPECT_TRUE(map.empty());
-  });
-}
-
-TEST(DualMapTest, RepresentationCapturedAtConstruction) {
-  const bool saved = soa_enabled();
-  set_soa_enabled(true);
-  DualMap<int, int> map;
-  map.insert_or_assign(1, 10);
-  // Flipping the process-wide flag must not re-interpret live containers.
-  set_soa_enabled(false);
-  EXPECT_TRUE(map.contains(1));
-  map.insert_or_assign(2, 20);
-  EXPECT_EQ(map.size(), 2u);
-  set_soa_enabled(saved);
-}
-
-TEST(DualSetTest, SemanticsIdenticalAcrossRepresentations) {
-  with_both_representations([](bool soa) {
-    DualSet<int> set;
-    EXPECT_TRUE(set.insert(2));
-    EXPECT_TRUE(set.insert(1));
-    EXPECT_FALSE(set.insert(2));
-    EXPECT_EQ(set.size(), 2u) << "soa=" << soa;
-    EXPECT_TRUE(set.contains(1));
-    EXPECT_FALSE(set.contains(5));
-    set.clear();
-    EXPECT_TRUE(set.empty());
-  });
 }
 
 }  // namespace
