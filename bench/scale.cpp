@@ -3,8 +3,10 @@
 // per-node simulation cost (us/node) and peak resident memory. This is the
 // proof obligation of the SoA refactor -- a million-node deployment must
 // complete on one machine with a bounded footprint -- and the BENCH_scale.json
-// artifact feeds the CI bench-trend gate (the us_per_node series is a
-// tracked "us_per" cost, lower is better).
+// artifact feeds the CI bench-trend gate: the us_per_node series is a
+// tracked "us_per" cost (lower is better), and the integer work counts
+// (events, deliveries, functional edges, sift steps, candidates) are
+// deterministic, so CI compares them with the baseline exactly.
 //
 // Field sizing: a unit-disk radio of range R on a side-L square field gives
 // mean degree ~ n*pi*R^2/L^2, so L = R*sqrt(n*pi/degree) holds the degree
@@ -38,6 +40,10 @@ struct ScaleResult {
   std::uint64_t events = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t functional_edges = 0;
+  /// Deterministic work counters: heap keys moved by the scheduler's sifts,
+  /// and receiver candidates the channel tested.
+  std::uint64_t sift_steps = 0;
+  std::uint64_t candidates = 0;
 };
 
 /// Peak resident set of this process, MB. ru_maxrss is kilobytes on Linux.
@@ -70,6 +76,8 @@ ScaleResult run_scale(std::size_t nodes, double degree, std::uint64_t seed) {
     deployment.run();
     result.events = deployment.network().scheduler().executed();
     result.deliveries = deployment.network().metrics().deliveries();
+    result.sift_steps = deployment.network().scheduler().sift_steps();
+    result.candidates = deployment.network().metrics().candidates();
     std::uint64_t edges = 0;
     for (const core::SndNode* agent : deployment.agents()) {
       edges += agent->functional_neighbors().size();
@@ -125,12 +133,15 @@ int main(int argc, char** argv) {
     const ScaleResult r = run_scale(n, degree, seed);
     results.push_back(r);
     std::printf("%9zu nodes: %8.2f s wall, %7.2f us/node, peak RSS %8.1f MB, "
-                "%llu events, %llu deliveries, %llu functional edges\n",
+                "%llu events, %llu deliveries, %llu functional edges, "
+                "%llu sift steps, %llu candidates\n",
                 r.nodes, r.wall_s, r.us_per_node, r.peak_rss_mb,
                 static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.deliveries),
-                static_cast<unsigned long long>(r.functional_edges));
-    char entry[512];
+                static_cast<unsigned long long>(r.functional_edges),
+                static_cast<unsigned long long>(r.sift_steps),
+                static_cast<unsigned long long>(r.candidates));
+    char entry[640];
     std::snprintf(entry, sizeof(entry),
                   "%s    {\n"
                   "      \"nodes\": %zu,\n"
@@ -140,12 +151,16 @@ int main(int argc, char** argv) {
                   "      \"peak_rss_mb\": %.1f,\n"
                   "      \"events\": %llu,\n"
                   "      \"deliveries\": %llu,\n"
-                  "      \"functional_edges\": %llu\n"
+                  "      \"functional_edges\": %llu,\n"
+                  "      \"sift_steps\": %llu,\n"
+                  "      \"candidates\": %llu\n"
                   "    }",
                   deployments.empty() ? "" : ",\n", r.nodes, r.wall_s, r.us_per_node,
                   r.peak_rss_mb, static_cast<unsigned long long>(r.events),
                   static_cast<unsigned long long>(r.deliveries),
-                  static_cast<unsigned long long>(r.functional_edges));
+                  static_cast<unsigned long long>(r.functional_edges),
+                  static_cast<unsigned long long>(r.sift_steps),
+                  static_cast<unsigned long long>(r.candidates));
     deployments += entry;
   }
 

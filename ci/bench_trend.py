@@ -4,7 +4,7 @@ artifacts against the previous run's and flag regressions.
 
 Usage:
     bench_trend.py --previous DIR --current DIR [--threshold 0.25] [--fail]
-                   [--require-baseline]
+                   [--require-baseline] [--exact NAMES]
 
 Both directories hold BENCH_micro_crypto.json / BENCH_micro_sim.json (any
 BENCH_*.json present in both is compared). Tracked series are the numeric
@@ -18,6 +18,12 @@ Against a committed baseline directory, pass --require-baseline: then a
 current artifact without a readable baseline, or a run that compares no
 tracked series at all, is an "::error" and exit 1 instead of a skip, so
 the gate cannot pass by default.
+
+--exact NAMES (comma-separated) names deterministic work counts, such as
+"events,deliveries": every integer leaf whose key is one of NAMES must
+equal its baseline exactly. Any difference, or such a count with no
+baseline value, is an "::error" and exit 1 whether or not --fail is given.
+A change that moves a count re-commits the baseline and says why.
 """
 
 import argparse
@@ -28,7 +34,8 @@ import sys
 
 
 def numeric_leaves(tree, prefix=""):
-    """Flattens a JSON tree to {dotted.path: float} for numeric leaves."""
+    """Flattens a JSON tree to {dotted.path: int or float} for numeric
+    leaves (JSON integers stay ints)."""
     out = {}
     if isinstance(tree, dict):
         for key, value in tree.items():
@@ -37,15 +44,21 @@ def numeric_leaves(tree, prefix=""):
         for i, value in enumerate(tree):
             out.update(numeric_leaves(value, f"{prefix}{i}."))
     elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
-        out[prefix.rstrip(".")] = float(tree)
+        out[prefix.rstrip(".")] = tree
     return out
 
 
 def tracked(leaves):
     """The series worth gating: per-operation times ("*us_per*", lower is
     better) and throughputs ("*per_s*", higher is better)."""
-    return {path: v for path, v in leaves.items()
+    return {path: float(v) for path, v in leaves.items()
             if "us_per" in path or "per_s" in path}
+
+
+def exact_counts(leaves, names):
+    """Integer leaves whose last key is one of `names`."""
+    return {path: v for path, v in leaves.items()
+            if isinstance(v, int) and path.rsplit(".", 1)[-1] in names}
 
 
 def higher_is_better(path):
@@ -64,7 +77,11 @@ def main():
     parser.add_argument("--require-baseline", action="store_true",
                         help="exit 1 when a current artifact has no readable baseline "
                              "or no tracked series is compared")
+    parser.add_argument("--exact", default="",
+                        help="comma-separated integer counts that must equal the "
+                             "baseline exactly (always an error on mismatch)")
     args = parser.parse_args()
+    exact_names = {name for name in args.exact.split(",") if name}
 
     missing = []
 
@@ -82,7 +99,10 @@ def main():
         return 1 if missing else 0
 
     regressions = []
+    count_errors = []
     compared = 0
+    exact_compared = 0
+    exact_seen = set()
     for current_path in current_files:
         name = os.path.basename(current_path)
         previous_path = os.path.join(args.previous, name)
@@ -91,12 +111,28 @@ def main():
             continue
         try:
             with open(previous_path) as f:
-                previous = tracked(numeric_leaves(json.load(f)))
+                previous_leaves = numeric_leaves(json.load(f))
             with open(current_path) as f:
-                current = tracked(numeric_leaves(json.load(f)))
+                current_leaves = numeric_leaves(json.load(f))
         except (OSError, json.JSONDecodeError) as e:
             no_baseline(f"cannot parse {name}: {e}")
             continue
+        previous = tracked(previous_leaves)
+        current = tracked(current_leaves)
+
+        previous_counts = exact_counts(previous_leaves, exact_names)
+        for path, now in sorted(exact_counts(current_leaves, exact_names).items()):
+            exact_seen.add(path.rsplit(".", 1)[-1])
+            before = previous_counts.get(path)
+            if before is None:
+                count_errors.append(f"{name}:{path} = {now} has no baseline value")
+                continue
+            exact_compared += 1
+            if now != before:
+                count_errors.append(f"{name}:{path} changed {before} -> {now} "
+                                    f"({now - before:+d})")
+            else:
+                print(f"bench-trend: {name}:{path}: {now} (exact, unchanged)")
 
         for path, now in sorted(current.items()):
             before = previous.get(path)
@@ -131,11 +167,19 @@ def main():
         print(f"::{level} title=bench regression::{name}:{path} {verb} "
               f"{abs(ratio - 1.0) * 100.0:.1f}% ({before:.3f} -> {now:.3f})")
 
+    for name in sorted(exact_names - exact_seen):
+        count_errors.append(f"--exact {name} matched no integer leaf in any current artifact")
+    for message in count_errors:
+        print(f"::error title=bench count changed::{message}")
+
     print(f"bench-trend: {compared} tracked series compared, "
           f"{len(regressions)} over the {args.threshold * 100.0:.0f}% threshold")
+    if exact_names:
+        print(f"bench-trend: {exact_compared} exact counts compared, "
+              f"{len(count_errors)} errors")
     if compared == 0 and not missing:
         no_baseline("no tracked series had a comparable baseline")
-    if missing:
+    if missing or count_errors:
         return 1
     return 1 if (regressions and args.fail) else 0
 

@@ -1,6 +1,8 @@
 #include "core/commitment.h"
 
+#include <array>
 #include <cassert>
+#include <span>
 
 #include "crypto/sha256_mb.h"
 
@@ -24,7 +26,25 @@ void absorb_binding(Ctx& ctx, const crypto::SymmetricKey& master, NodeId node,
   ctx.update_framed(master.material());
   ctx.update_u64(version);
   ctx.update_u64(neighbors.size());
-  for (NodeId n : neighbors) ctx.update_u64(n);
+  // N(u) as big-endian u64s, encoded a block at a time: the same bytes as
+  // one update_u64 per id, so digests and compression counts match, for
+  // one update call per block.
+  constexpr std::size_t kIdsPerBlock = 32;
+  std::array<std::uint8_t, 8 * kIdsPerBlock> block;
+  std::size_t filled = 0;
+  for (const NodeId n : neighbors) {
+    std::uint64_t v = n;
+    for (std::size_t i = 8; i-- > 0;) {
+      block[filled + i] = static_cast<std::uint8_t>(v);
+      v >>= 8;
+    }
+    filled += 8;
+    if (filled == block.size()) {
+      ctx.update(std::span<const std::uint8_t>(block.data(), filled));
+      filled = 0;
+    }
+  }
+  if (filled != 0) ctx.update(std::span<const std::uint8_t>(block.data(), filled));
   ctx.update_u64(node);
 }
 

@@ -87,10 +87,13 @@ class Tracer {
   /// typed counter here -- sim::Metrics counts them -- so below kEvents an
   /// emit() reduces to the events_ increment. Call sites use this with
   /// recording() to skip building an Event payload per candidate; totals
-  /// stay identical to emitting the full event.
-  void count_radio_event() {
+  /// stay identical to emitting the full event. `n` counts several at once
+  /// (receiver resolution tallies its out-of-range drops in bulk).
+  void count_radio_event(std::uint64_t n = 1) {
 #if SND_TRACE
-    if (level_ != TraceLevel::kOff) ++events_;
+    if (level_ != TraceLevel::kOff) events_ += n;
+#else
+    (void)n;
 #endif
   }
 

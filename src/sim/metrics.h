@@ -26,13 +26,15 @@ class Metrics {
   }
 
   void count_delivery() { ++deliveries_; }
-  void count_drop(obs::DropCause cause) { ++drops_[static_cast<std::size_t>(cause)]; }
+  void count_drop(obs::DropCause cause, std::uint64_t n = 1) {
+    drops_[static_cast<std::size_t>(cause)] += n;
+  }
 
   /// One per delivery candidate that reached the channel (in range check and
   /// beyond) plus one per injected extra copy. Feeds the proptest
   /// conservation oracle: candidates == deliveries + channel drops. Not
   /// serialized into reports -- purely an internal invariant anchor.
-  void count_candidate() { ++candidates_; }
+  void count_candidate(std::uint64_t n = 1) { candidates_ += n; }
 
   [[nodiscard]] Counter total() const;
   [[nodiscard]] Counter phase(obs::Phase phase) const {

@@ -3,18 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 #include "util/simd.h"
 
 namespace snd::sim {
-
-namespace {
-
-/// Pooled packets are recycled, not destroyed; cap the free list so a
-/// delivery burst cannot pin an unbounded amount of payload memory.
-constexpr std::size_t kMaxPooledPackets = 1024;
-
-}  // namespace
 
 namespace {
 
@@ -42,30 +36,6 @@ Network::Network(std::unique_ptr<PropagationModel> propagation, ChannelConfig co
   indexable_ = std::isfinite(cell_size_) && cell_size_ > 0.0;
   use_spatial_index_ = indexable_;
   strip_filter_ = util::simd_enabled() && propagation_->supports_link_classes();
-}
-
-std::shared_ptr<const Packet> Network::share_packet(Packet&& packet) {
-  std::unique_ptr<Packet> slot;
-  if (!packet_pool_->free.empty()) {
-    slot = std::move(packet_pool_->free.back());
-    packet_pool_->free.pop_back();
-    *slot = std::move(packet);  // reuses the recycled payload's heap buffer
-  } else {
-    slot = std::make_unique<Packet>(std::move(packet));
-  }
-  // The deleter returns the Packet to the pool if the pool still exists
-  // (weak_ptr: delivery events can outlive the Network only during its own
-  // destruction, where the lock simply fails and the Packet is freed).
-  return std::shared_ptr<const Packet>(
-      slot.release(), [pool = std::weak_ptr<PacketPool>(packet_pool_)](const Packet* p) {
-        Packet* recycled = const_cast<Packet*>(p);
-        if (const auto locked = pool.lock(); locked && locked->free.size() < kMaxPooledPackets) {
-          recycled->payload.clear();
-          locked->free.emplace_back(recycled);
-        } else {
-          delete recycled;
-        }
-      });
 }
 
 DeviceId Network::add_device(NodeId identity, util::Vec2 position) {
@@ -214,11 +184,81 @@ void Network::note_inject(obs::InjectKind kind, NodeId node, NodeId peer, std::u
   }
 }
 
-void Network::deliver_copy(DeviceId to, const std::shared_ptr<const Packet>& packet, Time start,
-                           Time airtime_end, obs::Phase phase) {
+std::uint32_t Network::store_packet(Packet&& packet) {
+  if (free_packets_.empty()) {
+    packets_.push_back(PacketSlot{std::move(packet), 0});
+    return static_cast<std::uint32_t>(packets_.size() - 1);
+  }
+  const std::uint32_t slot = free_packets_.back();
+  free_packets_.pop_back();
+  packets_[slot].packet = std::move(packet);
+  return slot;
+}
+
+std::vector<DeviceId> Network::take_group() {
+  if (spare_groups_.empty()) return {};
+  std::vector<DeviceId> group = std::move(spare_groups_.back());
+  spare_groups_.pop_back();
+  return group;
+}
+
+void Network::recycle_group(std::vector<DeviceId> group) {
+  if (spare_groups_.size() == kSpareGroups) return;
+  group.clear();
+  spare_groups_.push_back(std::move(group));
+}
+
+void Network::schedule_delivery(Time at, std::uint32_t packet, DeviceId to,
+                                std::vector<DeviceId> overhearers, Time start, Time airtime_end,
+                                obs::Phase phase) {
+  std::uint32_t slot = 0;
+  if (free_deliveries_.empty()) {
+    slot = static_cast<std::uint32_t>(deliveries_.size());
+    deliveries_.emplace_back();
+  } else {
+    slot = free_deliveries_.back();
+    free_deliveries_.pop_back();
+  }
+  deliveries_[slot] = Delivery{.overhearers = std::move(overhearers),
+                               .start = start,
+                               .airtime_end = airtime_end,
+                               .packet = packet,
+                               .to = to,
+                               .phase = phase};
+  ++packets_[packet].holders;
+  scheduler_.schedule_at(at, [this, slot]() { deliver(slot); });
+}
+
+void Network::release_packet(std::uint32_t slot) {
+  PacketSlot& held = packets_[slot];
+  if (--held.holders != 0) return;
+  held.packet.payload = {};
+  free_packets_.push_back(slot);
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Receive callbacks may transmit, which claims new slots; the deques keep
+  // these references valid, and this record and its packet stay claimed
+  // until the loop is done.
+  Delivery& d = deliveries_[slot];
+  const Packet& packet = packets_[d.packet].packet;
+  if (d.to != kNoDevice) {
+    deliver_copy(d.to, packet, d.start, d.airtime_end, d.phase);
+  } else {
+    for (const DeviceId to : d.overhearers) {
+      deliver_copy(to, packet, d.start, d.airtime_end, d.phase);
+    }
+    recycle_group(std::move(d.overhearers));
+  }
+  release_packet(d.packet);
+  free_deliveries_.push_back(slot);
+}
+
+void Network::deliver_copy(DeviceId to, const Packet& packet, Time start, Time airtime_end,
+                           obs::Phase phase) {
   const Device& d = devices_[to];
-  const NodeId sender_identity = devices_[packet->sender_device].identity;
-  const auto rx_bytes = static_cast<std::uint32_t>(packet->wire_bytes());
+  const NodeId sender_identity = devices_[packet.sender_device].identity;
+  const auto rx_bytes = static_cast<std::uint32_t>(packet.wire_bytes());
   if (!d.alive || !receivers_[to]) {
     note_drop(obs::DropCause::kReceiverDead, d.identity, sender_identity, rx_bytes);
     return;
@@ -235,7 +275,7 @@ void Network::deliver_copy(DeviceId to, const std::shared_ptr<const Packet>& pac
     note_drop(obs::DropCause::kHalfDuplex, d.identity, sender_identity, rx_bytes);
     return;
   }
-  drain(to, energy_.rx_j_per_byte * static_cast<double>(packet->wire_bytes()));
+  drain(to, energy_.rx_j_per_byte * static_cast<double>(packet.wire_bytes()));
   if (!devices_[to].alive) {
     note_drop(obs::DropCause::kReceiverDead, d.identity, sender_identity, rx_bytes);
     return;
@@ -251,7 +291,7 @@ void Network::deliver_copy(DeviceId to, const std::shared_ptr<const Packet>& pac
   } else {
     tracer_.count_radio_event();
   }
-  receivers_[to](*packet);
+  receivers_[to](packet);
 }
 
 void Network::transmit(DeviceId from, Packet packet, obs::Phase phase) {
@@ -296,53 +336,120 @@ void Network::transmit_impl(DeviceId from, Packet packet, obs::Phase phase) {
     tx_busy_until_[from] = start + tx_time;
   }
   const Time airtime_end = start + tx_time;
-  const bool sender_jammed = jammed(sender.position);
-
-  // Resolve the receiver set now (link state, jamming, and loss are
-  // evaluated at transmission time). Overhearers share a single scheduled
-  // event -- their per-receiver propagation-delay differences are
-  // nanoseconds against the ~0.5 ms MAC processing delay, and one event per
-  // transmission keeps the event heap small on dense fields. Receivers the
-  // packet is *addressed to* get exact per-receiver timing: protocols that
-  // measure time of flight (distance bounding) depend on it.
-  std::vector<DeviceId> overhearers;
-  double max_distance = 0.0;
-  const std::shared_ptr<const Packet> shared = share_packet(std::move(packet));
-
+  const util::Vec2 origin = sender.position;
   const NodeId sender_identity = sender.identity;
+  const bool sender_jammed = jammed(origin);
 
-  // Check order (and therefore the loss-RNG draw sequence) is unchanged from
-  // the untraced code path: grid and linear receiver resolution stay
-  // bit-identical for deliveries. Only the kOutOfRange count depends on the
-  // candidate superset (3x3 block vs whole field). The fault hook is
-  // consulted strictly after the channel resolved a copy as deliverable, so
-  // an uninstalled hook perturbs nothing -- not even RNG draw order.
-  //
-  // `link_class` carries the strip filter's verdict for this candidate
-  // (kLinkCheck when the strip path is off, which reduces the link decision
-  // to the seed's scalar link_exists call).
-  const auto handle = [&](const Device& receiver, std::uint8_t link_class) {
-    if (receiver.id == from || !receiver.alive) return;
-    if (!receivers_[receiver.id]) return;
-    metrics_.count_candidate();
-    const bool linked =
-        link_class == kLinkIn ||
-        (link_class == kLinkCheck &&
-         propagation_->link_exists(sender.position, receiver.position));
-    if (!linked) {
-      note_drop(obs::DropCause::kOutOfRange, receiver.identity, sender_identity, wire_bytes);
-      return;
+  // The candidate list, ascending by device id: the grid's 3x3 block, or
+  // every device on the linear path. Both give bit-identical deliveries;
+  // only the kOutOfRange count depends on the superset enumerated.
+  std::span<const DeviceId> cands;
+  const double* xs = pos_x_.data();
+  const double* ys = pos_y_.data();
+  if (use_spatial_index_) {
+    cands = candidates_near(origin);
+  } else {
+    if (linear_ids_.size() != devices_.size()) {
+      linear_ids_.resize(devices_.size());
+      std::iota(linear_ids_.begin(), linear_ids_.end(), DeviceId{0});
     }
+    cands = linear_ids_;
+  }
+  const std::size_t n = cands.size();
+
+  // Link classes: the strip filter's verdicts, or kLinkCheck everywhere,
+  // which reduces the link decision to the scalar link_exists call. A strip
+  // shorter than one vector pass is not worth gathering.
+  constexpr std::size_t kStripMin = 4;
+  strip_class_.resize(n);
+  if (strip_filter_ && n >= kStripMin) {
+    if (use_spatial_index_) {
+      strip_x_.resize(n);
+      strip_y_.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        strip_x_[i] = pos_x_[cands[i]];
+        strip_y_[i] = pos_y_[cands[i]];
+      }
+      xs = strip_x_.data();
+      ys = strip_y_.data();
+    }
+    propagation_->classify_links(origin, xs, ys, n, strip_class_.data());
+  } else {
+    std::fill(strip_class_.begin(), strip_class_.end(), kLinkCheck);
+  }
+
+  // Pass 1: keep the candidates that can receive at all (not the sender,
+  // alive, receiver installed), split them into linked and out of range,
+  // and record both as positions in `cands`. Every candidate is written to
+  // both lists and the counts advance by its verdict, so the loop does not
+  // branch on the candidate; only a kLinkCheck verdict calls link_exists.
+  linked_.resize(n);
+  unlinked_.resize(n);
+  std::size_t n_linked = 0;
+  std::size_t n_unlinked = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const DeviceId id = cands[i];
+    const Device& d = devices_[id];
+    const bool eligible = (id != from) & d.alive & static_cast<bool>(receivers_[id]);
+    bool linked = strip_class_[i] == kLinkIn;
+    if (strip_class_[i] == kLinkCheck && eligible) {
+      linked = propagation_->link_exists(origin, d.position);
+    }
+    linked_[n_linked] = static_cast<std::uint32_t>(i);
+    unlinked_[n_unlinked] = static_cast<std::uint32_t>(i);
+    n_linked += static_cast<std::size_t>(eligible & linked);
+    n_unlinked += static_cast<std::size_t>(eligible & !linked);
+  }
+  metrics_.count_candidate(n_linked + n_unlinked);
+
+  // Out-of-range drops: one bulk count, unless the tracer records events,
+  // in which case each is emitted where a single per-candidate pass would
+  // have emitted it -- before the first linked candidate after it.
+  const bool recording = tracer_.recording();
+  std::size_t next_unlinked = 0;
+  const auto drop_out_of_range_before = [&](std::size_t pos) {
+    for (; next_unlinked < n_unlinked && unlinked_[next_unlinked] < pos; ++next_unlinked) {
+      note_drop(obs::DropCause::kOutOfRange, devices_[cands[unlinked_[next_unlinked]]].identity,
+                sender_identity, wire_bytes);
+    }
+  };
+  if (!recording) {
+    metrics_.count_drop(obs::DropCause::kOutOfRange, n_unlinked);
+    tracer_.count_radio_event(n_unlinked);
+  }
+
+  // Pass 2, in ascending device id, so the loss-RNG draws, fault-hook calls
+  // and event ids are consumed in the order of the linear scan. The fault
+  // hook is consulted strictly after the channel resolved a copy as
+  // deliverable, so an uninstalled hook perturbs nothing -- not even RNG
+  // draw order. Receivers the packet is *addressed to* get exact
+  // per-receiver timing: protocols that measure time of flight (distance
+  // bounding) depend on it. Overhearers share one delivery record -- their
+  // propagation-delay differences are nanoseconds against the ~0.5 ms
+  // processing delay, and one event per transmission keeps the queue small
+  // on dense fields. Its delay uses sqrt(max d²), which equals the largest
+  // distance exactly (sqrt is correctly rounded and monotone), so only
+  // addressed and perturbed copies compute a distance of their own.
+  const std::uint32_t packet_slot = store_packet(std::move(packet));
+  const Packet& shared = packets_[packet_slot].packet;
+  // Held until this transmission is resolved, so a corrupted copy stored
+  // below cannot take the slot.
+  ++packets_[packet_slot].holders;
+  std::vector<DeviceId> overhearers = take_group();
+  overhearers.reserve(n_linked);
+  double max_distance_squared = 0.0;
+  for (std::size_t j = 0; j < n_linked; ++j) {
+    const std::uint32_t pos = linked_[j];
+    if (recording) drop_out_of_range_before(pos);
+    const Device& receiver = devices_[cands[pos]];
     if (sender_jammed || jammed(receiver.position)) {
       note_drop(obs::DropCause::kCollision, receiver.identity, sender_identity, wire_bytes);
-      return;
+      continue;
     }
     if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {
       note_drop(obs::DropCause::kLoss, receiver.identity, sender_identity, wire_bytes);
-      return;
+      continue;
     }
-
-    const double distance = util::distance(sender.position, receiver.position);
 
     if (fault_ != nullptr) {
       const FaultDecision fd =
@@ -350,96 +457,63 @@ void Network::transmit_impl(DeviceId from, Packet packet, obs::Phase phase) {
       if (fd.drop) {
         note_inject(fd.drop_kind, receiver.identity, sender_identity, wire_bytes);
         note_drop(obs::DropCause::kInjected, receiver.identity, sender_identity, wire_bytes);
-        return;
+        continue;
       }
       if (fd.perturbs()) {
         // Perturbed copies always get dedicated per-receiver events with
         // exact per-receiver timing -- an injected duplicate or delayed copy
         // cannot ride the shared overhearer event.
-        const Time base = start + tx_time + PropagationModel::propagation_delay(distance) +
+        const Time base = start + tx_time +
+                          PropagationModel::propagation_delay(
+                              util::distance(origin, receiver.position)) +
                           config_.processing_delay + fd.extra_delay;
-        std::shared_ptr<const Packet> pkt = shared;
+        std::uint32_t copy = packet_slot;
         if (fd.corrupt) {
-          Packet mutated = *shared;
+          Packet mutated = shared;
           fault_->corrupt_packet(mutated);
-          pkt = share_packet(std::move(mutated));
+          copy = store_packet(std::move(mutated));
           note_inject(obs::InjectKind::kCorrupt, receiver.identity, sender_identity, wire_bytes);
         }
         if (fd.extra_delay > Time::zero()) {
           note_inject(obs::InjectKind::kDelay, receiver.identity, sender_identity, wire_bytes);
         }
-        const DeviceId to = receiver.id;
-        scheduler_.schedule_at(base, [this, to, pkt, start, airtime_end, phase]() {
-          deliver_copy(to, pkt, start, airtime_end, phase);
-        });
+        schedule_delivery(base, copy, receiver.id, {}, start, airtime_end, phase);
         for (std::uint32_t i = 1; i <= fd.copies; ++i) {
           // Extra copies count as fresh candidates so the conservation law
           // (candidates == deliveries + channel drops) survives duplication.
           metrics_.count_candidate();
           note_inject(obs::InjectKind::kDuplicate, receiver.identity, sender_identity, wire_bytes);
-          scheduler_.schedule_at(
+          schedule_delivery(
               base + Time::nanoseconds(fd.copy_spacing.ns() * static_cast<std::int64_t>(i)),
-                                 [this, to, pkt, start, airtime_end, phase]() {
-                                   deliver_copy(to, pkt, start, airtime_end, phase);
-                                 });
+              copy, receiver.id, {}, start, airtime_end, phase);
         }
-        return;
+        continue;
       }
     }
 
-    if (!shared->is_broadcast() && receiver.identity == shared->dst) {
-      const Time at = start + tx_time + PropagationModel::propagation_delay(distance) +
+    if (!shared.is_broadcast() && receiver.identity == shared.dst) {
+      const Time at = start + tx_time +
+                      PropagationModel::propagation_delay(
+                          util::distance(origin, receiver.position)) +
                       config_.processing_delay;
-      const DeviceId to = receiver.id;
-      scheduler_.schedule_at(at, [this, to, shared, start, airtime_end, phase]() {
-        deliver_copy(to, shared, start, airtime_end, phase);
-      });
+      schedule_delivery(at, packet_slot, receiver.id, {}, start, airtime_end, phase);
     } else {
       overhearers.push_back(receiver.id);
-      max_distance = std::max(max_distance, distance);
-    }
-  };
-
-  // A strip shorter than one vector pass is not worth gathering.
-  constexpr std::size_t kStripMin = 4;
-  if (use_spatial_index_) {
-    const std::vector<DeviceId>& cands = candidates_near(sender.position);
-    const bool strip = strip_filter_ && cands.size() >= kStripMin;
-    if (strip) {
-      strip_x_.resize(cands.size());
-      strip_y_.resize(cands.size());
-      strip_class_.resize(cands.size());
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        strip_x_[i] = pos_x_[cands[i]];
-        strip_y_[i] = pos_y_[cands[i]];
-      }
-      propagation_->classify_links(sender.position, strip_x_.data(), strip_y_.data(),
-                                   cands.size(), strip_class_.data());
-    }
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      handle(devices_[cands[i]], strip ? strip_class_[i] : kLinkCheck);
-    }
-  } else {
-    // Linear path: the SoA position mirrors *are* the strip.
-    const std::size_t n = devices_.size();
-    const bool strip = strip_filter_ && n >= kStripMin;
-    if (strip) {
-      strip_class_.resize(n);
-      propagation_->classify_links(sender.position, pos_x_.data(), pos_y_.data(), n,
-                                   strip_class_.data());
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      handle(devices_[i], strip ? strip_class_[i] : kLinkCheck);
+      max_distance_squared =
+          std::max(max_distance_squared, util::distance_squared(origin, receiver.position));
     }
   }
-  if (overhearers.empty()) return;
+  if (recording) drop_out_of_range_before(n);
 
-  const Time deliver_at = start + tx_time + PropagationModel::propagation_delay(max_distance) +
-                          config_.processing_delay;
-  scheduler_.schedule_at(deliver_at, [this, shared, start, airtime_end, phase,
-                                      overhearers = std::move(overhearers)]() {
-    for (DeviceId to : overhearers) deliver_copy(to, shared, start, airtime_end, phase);
-  });
+  if (overhearers.empty()) {
+    recycle_group(std::move(overhearers));
+  } else {
+    schedule_delivery(start + tx_time +
+                          PropagationModel::propagation_delay(std::sqrt(max_distance_squared)) +
+                          config_.processing_delay,
+                      packet_slot, kNoDevice, std::move(overhearers), start, airtime_end, phase);
+  }
+  release_packet(packet_slot);
 }
 
 obs::TraceSummary Network::trace_summary() const {

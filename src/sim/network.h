@@ -8,6 +8,7 @@
 // direct-verification oracles, and auditing -- never for protocol logic.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -169,15 +170,23 @@ class Network {
   /// Drains `joules` from a device; kills it at exhaustion.
   void drain(DeviceId id, double joules);
 
+  /// Resolves receivers in two passes over the candidate list (the grid's
+  /// 3x3 block or the whole field). Pass 1 filters every candidate without
+  /// branching on it -- self, alive, receiver installed, link class -- and
+  /// counts candidates and out-of-range drops in bulk. Pass 2 visits only
+  /// the linked candidates, in ascending device id: jamming, the loss draw,
+  /// the fault hook, addressed scheduling and overhearer collection. When
+  /// the tracer records, out-of-range drops are emitted between the linked
+  /// candidates in candidate order, so the event stream is the one a single
+  /// per-candidate pass would emit.
   void transmit_impl(DeviceId from, Packet packet, obs::Phase phase);
 
   /// Delivers one in-flight copy of `packet` to `to`, re-running the
   /// delivery-time checks (alive, receiver installed, half-duplex overlap
   /// against [start, airtime_end), rx energy) before handing the packet to
-  /// the receive callback. Shared by the normal transmit path and
-  /// fault-injected duplicate/delayed/corrupted copies.
-  void deliver_copy(DeviceId to, const std::shared_ptr<const Packet>& packet, Time start,
-                    Time airtime_end, obs::Phase phase);
+  /// the receive callback.
+  void deliver_copy(DeviceId to, const Packet& packet, Time start, Time airtime_end,
+                    obs::Phase phase);
 
   /// Counts an undelivered copy in both the typed metrics and the tracer.
   void note_drop(obs::DropCause cause, NodeId node, NodeId peer, std::uint32_t bytes);
@@ -207,20 +216,57 @@ class Network {
   template <typename Fn>
   void for_each_candidate(util::Vec2 center, Fn&& fn) const;
 
-  /// Recycled Packet buffers for the transmit path. Each transmission
-  /// shares one immutable Packet among its delivery events; the Packet (and
-  /// its payload's heap buffer) is returned to a free list when the last
-  /// event releases it instead of going back to the allocator. Deleters
-  /// hold a weak_ptr, so teardown order against the scheduler is safe; the
-  /// member is still declared before scheduler_ so pooled packets owned by
-  /// pending events are recycled (not leaked) during destruction.
-  struct PacketPool {
-    std::vector<std::unique_ptr<Packet>> free;
+  // -- In-flight deliveries ---------------------------------------------
+  // Delivery events are plain data. A transmission's packet lives in one
+  // slot of packets_, with a plain count of the delivery records that
+  // still hold it; the last one to fire frees the slot. A delivery record
+  // names its packet slot, its receivers (one addressed or perturbed copy,
+  // or the transmission's overhearer list), the airtime and the phase, and
+  // its scheduled action captures only the record's slot index. Both slabs
+  // recycle slots through free lists. Overhearer lists move between the
+  // records and a free list of spare buffers, capped at kSpareGroups, so
+  // a steady-state transmission allocates nothing and a burst's extra
+  // buffers go back to the allocator once it has drained. std::deque keeps
+  // slot references stable while receive callbacks transmit and grow the
+  // slabs under a running delivery.
+  struct PacketSlot {
+    Packet packet;
+    std::uint32_t holders = 0;
   };
-  std::shared_ptr<PacketPool> packet_pool_ = std::make_shared<PacketPool>();
+  struct Delivery {
+    /// The receivers of an overhearer record; empty for a single copy.
+    std::vector<DeviceId> overhearers;
+    Time start;
+    Time airtime_end;
+    std::uint32_t packet = 0;
+    /// The single copy's receiver, or kNoDevice for an overhearer record.
+    DeviceId to = kNoDevice;
+    obs::Phase phase = obs::Phase::kOther;
+  };
+  static constexpr std::size_t kSpareGroups = 256;
+  std::deque<PacketSlot> packets_;
+  std::vector<std::uint32_t> free_packets_;
+  std::deque<Delivery> deliveries_;
+  std::vector<std::uint32_t> free_deliveries_;
+  std::vector<std::vector<DeviceId>> spare_groups_;
 
-  /// Wraps `packet` in a pooled Packet for sharing across delivery events.
-  [[nodiscard]] std::shared_ptr<const Packet> share_packet(Packet&& packet);
+  /// Moves `packet` into a free packet slot; it has no holders yet.
+  [[nodiscard]] std::uint32_t store_packet(Packet&& packet);
+  /// An empty overhearer buffer, recycled when one is spare.
+  [[nodiscard]] std::vector<DeviceId> take_group();
+  /// Keeps `group`'s buffer for a later transmission while fewer than
+  /// kSpareGroups are spare, else frees it.
+  void recycle_group(std::vector<DeviceId> group);
+  /// Schedules a delivery record holding `packet` to fire at `at`: one
+  /// copy for `to`, or, when `to` is kNoDevice, one for each overhearer.
+  void schedule_delivery(Time at, std::uint32_t packet, DeviceId to,
+                         std::vector<DeviceId> overhearers, Time start, Time airtime_end,
+                         obs::Phase phase);
+  /// Frees a packet slot once no record holds it.
+  void release_packet(std::uint32_t slot);
+  /// The delivery event: hands the packet to the record's receivers in
+  /// order, then frees the record, its buffer and its hold on the packet.
+  void deliver(std::uint32_t slot);
 
   // -- Strip filter ------------------------------------------------------
   // SoA mirrors of every device's position, maintained by add_device and
@@ -234,10 +280,15 @@ class Network {
   std::vector<double> pos_x_;
   std::vector<double> pos_y_;
   /// Scratch reused across transmissions: gathered candidate positions
-  /// (grid path) and the per-candidate class mask.
+  /// (grid path), the per-candidate class mask, the linear path's
+  /// candidate list (every device id), and receiver resolution's two
+  /// candidate-position lists (linked, and eligible but out of range).
   std::vector<double> strip_x_;
   std::vector<double> strip_y_;
   std::vector<std::uint8_t> strip_class_;
+  std::vector<DeviceId> linear_ids_;
+  std::vector<std::uint32_t> linked_;
+  std::vector<std::uint32_t> unlinked_;
   bool strip_filter_ = false;
 
   std::unique_ptr<PropagationModel> propagation_;

@@ -9,8 +9,17 @@ namespace snd::sim {
 
 EventId Scheduler::schedule_at(Time at, EventAction action) {
   const EventId id = next_id_++;
-  heap_.push_back(Entry{at < now_ ? now_ : at, id, std::move(action)});
-  sift_up(heap_.size() - 1);
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Key{at < now_ ? now_ : at, id, slot});
   return id;
 }
 
@@ -26,6 +35,7 @@ void Scheduler::cancel(EventId id) {
   if (!cancelled_bits_.test(index)) {
     cancelled_bits_.set(index);
     ++cancelled_count_;
+    cancels_unswept_ = true;
   }
   // Ids of already-fired events are indistinguishable from pending ones
   // here, but once the set clearly outnumbers the heap the excess must be
@@ -50,12 +60,12 @@ void Scheduler::sweep_cancelled() const {
   // stale cancel-after-fire record, and rebuilding from the heap keeps only
   // cancels that can still suppress an event.
   EventId base = next_id_;
-  for (const Entry& entry : heap_) base = std::min(base, entry.id);
+  for (const Key& key : heap_) base = std::min(base, key.id);
   util::BitSet live;
   std::uint64_t count = 0;
-  for (const Entry& entry : heap_) {
-    if (!cancelled_contains(entry.id)) continue;
-    const std::size_t index = static_cast<std::size_t>(entry.id - base);
+  for (const Key& key : heap_) {
+    if (!cancelled_contains(key.id)) continue;
+    const std::size_t index = static_cast<std::size_t>(key.id - base);
     if (index >= live.capacity()) live.resize(index + 1);
     live.set(index);
     ++count;
@@ -63,19 +73,22 @@ void Scheduler::sweep_cancelled() const {
   cancelled_bits_ = std::move(live);
   bits_base_ = base;
   cancelled_count_ = count;
+  cancels_unswept_ = false;
 }
 
 void Scheduler::reset_cancelled() {
   cancelled_bits_.resize(0);
   bits_base_ = next_id_;
   cancelled_count_ = 0;
+  cancels_unswept_ = false;
 }
 
 std::uint64_t Scheduler::pending() const {
-  if (cancelled_backlog() > heap_.size()) sweep_cancelled();
-  const std::uint64_t backlog = cancelled_backlog();
-  const auto size = static_cast<std::uint64_t>(heap_.size());
-  return size > backlog ? size - backlog : 0;
+  // The window cannot tell a cancel-after-fire from a live cancel, so a
+  // cancel since the last sweep may have set a stale bit. Sweeping keeps
+  // exactly the cancelled keys still in the heap.
+  if (cancels_unswept_) sweep_cancelled();
+  return static_cast<std::uint64_t>(heap_.size()) - cancelled_backlog();
 }
 
 void Scheduler::set_next_event_id(EventId id) {
@@ -84,50 +97,51 @@ void Scheduler::set_next_event_id(EventId id) {
   reset_cancelled();
 }
 
-// Both sifts percolate a hole instead of swapping: an Entry is ~112 bytes
-// with a small-buffer action whose move runs through a trampoline, so a swap
-// costs three such moves per level where the hole costs one. The element
-// comparisons -- and therefore the final array -- are exactly those of the
-// textbook swap formulation.
+// A 4-ary heap is half as deep as a binary one; its four children sit in
+// adjacent keys, so the extra comparisons per level hit the cache lines
+// the first child already brought in. Keys are unique (ids are), so the
+// firing order is the total (time, id) order whatever the heap's shape.
 
-void Scheduler::sift_up(std::size_t index) {
-  if (index == 0) return;
-  std::size_t parent = (index - 1) / 2;
-  if (!earlier(heap_[index], heap_[parent])) return;
-  Entry moving = std::move(heap_[index]);
-  do {
-    heap_[index] = std::move(heap_[parent]);
+void Scheduler::sift_up(std::size_t index, Key moving) {
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / kArity;
+    if (!earlier(moving, heap_[parent])) break;
+    heap_[index] = heap_[parent];
+    ++sift_steps_;
     index = parent;
-    parent = (index - 1) / 2;
-  } while (index > 0 && earlier(moving, heap_[parent]));
-  heap_[index] = std::move(moving);
+  }
+  heap_[index] = moving;
 }
 
-void Scheduler::sift_down(std::size_t index) {
+void Scheduler::sift_down(std::size_t index, Key moving) {
   const std::size_t n = heap_.size();
-  // Smallest of {value-at-i, left child, right child}, where the sinking
-  // element is passed explicitly because its slot currently holds the hole.
-  const auto smaller_child = [&](std::size_t i, const Entry& value) {
-    std::size_t best = i;
-    const Entry* best_entry = &value;
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = 2 * i + 2;
-    if (left < n && earlier(heap_[left], *best_entry)) {
-      best = left;
-      best_entry = &heap_[left];
+  for (;;) {
+    const std::size_t first = kArity * index + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < end; ++child) {
+      if (earlier(heap_[child], heap_[best])) best = child;
     }
-    if (right < n && earlier(heap_[right], *best_entry)) best = right;
-    return best;
-  };
-  std::size_t next = smaller_child(index, heap_[index]);
-  if (next == index) return;
-  Entry moving = std::move(heap_[index]);
-  do {
-    heap_[index] = std::move(heap_[next]);
-    index = next;
-    next = smaller_child(index, moving);
-  } while (next != index);
-  heap_[index] = std::move(moving);
+    if (!earlier(heap_[best], moving)) break;
+    heap_[index] = heap_[best];
+    ++sift_steps_;
+    index = best;
+  }
+  heap_[index] = moving;
+}
+
+Scheduler::Key Scheduler::pop_root() {
+  const Key root = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+  return root;
+}
+
+void Scheduler::free_slot(std::uint32_t slot) {
+  actions_[slot] = nullptr;
+  free_slots_.push_back(slot);
 }
 
 void Scheduler::drop_cancelled_head() {
@@ -139,45 +153,34 @@ void Scheduler::drop_cancelled_head() {
   }
   while (!heap_.empty() && cancelled_backlog() != 0 && cancelled_contains(heap_.front().id)) {
     cancelled_erase(heap_.front().id);
-    if (heap_.size() > 1) heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+    free_slot(pop_root().slot);
   }
 }
 
-bool Scheduler::pop_next(Entry& out) {
-  drop_cancelled_head();
-  if (heap_.empty()) return false;
-  out = std::move(heap_.front());
-  if (heap_.size() > 1) heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  return true;
-}
-
-bool Scheduler::peek(Time& at) {
-  drop_cancelled_head();
-  if (heap_.empty()) return false;
-  at = heap_.front().at;
-  return true;
+void Scheduler::fire_root() {
+  const Key key = pop_root();
+  now_ = key.at;
+  // Moved out before it runs: the action may schedule events, which can
+  // reuse this slot or grow the slab under it.
+  EventAction action = std::move(actions_[key.slot]);
+  free_slots_.push_back(key.slot);
+  action();
+  ++executed_;
 }
 
 bool Scheduler::step() {
-  Entry entry;
-  if (!pop_next(entry)) return false;
-  now_ = entry.at;
-  entry.action();
-  ++executed_;
+  drop_cancelled_head();
+  if (heap_.empty()) return false;
+  fire_root();
   return true;
 }
 
 Time Scheduler::run_until(Time deadline) {
-  Time next;
-  while (peek(next)) {
-    if (next > deadline) return now_;
-    step();
+  for (;;) {
+    drop_cancelled_head();
+    if (heap_.empty() || heap_.front().at > deadline) return now_;
+    fire_root();
   }
-  return now_;
 }
 
 std::string Time::to_string() const {

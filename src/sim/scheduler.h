@@ -2,12 +2,16 @@
 // sequence). The sequence tiebreak makes same-timestamp events fire in
 // scheduling order, which keeps every run deterministic.
 //
-// Implemented as an explicit binary heap with actions stored inline:
-// simulations push tens of millions of delivery events, so the hot path
-// avoids any per-event node allocation or hash-map traffic. Actions are
-// small-buffer-optimized (util::InplaceFunction) for the same reason --
-// std::function would heap-allocate every delivery closure. Cancellation is
-// the rare case: a bitset window over event ids, consulted lazily on pop.
+// Events are split into a key and a payload. The queue is a 4-ary min-heap
+// of plain (time, id, slot) keys; each key names a slot in a slab of
+// actions, and a free list recycles the slots of fired or dropped events.
+// Sifts move 24-byte keys only, so an action is moved twice in its life:
+// into its slot when scheduled, and out of it when it fires. Simulations
+// push tens of millions of events, so the hot path makes no per-event
+// allocation. Actions are small-buffer-optimized (util::InplaceFunction)
+// for the same reason -- std::function would heap-allocate most closures.
+// Cancellation is the rare case: a bitset window over event ids, consulted
+// lazily when a cancelled key reaches the heap root.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +25,10 @@ namespace snd::sim {
 
 using EventId = std::uint64_t;
 
-/// Scheduled-event callable. The inline capacity covers the largest closure
-/// the simulator queues on its hot path (Network's overheard-delivery
-/// lambda); anything bigger transparently falls back to one heap allocation.
+/// Scheduled-event callable. The inline capacity covers every closure the
+/// simulator queues (protocol timers, adversary steps, and Network's
+/// delivery events, which capture only a slab index); anything bigger
+/// transparently falls back to one heap allocation.
 using EventAction = util::InplaceFunction<void(), 88>;
 
 class Scheduler {
@@ -40,19 +45,24 @@ class Scheduler {
 
   [[nodiscard]] bool empty() const { return pending() == 0; }
   [[nodiscard]] Time now() const { return now_; }
-  /// Live (non-cancelled) events still waiting to fire. The cancel set may
-  /// briefly contain ids of events that already fired (cancel-after-fire is
-  /// a no-op, swept lazily), so the subtraction saturates; when the set
-  /// provably holds stale ids (it outnumbers the heap) it is swept first,
-  /// keeping this count exact in the face of heavy cancel-after-fire.
-  /// uint64_t (not size_t) so the count cannot wrap on 32-bit hosts in
-  /// simulations pushing past 2^32 events.
+  /// Live (non-cancelled) events still waiting to fire, exactly. The cancel
+  /// set may hold ids of events that already fired (cancel-after-fire is a
+  /// no-op, swept lazily), so the first call after a cancel sweeps it
+  /// against the heap first. uint64_t (not size_t) so the count cannot wrap
+  /// on 32-bit hosts in simulations pushing past 2^32 events.
   [[nodiscard]] std::uint64_t pending() const;
   /// Size of the lazy-cancellation side set; bounded by
   /// pending() + kCancelSweepSlack however many cancel-after-fire calls a
   /// long-running simulation makes (exposed so tests can pin the bound).
   [[nodiscard]] std::uint64_t cancelled_backlog() const { return cancelled_count_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  /// Keys moved by heap sifts so far: a deterministic work counter (the
+  /// same event sequence always costs the same moves), reported by
+  /// bench/scale so a structural queue regression changes a count.
+  [[nodiscard]] std::uint64_t sift_steps() const { return sift_steps_; }
+  /// Action slots the slab holds, in use or free. Slots are recycled, so
+  /// this never exceeds the most keys the heap held at once.
+  [[nodiscard]] std::size_t slab_slots() const { return actions_.size(); }
 
   /// Test hook: fast-forwards the event-id counter (e.g. to just below
   /// 2^32) so overflow behavior at >= 10^8 events is testable without
@@ -72,23 +82,33 @@ class Scheduler {
   void run() { run_until(Time::infinity()); }
 
  private:
-  struct Entry {
+  struct Key {
     Time at;
     EventId id;
-    EventAction action;
+    std::uint32_t slot;
   };
 
-  static bool earlier(const Entry& a, const Entry& b) {
+  static bool earlier(const Key& a, const Key& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.id < b.id;
   }
+
+  static constexpr std::size_t kArity = 4;
 
   /// Stale-cancellation tolerance: a sweep triggers once the backlog exceeds
   /// the heap size by this much (amortizes the O(heap) sweep cost).
   static constexpr std::size_t kCancelSweepSlack = 64;
 
-  void sift_up(std::size_t index);
-  void sift_down(std::size_t index);
+  /// Both sifts percolate a hole at `index` and store `moving` where it
+  /// settles: one key move per level.
+  void sift_up(std::size_t index, Key moving);
+  void sift_down(std::size_t index, Key moving);
+  /// Removes the root key and returns it; the heap must be non-empty.
+  Key pop_root();
+  /// Pops the root (a live event), advances the clock and runs its action.
+  void fire_root();
+  /// Returns a slot to the free list, destroying whatever action it holds.
+  void free_slot(std::uint32_t slot);
   /// Drops cancelled ids whose events are no longer in the heap (i.e.
   /// already fired); afterwards the backlog <= heap_.size(). Const because
   /// it only compacts bookkeeping -- observable state is unchanged.
@@ -96,12 +116,8 @@ class Scheduler {
   /// Forgets every cancellation and starts the window at next_id_ (only
   /// valid while no event is pending).
   void reset_cancelled();
-  /// Removes cancelled entries sitting at the heap root.
+  /// Removes cancelled keys sitting at the heap root, freeing their slots.
   void drop_cancelled_head();
-  /// Pops the top entry, skipping cancelled ones. Returns false if empty.
-  bool pop_next(Entry& out);
-  /// Next live entry's time without popping; false if empty.
-  bool peek(Time& at);
 
   /// Membership/removal against the cancel window.
   [[nodiscard]] bool cancelled_contains(EventId id) const;
@@ -110,7 +126,12 @@ class Scheduler {
   Time now_ = Time::zero();
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::vector<Entry> heap_;
+  std::uint64_t sift_steps_ = 0;
+  std::vector<Key> heap_;
+  /// The payload slab: heap keys index it, and free_slots_ lists the slots
+  /// no key names.
+  std::vector<EventAction> actions_;
+  std::vector<std::uint32_t> free_slots_;
   /// One bit per cancelled event id in the window [bits_base_, next_id_).
   /// bits_base_ never exceeds the oldest pending id, so any id below it
   /// provably fired already and its cancel is a no-op. The window is grown
@@ -119,6 +140,9 @@ class Scheduler {
   mutable util::BitSet cancelled_bits_;
   mutable EventId bits_base_ = 1;
   mutable std::uint64_t cancelled_count_ = 0;
+  /// Set by a cancel that added a bit, cleared by a sweep: only then can
+  /// the backlog hold a stale id.
+  mutable bool cancels_unswept_ = false;
 };
 
 }  // namespace snd::sim

@@ -24,8 +24,20 @@ std::size_t intersection_size(const NeighborList& a, const NeighborList& b);
 void insert_sorted(NeighborList& list, NodeId id);
 /// Header-inline: membership runs once per delivered packet copy against the
 /// receiver's neighbor list, so the call overhead outweighs the search.
+/// Branchless lower bound: each halving step is a conditional move, not a
+/// data-dependent branch, so random ids cost no mispredictions. If `id` is
+/// present it stays inside [base, base + n), so the last element standing
+/// is it.
 [[nodiscard]] inline bool contains(const NeighborList& list, NodeId id) {
-  return std::binary_search(list.begin(), list.end(), id);
+  std::size_t n = list.size();
+  if (n == 0) return false;
+  const NodeId* base = list.data();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half - 1] < id ? base + half : base;
+    n -= half;
+  }
+  return *base == id;
 }
 
 class Digraph {

@@ -6,12 +6,6 @@
 
 namespace snd::util {
 
-double Vec2::norm() const { return std::sqrt(norm_squared()); }
-
-double distance(Vec2 a, Vec2 b) { return (a - b).norm(); }
-
-double distance_squared(Vec2 a, Vec2 b) { return (a - b).norm_squared(); }
-
 double dot(Vec2 a, Vec2 b) { return a.x * b.x + a.y * b.y; }
 
 double cross(Vec2 a, Vec2 b) { return a.x * b.y - a.y * b.x; }

@@ -3,6 +3,7 @@
 // used by the safety auditor to measure d-safety empirically.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -19,12 +20,14 @@ struct Vec2 {
   friend Vec2 operator*(double s, Vec2 a) { return a * s; }
   friend bool operator==(Vec2 a, Vec2 b) { return a.x == b.x && a.y == b.y; }
 
-  [[nodiscard]] double norm() const;
+  [[nodiscard]] double norm() const { return std::sqrt(norm_squared()); }
   [[nodiscard]] double norm_squared() const { return x * x + y * y; }
 };
 
-double distance(Vec2 a, Vec2 b);
-double distance_squared(Vec2 a, Vec2 b);
+// Header-inline: receiver resolution and the link models call these once
+// per candidate.
+inline double distance(Vec2 a, Vec2 b) { return (a - b).norm(); }
+inline double distance_squared(Vec2 a, Vec2 b) { return (a - b).norm_squared(); }
 double dot(Vec2 a, Vec2 b);
 /// z-component of the 3-D cross product; sign gives orientation.
 double cross(Vec2 a, Vec2 b);

@@ -38,6 +38,24 @@ TEST_F(CommitmentTest, BindingCommitmentBindsEveryField) {
   EXPECT_EQ(base, binding_commitment(master_, 1, 0, neighbors));
 }
 
+TEST_F(CommitmentTest, BindingCommitmentAbsorbsOneU64PerNeighbor) {
+  // N(u) is absorbed a block of ids at a time; the bytes must be those of
+  // one big-endian u64 per id, on both sides of every block boundary.
+  topology::NeighborList neighbors;
+  for (NodeId n = 0; n <= 70; ++n) {
+    crypto::Sha256 reference;
+    reference.update_framed("snd.binding");
+    reference.update_framed(master_.material());
+    reference.update_u64(3);
+    reference.update_u64(neighbors.size());
+    for (const NodeId id : neighbors) reference.update_u64(id);
+    reference.update_u64(9);
+    EXPECT_EQ(binding_commitment(master_, 9, 3, neighbors), reference.finalize())
+        << neighbors.size() << " neighbors";
+    neighbors.push_back(1000 + 7 * n);
+  }
+}
+
 TEST_F(CommitmentTest, RelationCommitmentMatchesBothDerivations) {
   // u computes C(u,v) from K via K_v; v verifies with its stored K_v.
   const crypto::SymmetricKey kv = verification_key(master_, 7);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "crypto/sha256.h"
+#include "obs/sink.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -454,6 +458,164 @@ TEST(SpatialIndexTest, SetPositionKeepsGridIdenticalToLinearScan) {
     EXPECT_EQ(indexed, linear) << "device " << d;
   }
 }
+
+#if SND_TRACE
+// -- Recorded event trace of a busy, hostile channel ---------------------------
+
+/// Deterministic fault hook that exercises every perturbation: by a hash of
+/// (src, dst, call number) it drops, bursts, duplicates, delays or corrupts
+/// a copy, or leaves it alone.
+class PatternFaultHook final : public FaultHook {
+ public:
+  FaultDecision on_delivery(NodeId src, NodeId dst, obs::Phase /*phase*/, Time /*now*/) override {
+    const std::uint32_t h = (src * 2654435761u) ^ (dst * 40503u) ^ (calls_++ * 97u);
+    FaultDecision fd;
+    switch (h % 16) {
+      case 0:
+        fd.drop = true;
+        break;
+      case 1:
+        fd.drop = true;
+        fd.drop_kind = obs::InjectKind::kBurst;
+        break;
+      case 2:
+        fd.copies = 2;
+        fd.copy_spacing = Time::microseconds(40);
+        break;
+      case 3:
+        fd.extra_delay = Time::microseconds(300);
+        break;
+      case 4:
+        fd.corrupt = true;
+        break;
+      case 5:
+        fd.corrupt = true;
+        fd.copies = 1;
+        fd.copy_spacing = Time::microseconds(10);
+        fd.extra_delay = Time::microseconds(5);
+        break;
+      default:
+        break;
+    }
+    return fd;
+  }
+  void corrupt_packet(Packet& packet) override {
+    if (packet.payload.empty()) {
+      packet.payload.push_back(0x5a);
+    } else {
+      packet.payload[0] ^= 0x5a;
+    }
+  }
+  [[nodiscard]] double timer_drift(NodeId /*node*/) const override { return 1.0; }
+  [[nodiscard]] bool skews_timers() const override { return false; }
+
+ private:
+  std::uint32_t calls_ = 0;
+};
+
+/// Hashes every traced event in its JSON-lines form, one line each.
+class DigestSink final : public obs::Sink {
+ public:
+  explicit DigestSink(crypto::Sha256& sha) : sha_(sha) {}
+  void on_event(const obs::Event& event) override {
+    sha_.update(obs::JsonLinesSink::to_json(event));
+    sha_.update("\n");
+  }
+
+ private:
+  crypto::Sha256& sha_;
+};
+
+/// A dense field (every transmission has ~100 receivers in range and ~100
+/// candidates out of range) under loss 0.25, a jammer and the pattern
+/// fault hook, with the tracer recording. Every device in turn broadcasts
+/// and sends one unicast; every fifth device answers the first broadcast it
+/// hears from inside its receive callback, so deliveries transmit while a
+/// delivery is running. One device has no receiver and one dies mid-run.
+/// The traced events and every received packet are hashed into `sha`.
+void run_hostile_traffic(std::unique_ptr<PropagationModel> model, bool half_duplex,
+                         std::uint64_t seed, crypto::Sha256& sha) {
+  ChannelConfig config;
+  config.loss_probability = 0.25;
+  config.half_duplex = half_duplex;
+  Network net(std::move(model), config, seed);
+  PatternFaultHook hook;
+  net.set_fault_hook(&hook);
+  net.tracer().set_level(obs::TraceLevel::kEvents);
+  net.tracer().set_sink(std::make_shared<DigestSink>(sha));
+
+  util::Rng place(seed * 31 + 1);
+  const std::size_t n = 200;
+  for (std::size_t i = 0; i < n; ++i) {
+    net.add_device(static_cast<NodeId>(i + 1),
+                   {place.uniform(0.0, 100.0), place.uniform(0.0, 100.0)});
+  }
+  net.add_device(500, {100.0, 100.0});  // a far corner of the field
+  net.add_device(501, {0.0, 50.0});     // exactly one range from 502
+  net.add_device(502, {50.0, 50.0});
+  net.add_jammer({{30.0, 70.0}, 15.0});
+
+  std::vector<bool> answered(net.device_count(), false);
+  for (DeviceId d = 0; d < net.device_count(); ++d) {
+    if (d == 17) continue;  // no receiver installed
+    net.set_receiver(d, [&net, &sha, &answered, d](const Packet& p) {
+      const std::string line = std::to_string(net.now().ns()) + " rx " + std::to_string(d) +
+                               " from " + std::to_string(p.sender_device) + " type " +
+                               std::to_string(p.type) + " " + util::to_hex(p.payload) + "\n";
+      sha.update(line);
+      if (p.type == 1 && d % 5 == 0 && !answered[d]) {
+        answered[d] = true;
+        net.transmit(d,
+                     Packet{.src = net.device(d).identity,
+                            .dst = p.src,
+                            .type = 3,
+                            .payload = util::Bytes(8, static_cast<std::uint8_t>(d))},
+                     obs::Phase::kAck);
+      }
+    });
+  }
+  net.scheduler().schedule_at(Time::milliseconds(20), [&net] { net.device(42).alive = false; });
+
+  // Staggered senders, so half-duplex radios are mostly free to listen.
+  for (DeviceId d = 0; d < net.device_count(); ++d) {
+    net.scheduler().schedule_at(Time::microseconds(300 * d), [&net, d, n] {
+      const NodeId self = net.device(d).identity;
+      net.transmit(d,
+                   Packet{.src = self, .dst = kNoNode, .type = 1, .payload = util::Bytes(4, 0x11)},
+                   obs::Phase::kHello);
+      net.transmit(d,
+                   Packet{.src = self,
+                          .dst = static_cast<NodeId>(((d + 7) % n) + 1),
+                          .type = 2,
+                          .payload = util::Bytes(16, 0xab)},
+                   obs::Phase::kRecord);
+    });
+  }
+  net.scheduler().run();
+
+  const Metrics& m = net.metrics();
+  EXPECT_GT(m.deliveries(), 10'000u);
+  EXPECT_GT(m.drops(obs::DropCause::kOutOfRange), 1'000u);
+  EXPECT_GT(m.drops(obs::DropCause::kLoss), 1'000u);
+  EXPECT_GT(m.drops(obs::DropCause::kCollision), 100u);
+  EXPECT_GT(m.drops(obs::DropCause::kInjected), 100u);
+  EXPECT_GT(m.drops(obs::DropCause::kReceiverDead), 0u);
+  sha.update("candidates " + std::to_string(m.candidates()) + " events " +
+             std::to_string(net.scheduler().executed()) + "\n");
+}
+
+// The expected digest was recorded with the per-candidate receiver
+// resolution and the closure-per-delivery scheduler that preceded the
+// two-pass resolution and the key heap; both must reproduce the event
+// stream byte for byte, drop order included.
+TEST(TraceDigestTest, HostileDenseTrafficTraceMatchesRecordedDigest) {
+  crypto::Sha256 sha;
+  run_hostile_traffic(std::make_unique<UnitDiskModel>(50.0), false, 3, sha);
+  run_hostile_traffic(std::make_unique<LogNormalModel>(50.0, 3.0, 4.0, 8), true, 5, sha);
+  EXPECT_EQ(sha.finalize().hex(),
+            "51479d349dda83b7181057b5de803e1abc66e76b78478a3c8c54374bc023b1a9");
+}
+#endif  // SND_TRACE
 
 TEST(MetricsTest, ResetClears) {
   Metrics metrics;

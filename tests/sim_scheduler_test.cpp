@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace snd::sim {
 namespace {
@@ -333,6 +340,164 @@ TEST(SchedulerTest, ManyEventsStressOrdering) {
   scheduler.run();
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   EXPECT_EQ(fired.size(), 1000u);
+}
+
+// -- Differential test against a reference ordered set ------------------------
+
+/// Drives a Scheduler and a reference model through the same random
+/// interleaving of schedule, cancel, step and run_until calls, including
+/// actions that schedule and cancel from inside themselves.
+///
+/// The reference keeps every queued event as (time, id) in an ordered set.
+/// A cancelled event stays there until it reaches the front, because the
+/// queue drops a cancelled key lazily, when it becomes the heap root, and
+/// frees its slot then. The set's size is therefore the number of keys the
+/// queue holds, and its peak bounds the action slab.
+class Differential {
+ public:
+  explicit Differential(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int operations) {
+    for (int op = 0; op < operations; ++op) {
+      const std::uint64_t pick = rng_.uniform_int(std::uint64_t{20});
+      if (pick < 8) {
+        schedule(random_time());
+      } else if (pick < 11) {
+        cancel(random_id());
+      } else if (pick < 12 && !cancelled_ids_.empty()) {
+        cancel(cancelled_ids_[rng_.uniform_int(cancelled_ids_.size())]);  // cancel twice
+      } else if (pick < 16) {
+        const bool ran = scheduler_.step();
+        if (!ran) {
+          drop_cancelled_front();
+          EXPECT_TRUE(queued_.empty());
+        }
+        EXPECT_EQ(ran, stepped_);
+        stepped_ = false;
+      } else if (pick < 19) {
+        const Time deadline = Time::nanoseconds(now_ + rng_.uniform_int(std::int64_t{0}, 400));
+        const Time stopped = scheduler_.run_until(deadline);
+        drop_cancelled_front();
+        EXPECT_TRUE(queued_.empty() || queued_.begin()->first > deadline.ns());
+        EXPECT_EQ(stopped.ns(), now_);
+        stepped_ = false;
+      } else {
+        // A burst on an empty free list grows the slab while it runs.
+        schedule(Time::nanoseconds(now_), /*burst=*/true);
+      }
+      check();
+    }
+    scheduler_.run();
+    drop_cancelled_front();
+    EXPECT_TRUE(queued_.empty());
+    check();
+    EXPECT_EQ(fired_, expected_);
+  }
+
+  [[nodiscard]] std::size_t fired() const { return fired_.size(); }
+  [[nodiscard]] std::size_t peak() const { return peak_; }
+
+ private:
+  Time random_time() {
+    switch (rng_.uniform_int(std::uint64_t{4})) {
+      case 0:  // in the past: clamped to now
+        return Time::nanoseconds(now_ - rng_.uniform_int(std::int64_t{1}, 100));
+      case 1:  // exactly now
+        return Time::nanoseconds(now_);
+      case 2:  // equal to some queued event's time
+        if (!queued_.empty()) {
+          auto it = queued_.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(rng_.uniform_int(queued_.size())));
+          return Time::nanoseconds(it->first);
+        }
+        return Time::nanoseconds(now_);
+      default:
+        return Time::nanoseconds(now_ + rng_.uniform_int(std::int64_t{0}, 1000));
+    }
+  }
+
+  /// Any id issued so far (pending, fired or cancelled), or one not yet
+  /// issued.
+  EventId random_id() { return 1 + rng_.uniform_int(next_id_ + 1); }
+
+  void schedule(Time at, bool burst = false) {
+    const EventId id = scheduler_.schedule_at(at, [this, burst] { fire(burst); });
+    EXPECT_EQ(id, next_id_);
+    const std::int64_t t = std::max(at.ns(), now_);
+    queued_.emplace(t, id);
+    time_of_[id] = t;
+    ++next_id_;
+    peak_ = std::max(peak_, queued_.size());
+  }
+
+  void cancel(EventId id) {
+    scheduler_.cancel(id);
+    if (time_of_.count(id) != 0 && cancelled_.insert(id).second) cancelled_ids_.push_back(id);
+  }
+
+  void drop_cancelled_front() {
+    while (!queued_.empty() && cancelled_.count(queued_.begin()->second) != 0) {
+      const EventId id = queued_.begin()->second;
+      queued_.erase(queued_.begin());
+      time_of_.erase(id);
+      cancelled_.erase(id);
+    }
+  }
+
+  /// The action of every event: the reference pops its own front, which
+  /// must be the event the scheduler is running, then the action may
+  /// schedule and cancel more.
+  void fire(bool burst) {
+    drop_cancelled_front();
+    EXPECT_FALSE(queued_.empty());
+    if (queued_.empty()) return;
+    const auto [t, id] = *queued_.begin();
+    queued_.erase(queued_.begin());
+    time_of_.erase(id);
+    now_ = t;
+    EXPECT_EQ(scheduler_.now().ns(), t);
+    expected_.push_back(id);
+    fired_.push_back(id);
+    stepped_ = true;
+    // Fewer than one nested event per firing on average (0.6), so the
+    // final run() drains.
+    const std::uint64_t nested =
+        burst ? 40 : (rng_.chance(0.3) ? 1 + rng_.uniform_int(std::uint64_t{2}) : 0);
+    for (std::uint64_t i = 0; i < nested; ++i) schedule(random_time());
+    if (rng_.chance(0.3)) cancel(random_id());
+    check();
+  }
+
+  void check() {
+    EXPECT_EQ(scheduler_.pending(), queued_.size() - cancelled_.size());
+    EXPECT_LE(scheduler_.slab_slots(), peak_);
+  }
+
+  Scheduler scheduler_;
+  util::Rng rng_;
+  EventId next_id_ = 1;
+  std::int64_t now_ = 0;
+  std::set<std::pair<std::int64_t, EventId>> queued_;
+  std::map<EventId, std::int64_t> time_of_;
+  std::set<EventId> cancelled_;
+  std::vector<EventId> cancelled_ids_;
+  std::vector<EventId> fired_;
+  std::vector<EventId> expected_;
+  std::size_t peak_ = 0;
+  bool stepped_ = false;
+};
+
+TEST(SchedulerDifferentialTest, MatchesReferenceOrderedSet) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Differential run(seed);
+    run.run(3000);
+    EXPECT_GT(run.fired(), 1000u) << "seed " << seed;
+    EXPECT_GT(run.peak(), 40u) << "seed " << seed;
+    if (HasFailure()) {
+      ADD_FAILURE() << "first failing seed " << seed;
+      return;
+    }
+  }
 }
 
 }  // namespace

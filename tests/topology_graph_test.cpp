@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace snd::topology {
 namespace {
 
@@ -24,6 +26,16 @@ TEST(NeighborListTest, Contains) {
   EXPECT_TRUE(contains(list, 4));
   EXPECT_FALSE(contains(list, 5));
   EXPECT_FALSE(contains({}, 1));
+  // Every length up to 40 (odd and even halvings): each member, each gap,
+  // and ids below the first and above the last.
+  NeighborList grown;
+  for (NodeId size = 0; size <= 40; ++size) {
+    for (NodeId id = 0; id <= 2 * size + 2; ++id) {
+      EXPECT_EQ(contains(grown, id), std::binary_search(grown.begin(), grown.end(), id))
+          << "size " << size << " id " << id;
+    }
+    grown.push_back(2 * size + 1);  // odd ids are members, even ids gaps
+  }
 }
 
 TEST(DigraphTest, AddEdgeCreatesNodes) {
