@@ -74,9 +74,36 @@ void BM_BindingCommitment(benchmark::State& state) {
 }
 BENCHMARK(BM_BindingCommitment)->Arg(10)->Arg(50)->Arg(150);
 
+/// The tier that runs commitment derivation at lane width `width`. Width 1
+/// pins kScalar, so one-at-a-time hashing runs the portable compressor and
+/// never SHA-NI: the width series compares batching with one-at-a-time
+/// portable hashing.
+util::SimdTier tier_for_width(int width) {
+  return width == 8   ? util::SimdTier::kAvx2
+         : width == 4 ? util::SimdTier::kSse2
+                      : util::SimdTier::kScalar;
+}
+
+/// Derives one binding commitment per spec: through the multi-buffer engine
+/// at widths 4 and 8, one core::binding_commitment at a time at width 1.
+/// The caller pins tier_for_width(width).
+void derive_commitments(int width, const crypto::SymmetricKey& master,
+                        std::span<const core::BindingSpec> specs,
+                        std::span<crypto::Digest> out) {
+  if (width > 1) {
+    core::binding_commitments(master, specs, out);
+    return;
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    out[i] = core::binding_commitment(master, specs[i].node, specs[i].version,
+                                      *specs[i].neighbors);
+  }
+}
+
 /// Batched commitment derivation through the multi-buffer engine. Arg 0 is
-/// the neighbor-list length, arg 1 the lane width (1 = serial seed path,
-/// 4 = SSE2, 8 = AVX2); unsupported widths are skipped.
+/// the neighbor-list length, arg 1 the lane width (1 = one at a time on the
+/// portable compressor, 4 = SSSE3, 8 = AVX2); unsupported widths are
+/// skipped.
 void BM_BindingCommitmentBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(1));
   if (width == 4 && util::detected_simd_tier() < util::SimdTier::kSse2) {
@@ -87,10 +114,7 @@ void BM_BindingCommitmentBatch(benchmark::State& state) {
     state.SkipWithError("AVX2 not available");
     return;
   }
-  util::set_simd_enabled(width > 1);
-  util::set_forced_simd_tier(width == 4 ? std::optional(util::SimdTier::kSse2)
-                             : width == 8 ? std::optional(util::SimdTier::kAvx2)
-                                          : std::nullopt);
+  util::set_forced_simd_tier(tier_for_width(width));
 
   constexpr std::size_t kBatch = 256;
   std::vector<topology::NeighborList> lists(kBatch);
@@ -103,11 +127,10 @@ void BM_BindingCommitmentBatch(benchmark::State& state) {
   const crypto::SymmetricKey master = crypto::SymmetricKey::from_seed(12);
   std::vector<crypto::Digest> out(kBatch);
   for (auto _ : state) {
-    core::binding_commitments(master, specs, out);
+    derive_commitments(width, master, specs, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
-  util::set_simd_enabled(true);
   util::set_forced_simd_tier(std::nullopt);
 }
 BENCHMARK(BM_BindingCommitmentBatch)
@@ -342,14 +365,11 @@ struct CommitmentCost {
   double commits_per_s = 0.0;
 };
 
-/// Wall-clock of batched binding-commitment derivation (256 commitments per
-/// drain, 50-entry neighbor lists) at one lane width: 1 pins the serial seed
-/// path, 4/8 pin the SSE2/AVX2 multi-buffer kernels.
+/// Wall-clock of binding-commitment derivation (256 commitments per drain,
+/// 50-entry neighbor lists) at one lane width: 1 derives one at a time on
+/// the portable compressor, 4/8 pin the SSSE3/AVX2 multi-buffer kernels.
 CommitmentCost measure_commitments(int width, int rounds) {
-  util::set_simd_enabled(width > 1);
-  util::set_forced_simd_tier(width == 4 ? std::optional(util::SimdTier::kSse2)
-                             : width == 8 ? std::optional(util::SimdTier::kAvx2)
-                                          : std::nullopt);
+  util::set_forced_simd_tier(tier_for_width(width));
   constexpr std::size_t kBatch = 256;
   constexpr std::size_t kNeighbors = 50;
   std::vector<topology::NeighborList> lists(kBatch);
@@ -362,21 +382,20 @@ CommitmentCost measure_commitments(int width, int rounds) {
   const crypto::SymmetricKey master = crypto::SymmetricKey::from_seed(12);
   std::vector<crypto::Digest> out(kBatch);
 
-  core::binding_commitments(master, specs, out);  // warm-up
+  derive_commitments(width, master, specs, out);  // warm-up
   const auto begin = std::chrono::steady_clock::now();
-  for (int r = 0; r < rounds; ++r) core::binding_commitments(master, specs, out);
+  for (int r = 0; r < rounds; ++r) derive_commitments(width, master, specs, out);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-  util::set_simd_enabled(true);
   util::set_forced_simd_tier(std::nullopt);
   const double total = static_cast<double>(rounds) * kBatch;
   return {seconds / total * 1e6, total / seconds};
 }
 
-/// Commitment-throughput width series (serial vs 4-lane vs 8-lane), appended
-/// to the artifact. Returns 0 when the headline >= 2x win at width 4 holds
-/// (gated only where SSE2 exists; elsewhere the scalar fallback is the
-/// point, not the speedup).
+/// Commitment-throughput width series (one at a time vs 4-lane vs 8-lane),
+/// appended to the artifact. Returns 0 when the headline >= 2x win at width
+/// 4 holds (gated only where SSE2 exists; elsewhere the scalar fallback is
+/// the point, not the speedup).
 int write_commitment_batch_block(char* json, std::size_t cap) {
   constexpr int kRounds = 200;
   const bool have_sse2 = util::detected_simd_tier() >= util::SimdTier::kSse2;

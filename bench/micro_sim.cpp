@@ -209,24 +209,24 @@ int write_resolution_artifact() {
   const RoundTimings linear = measure(kNodes, /*use_index=*/false, kRounds);
   const RoundTimings grid = measure(kNodes, /*use_index=*/true, kRounds);
 
-  // Strip-filter series: the same field with the vectorized candidate
-  // classifier on (SND_SIMD default) vs the scalar per-candidate filter
-  // (the seed path), in both resolution modes. The flag is latched at
-  // Network construction, so flip it around measure()'s field setup. The
-  // grid already prunes to a 3x3 block, so the strip mostly helps the
-  // full-scan shape, where nearly every candidate is a definite Out.
-  util::set_simd_enabled(false);
-  const RoundTimings strip_off_grid = measure(kNodes, /*use_index=*/true, kRounds);
-  const RoundTimings strip_off_linear = measure(kNodes, /*use_index=*/false, kRounds);
-  util::set_simd_enabled(true);
-  const RoundTimings strip_on_grid = measure(kNodes, /*use_index=*/true, kRounds);
-  const RoundTimings strip_on_linear = measure(kNodes, /*use_index=*/false, kRounds);
-  const double strip_grid_speedup = strip_on_grid.resolution_s > 0.0
-                                        ? strip_off_grid.resolution_s / strip_on_grid.resolution_s
-                                        : 0.0;
-  const double strip_linear_speedup =
-      strip_on_linear.resolution_s > 0.0
-          ? strip_off_linear.resolution_s / strip_on_linear.resolution_s
+  // Strip-filter series: the same field with the candidate classifier
+  // pinned to the portable scalar tier vs the detected (vector) tier, in
+  // both resolution modes. The grid already prunes to a 3x3 block, so the
+  // vector classifier mostly helps the full-scan shape, where nearly every
+  // candidate is a definite Out.
+  util::set_forced_simd_tier(util::SimdTier::kScalar);
+  const RoundTimings scalar_tier_grid = measure(kNodes, /*use_index=*/true, kRounds);
+  const RoundTimings scalar_tier_linear = measure(kNodes, /*use_index=*/false, kRounds);
+  util::set_forced_simd_tier(std::nullopt);
+  const RoundTimings detected_tier_grid = measure(kNodes, /*use_index=*/true, kRounds);
+  const RoundTimings detected_tier_linear = measure(kNodes, /*use_index=*/false, kRounds);
+  const double grid_tier_speedup =
+      detected_tier_grid.resolution_s > 0.0
+          ? scalar_tier_grid.resolution_s / detected_tier_grid.resolution_s
+          : 0.0;
+  const double linear_tier_speedup =
+      detected_tier_linear.resolution_s > 0.0
+          ? scalar_tier_linear.resolution_s / detected_tier_linear.resolution_s
           : 0.0;
   // Trace-overhead sweep on the grid configuration: the runtime-disabled
   // fast path (kOff) is the baseline; kCounters adds the typed-array bumps,
@@ -266,22 +266,22 @@ int write_resolution_artifact() {
                 "    \"events_null_overhead\": %.3f\n"
                 "  },\n"
                 "  \"strip_filter\": {\n"
-                "    \"grid_scalar_us_per_tx\": %.3f,\n"
-                "    \"grid_strip_us_per_tx\": %.3f,\n"
-                "    \"grid_resolution_speedup\": %.2f,\n"
-                "    \"linear_scalar_us_per_tx\": %.3f,\n"
-                "    \"linear_strip_us_per_tx\": %.3f,\n"
-                "    \"linear_resolution_speedup\": %.2f\n"
+                "    \"grid_scalar_tier_us_per_tx\": %.3f,\n"
+                "    \"grid_detected_tier_us_per_tx\": %.3f,\n"
+                "    \"grid_tier_speedup\": %.2f,\n"
+                "    \"linear_scalar_tier_us_per_tx\": %.3f,\n"
+                "    \"linear_detected_tier_us_per_tx\": %.3f,\n"
+                "    \"linear_tier_speedup\": %.2f\n"
                 "  }\n"
                 "}\n",
                 kNodes, per_tx, linear.resolution_s / per_tx * 1e6,
                 grid.resolution_s / per_tx * 1e6, resolution_speedup, round_speedup,
                 trace_off.total_s / per_tx * 1e6, trace_counters.total_s / per_tx * 1e6,
                 trace_events.total_s / per_tx * 1e6, counters_overhead, events_null_overhead,
-                strip_off_grid.resolution_s / per_tx * 1e6,
-                strip_on_grid.resolution_s / per_tx * 1e6, strip_grid_speedup,
-                strip_off_linear.resolution_s / per_tx * 1e6,
-                strip_on_linear.resolution_s / per_tx * 1e6, strip_linear_speedup);
+                scalar_tier_grid.resolution_s / per_tx * 1e6,
+                detected_tier_grid.resolution_s / per_tx * 1e6, grid_tier_speedup,
+                scalar_tier_linear.resolution_s / per_tx * 1e6,
+                detected_tier_linear.resolution_s / per_tx * 1e6, linear_tier_speedup);
 
   const std::string path = bench_artifact_path("BENCH_micro_sim.json");
   if (std::FILE* f = std::fopen(path.c_str(), "w")) {
@@ -295,12 +295,12 @@ int write_resolution_artifact() {
   std::printf("trace overhead per round (grid): off %.2f us/tx, counters %.2fx, "
               "events+nullsink %.2fx\n",
               trace_off.total_s / per_tx * 1e6, counters_overhead, events_null_overhead);
-  std::printf("strip filter: grid %.2f -> %.2f us/tx (%.2fx), "
+  std::printf("strip filter, scalar -> detected tier: grid %.2f -> %.2f us/tx (%.2fx), "
               "linear %.2f -> %.2f us/tx (%.2fx)\n",
-              strip_off_grid.resolution_s / per_tx * 1e6,
-              strip_on_grid.resolution_s / per_tx * 1e6, strip_grid_speedup,
-              strip_off_linear.resolution_s / per_tx * 1e6,
-              strip_on_linear.resolution_s / per_tx * 1e6, strip_linear_speedup);
+              scalar_tier_grid.resolution_s / per_tx * 1e6,
+              detected_tier_grid.resolution_s / per_tx * 1e6, grid_tier_speedup,
+              scalar_tier_linear.resolution_s / per_tx * 1e6,
+              detected_tier_linear.resolution_s / per_tx * 1e6, linear_tier_speedup);
   return resolution_speedup >= 1.0 ? 0 : 1;
 }
 

@@ -6,7 +6,6 @@
 
 #include "crypto/sha256_mb.h"
 #include "fault/injector.h"
-#include "util/simd.h"
 
 namespace snd::core {
 
@@ -79,9 +78,9 @@ bool Messenger::send(NodeId to, std::uint8_t type, const util::Bytes& payload,
 }
 
 std::size_t Messenger::send_many(std::span<const Outgoing> messages) {
-  // Serial fallback keeps send() semantics verbatim when SIMD batching is
-  // off or a second hash lane would never fill.
-  if (!util::simd_enabled() || messages.size() < 2) {
+  // A burst of one goes through send() itself: a second hash lane would
+  // never fill.
+  if (messages.size() < 2) {
     std::size_t sent = 0;
     for (const Outgoing& m : messages) {
       if (send(m.to, m.type, m.payload, m.phase)) ++sent;

@@ -63,10 +63,10 @@ class Messenger {
   /// send() on each element in order: same key-cache touch order, same
   /// nonce assignment (a message with no establishable pairwise key is
   /// skipped without consuming a nonce), same wire bytes, same transmit
-  /// order. The difference is purely mechanical -- with SND_SIMD on, the
-  /// burst's MACs drain through the multi-buffer hash engine (inner
-  /// contexts wide, then outer contexts over the inner digests). Returns the
-  /// number of messages actually sent.
+  /// order. The difference is purely mechanical -- the burst's MACs drain
+  /// through the multi-buffer hash engine (inner contexts wide, then outer
+  /// contexts over the inner digests). Returns the number of messages
+  /// actually sent.
   std::size_t send_many(std::span<const Outgoing> messages);
 
   /// Broadcasts without per-pair authentication (Hello/HelloAck carry no

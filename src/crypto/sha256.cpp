@@ -19,17 +19,8 @@ namespace {
 // trial and folds the count into the trial result.
 thread_local std::uint64_t t_hash_ops = 0;
 
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) << 24 | static_cast<std::uint32_t>(p[1]) << 16 |
-         static_cast<std::uint32_t>(p[2]) << 8 | static_cast<std::uint32_t>(p[3]);
-}
-
-void store_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
+using util::load_u32_be;
+using util::store_u32_be;
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -106,17 +97,16 @@ namespace detail {
 void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
   // Single-stream hardware path for the traffic that cannot ride the
   // multi-buffer engine (receive-side HMAC verifies, one-off derivations).
-  // Gated like every wide path: SND_SIMD=0 or a forced-scalar tier restores
-  // the portable loop below, which is also the non-x86 and pre-SHA-NI path.
+  // A forced-scalar tier restores the portable loop below, which is also the
+  // non-x86 and pre-SHA-NI path.
 #if defined(__x86_64__) || defined(__i386__)
-  if (shani_supported() && util::simd_enabled() &&
-      util::active_simd_tier() != util::SimdTier::kScalar) {
+  if (shani_supported() && util::active_simd_tier() != util::SimdTier::kScalar) {
     sha256_compress_shani(state, block);
     return;
   }
 #endif
   std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) w[static_cast<std::size_t>(i)] = load_be32(block + 4 * i);
+  for (int i = 0; i < 16; ++i) w[static_cast<std::size_t>(i)] = load_u32_be(block + 4 * i);
   for (std::size_t i = 16; i < 64; ++i) {
     const std::uint32_t s0 =
         std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
@@ -215,7 +205,7 @@ Sha256& Sha256::update(std::string_view text) {
 
 Sha256& Sha256::update_framed(std::span<const std::uint8_t> data) {
   std::array<std::uint8_t, 4> len;
-  store_be32(len.data(), static_cast<std::uint32_t>(data.size()));
+  store_u32_be(len.data(), static_cast<std::uint32_t>(data.size()));
   update(len);
   return update(data);
 }
@@ -226,8 +216,6 @@ Sha256& Sha256::update_framed(std::string_view text) {
 
 Digest Sha256::finalize() {
   assert(!finalized_);
-  finalized_ = true;
-
   const std::uint64_t bit_length = total_bytes_ * 8;
   // The 0x80 marker, zero run, and length field go through one update() as a
   // prebuilt trailer: the byte-at-a-time padding loop this replaces cost a
@@ -241,9 +229,12 @@ Digest Sha256::finalize() {
         static_cast<std::uint8_t>(bit_length >> (8 * (7 - i)));
   update(std::span(trailer.data(), pad + 8));
   assert(buffered_ == 0);
+  // Only now: the padding went through update(), which refuses a finalized
+  // context.
+  finalized_ = true;
 
   Digest out;
-  for (int i = 0; i < 8; ++i) store_be32(out.bytes.data() + 4 * i, state_[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 8; ++i) store_u32_be(out.bytes.data() + 4 * i, state_[static_cast<std::size_t>(i)]);
   return out;
 }
 

@@ -113,7 +113,7 @@ void compress_lanes_generic(std::uint32_t state[8][kMaxWidth],
 
 #if SND_SHA256_MB_X86
 
-// ---- SSE2 x4 -------------------------------------------------------------
+// ---- SSSE3 x4 ------------------------------------------------------------
 // Wide integer adds are mod-2^32 exactly like the scalar code, so lanes are
 // bit-identical by construction. Per-function target attributes keep the
 // rest of the library buildable without -msse2/-mavx2 globally.
@@ -122,12 +122,34 @@ __attribute__((target("sse2"))) inline __m128i rotr32_sse2(__m128i v, int n) {
   return _mm_or_si128(_mm_srli_epi32(v, n), _mm_slli_epi32(v, 32 - n));
 }
 
-/// Schedule expansion + 64 rounds + Davies-Meyer add, shared between the
-/// SSE2 gather loader and the SSSE3 transpose loader (always_inline so each
-/// target-attributed caller gets its own copy; the body itself needs only
-/// SSE2, a subset of both callers' ISAs).
-__attribute__((target("sse2"), always_inline)) inline void sha256_rounds_x4(
-    std::uint32_t state[8][kMaxWidth], __m128i w[64]) {
+/// SSSE3 loader: 4x4 u32 transposes (unpack) plus pshufb byte swaps load the
+/// four lanes' message words, the same w[] values bit for bit as 64 scalar
+/// big-endian loads; the rounds themselves need only SSE2. Every x86-64 CPU
+/// since Core 2 / Bulldozer has SSSE3; an SSE2-tier CPU without it runs the
+/// portable 4-lane kernel instead.
+__attribute__((target("ssse3"))) void compress_lanes_ssse3(
+    std::uint32_t state[8][kMaxWidth], const std::uint8_t* const blocks[kMaxWidth]) {
+  const __m128i bswap =
+      _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
+  __m128i w[64];
+  for (int g = 0; g < 4; ++g) {
+    const __m128i q0 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[0] + 16 * g));
+    const __m128i q1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[1] + 16 * g));
+    const __m128i q2 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[2] + 16 * g));
+    const __m128i q3 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[3] + 16 * g));
+    const __m128i t0 = _mm_unpacklo_epi32(q0, q1);
+    const __m128i t1 = _mm_unpackhi_epi32(q0, q1);
+    const __m128i t2 = _mm_unpacklo_epi32(q2, q3);
+    const __m128i t3 = _mm_unpackhi_epi32(q2, q3);
+    w[4 * g + 0] = _mm_shuffle_epi8(_mm_unpacklo_epi64(t0, t2), bswap);
+    w[4 * g + 1] = _mm_shuffle_epi8(_mm_unpackhi_epi64(t0, t2), bswap);
+    w[4 * g + 2] = _mm_shuffle_epi8(_mm_unpacklo_epi64(t1, t3), bswap);
+    w[4 * g + 3] = _mm_shuffle_epi8(_mm_unpackhi_epi64(t1, t3), bswap);
+  }
   for (int i = 16; i < 64; ++i) {
     const __m128i x15 = w[i - 15];
     const __m128i x2 = w[i - 2];
@@ -171,48 +193,6 @@ __attribute__((target("sse2"), always_inline)) inline void sha256_rounds_x4(
         _mm_add_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state[r])), v[r]);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(state[r]), sum);
   }
-}
-
-__attribute__((target("sse2"))) void compress_lanes_sse2(
-    std::uint32_t state[8][kMaxWidth], const std::uint8_t* const blocks[kMaxWidth]) {
-  __m128i w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = _mm_set_epi32(static_cast<int>(load_u32_be(blocks[3] + 4 * i)),
-                         static_cast<int>(load_u32_be(blocks[2] + 4 * i)),
-                         static_cast<int>(load_u32_be(blocks[1] + 4 * i)),
-                         static_cast<int>(load_u32_be(blocks[0] + 4 * i)));
-  }
-  sha256_rounds_x4(state, w);
-}
-
-/// SSSE3 loader: 4x4 u32 transposes (unpack) plus pshufb byte swaps replace
-/// the 64 scalar big-endian loads of the plain SSE2 loader. Same w[] values
-/// bit for bit -- only how the lanes' bytes reach the vector registers
-/// changes; virtually every x86-64 CPU takes this path.
-__attribute__((target("ssse3"))) void compress_lanes_ssse3(
-    std::uint32_t state[8][kMaxWidth], const std::uint8_t* const blocks[kMaxWidth]) {
-  const __m128i bswap =
-      _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
-  __m128i w[64];
-  for (int g = 0; g < 4; ++g) {
-    const __m128i q0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[0] + 16 * g));
-    const __m128i q1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[1] + 16 * g));
-    const __m128i q2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[2] + 16 * g));
-    const __m128i q3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[3] + 16 * g));
-    const __m128i t0 = _mm_unpacklo_epi32(q0, q1);
-    const __m128i t1 = _mm_unpackhi_epi32(q0, q1);
-    const __m128i t2 = _mm_unpacklo_epi32(q2, q3);
-    const __m128i t3 = _mm_unpackhi_epi32(q2, q3);
-    w[4 * g + 0] = _mm_shuffle_epi8(_mm_unpacklo_epi64(t0, t2), bswap);
-    w[4 * g + 1] = _mm_shuffle_epi8(_mm_unpackhi_epi64(t0, t2), bswap);
-    w[4 * g + 2] = _mm_shuffle_epi8(_mm_unpacklo_epi64(t1, t3), bswap);
-    w[4 * g + 3] = _mm_shuffle_epi8(_mm_unpackhi_epi64(t1, t3), bswap);
-  }
-  sha256_rounds_x4(state, w);
 }
 
 [[nodiscard]] bool ssse3_supported() {
@@ -374,29 +354,6 @@ HashBatch::Job& HashBatch::Job::update_u64(std::uint64_t v) {
 void HashBatch::run() {
   assert(!ran_);
   ran_ = true;
-  if (live_ >= 2 && util::simd_enabled()) {
-    run_wide();
-  } else {
-    run_serial();
-  }
-}
-
-void HashBatch::run_serial() {
-  // The seed path: replays each job through a plain Sha256, so digests and
-  // op counts match a never-batched caller exactly.
-  for (std::size_t i = 0; i < live_; ++i) {
-    JobState& job = jobs_[i];
-    Sha256::Midstate m;
-    m.state = job.state;
-    m.tail_len = 0;
-    m.total_bytes = job.absorbed;
-    Sha256 ctx = Sha256::resume(m);
-    ctx.update(job.data);
-    job.digest = ctx.finalize();
-  }
-}
-
-void HashBatch::run_wide() {
   const util::SimdTier tier = util::active_simd_tier();
 #if SND_SHA256_MB_X86
   const int width = tier == util::SimdTier::kAvx2 ? 8 : 4;
@@ -422,7 +379,8 @@ void HashBatch::run_wide() {
   // as its shortest member has left, so the state transposes amortize over
   // the whole run (uniform batches -- the common case -- transpose once per
   // job, not once per block). Exhausted lanes then retire, and when only
-  // one remains it finishes on the shared scalar compressor.
+  // one remains (or the batch held a single job) it finishes on the shared
+  // scalar compressor, so its digest and op count are exactly Sha256's.
   while (active.size() >= 2) {
     const int k = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(width),
                                                          active.size()));
@@ -447,12 +405,8 @@ void HashBatch::run_wide() {
 #if SND_SHA256_MB_X86
       if (width == 8) {
         compress_lanes_avx2(st, blocks);
-      } else if (tier == util::SimdTier::kSse2) {
-        if (ssse3_supported()) {
-          compress_lanes_ssse3(st, blocks);
-        } else {
-          compress_lanes_sse2(st, blocks);
-        }
+      } else if (tier == util::SimdTier::kSse2 && ssse3_supported()) {
+        compress_lanes_ssse3(st, blocks);
       } else {
         compress_lanes_generic(st, blocks, k);
       }

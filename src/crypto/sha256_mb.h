@@ -9,10 +9,10 @@
 // flood MACs, service recompute rechecks) append jobs -- optionally resuming
 // a saved midstate, which is how batched HMAC reuses the ipad/opad work --
 // and drain them through run(). Dispatch picks the widest kernel the CPU
-// offers (AVX2 x8, SSE2 x4, portable 4-wide scalar otherwise; see
-// util::active_simd_tier()); SND_SIMD=0 or a batch of one job falls back to
-// the serial seed path. Ragged batches are fine: lanes retire as their
-// (padded) block streams end and the last survivor finishes scalar.
+// offers (AVX2 x8, SSSE3 x4, portable 4-wide scalar otherwise; see
+// util::active_simd_tier()). Ragged batches are fine: lanes retire as their
+// (padded) block streams end, and the last survivor -- or a batch of one
+// job -- finishes on the scalar compressor crypto::Sha256 uses.
 //
 // The per-thread compression counter (crypto::hash_op_count, feeding the
 // §4.3 overhead bench) is advanced by the number of *active lanes* per wide
@@ -58,9 +58,9 @@ class HashBatch {
 
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Computes every pending digest. Wide when util::simd_enabled() and at
-  /// least two jobs are pending; serial scalar otherwise. Digests and the
-  /// per-thread compression count are identical either way.
+  /// Computes every pending digest at the active tier's lane width. Digests
+  /// and the per-thread compression count equal those of hashing each job
+  /// through its own Sha256 context, at every tier and batch size.
   void run();
 
   /// Digest of the index-th job added; valid after run() until clear().
@@ -82,8 +82,6 @@ class HashBatch {
   };
 
   JobState& start_job();
-  void run_serial();
-  void run_wide();
 
   /// Job arena: the first `live_` entries are the current batch; clear()
   /// only resets `live_`, so each slot's data buffer is recycled.

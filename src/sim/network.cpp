@@ -6,8 +6,6 @@
 #include <numeric>
 #include <span>
 
-#include "util/simd.h"
-
 namespace snd::sim {
 
 namespace {
@@ -35,7 +33,6 @@ Network::Network(std::unique_ptr<PropagationModel> propagation, ChannelConfig co
   cell_size_ = propagation_->max_range();
   indexable_ = std::isfinite(cell_size_) && cell_size_ > 0.0;
   use_spatial_index_ = indexable_;
-  strip_filter_ = util::simd_enabled() && propagation_->supports_link_classes();
 }
 
 DeviceId Network::add_device(NodeId identity, util::Vec2 position) {
@@ -357,12 +354,12 @@ void Network::transmit_impl(DeviceId from, Packet packet, obs::Phase phase) {
   }
   const std::size_t n = cands.size();
 
-  // Link classes: the strip filter's verdicts, or kLinkCheck everywhere,
+  // Link classes: the model's strip verdicts, or kLinkCheck everywhere,
   // which reduces the link decision to the scalar link_exists call. A strip
   // shorter than one vector pass is not worth gathering.
   constexpr std::size_t kStripMin = 4;
   strip_class_.resize(n);
-  if (strip_filter_ && n >= kStripMin) {
+  if (n >= kStripMin) {
     if (use_spatial_index_) {
       strip_x_.resize(n);
       strip_y_.resize(n);

@@ -273,10 +273,11 @@ class Network {
   // set_position alongside Device::position. transmit_impl feeds candidate
   // strips from these (contiguous doubles, not scattered Device fields)
   // into PropagationModel::classify_links, which emits a survivor-class
-  // mask ahead of the scalar delivery bookkeeping. Enabled when the SIMD
-  // gate was on at construction and the model supports link classes;
-  // results are bit-identical either way (definite verdicts imply the
-  // scalar predicate; borderline candidates re-check scalar).
+  // mask ahead of the scalar delivery bookkeeping. Deliveries are
+  // bit-identical to a per-candidate link_exists filter at every SIMD tier
+  // (definite verdicts imply the scalar predicate; borderline candidates
+  // re-check scalar; a model without a classifier marks every candidate
+  // for the scalar check).
   std::vector<double> pos_x_;
   std::vector<double> pos_y_;
   /// Scratch reused across transmissions: gathered candidate positions
@@ -289,7 +290,6 @@ class Network {
   std::vector<DeviceId> linear_ids_;
   std::vector<std::uint32_t> linked_;
   std::vector<std::uint32_t> unlinked_;
-  bool strip_filter_ = false;
 
   std::unique_ptr<PropagationModel> propagation_;
   ChannelConfig config_;

@@ -29,10 +29,6 @@ class PropagationModel {
 
   [[nodiscard]] virtual bool link_exists(util::Vec2 a, util::Vec2 b) const = 0;
 
-  /// True if classify_links() can decide some candidates without a scalar
-  /// link_exists() call; the Network only gathers position strips when so.
-  [[nodiscard]] virtual bool supports_link_classes() const { return false; }
-
   /// Vectorized candidate filter: classifies the n candidates at
   /// (xs[i], ys[i]) against a transmission from `from`, writing one of
   /// kLinkIn / kLinkOut / kLinkCheck per candidate to `out`. Distance² is
@@ -41,7 +37,7 @@ class PropagationModel {
   /// kLinkCheck, so a definite verdict never disagrees with link_exists()
   /// even at rounding boundaries -- the strip path stays bit-identical to
   /// the scalar filter by construction. The base implementation marks
-  /// everything kLinkCheck.
+  /// everything kLinkCheck, which is the per-candidate scalar filter.
   virtual void classify_links(util::Vec2 from, const double* xs, const double* ys,
                               std::size_t n, std::uint8_t* out) const;
 
@@ -71,7 +67,6 @@ class UnitDiskModel final : public PropagationModel {
 
   /// d² <= range² is decidable straight from the strip: definite In below
   /// the banded threshold, definite Out above it, Check inside the band.
-  [[nodiscard]] bool supports_link_classes() const override { return true; }
   void classify_links(util::Vec2 from, const double* xs, const double* ys, std::size_t n,
                       std::uint8_t* out) const override;
 
@@ -108,7 +103,6 @@ class LogNormalModel final : public PropagationModel {
   /// max_range() are definite Out (sparing them the sqrt + per-link fade
   /// hash), everything nearer is Check -- the fade draw is unbounded below,
   /// so no distance guarantees a link.
-  [[nodiscard]] bool supports_link_classes() const override { return true; }
   void classify_links(util::Vec2 from, const double* xs, const double* ys, std::size_t n,
                       std::uint8_t* out) const override;
 

@@ -2,16 +2,9 @@
 
 #include <atomic>
 
-#include "util/runtime_config.h"
-
 namespace snd::util {
 
 namespace {
-
-std::atomic<bool>& simd_flag() {
-  static std::atomic<bool> enabled{runtime_config().simd};
-  return enabled;
-}
 
 SimdTier probe_tier() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -30,12 +23,6 @@ std::atomic<int>& forced_tier() {
 }
 
 }  // namespace
-
-bool simd_enabled() { return simd_flag().load(std::memory_order_relaxed); }
-
-void set_simd_enabled(bool enabled) {
-  simd_flag().store(enabled, std::memory_order_relaxed);
-}
 
 SimdTier detected_simd_tier() {
   static const SimdTier tier = probe_tier();

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/binding_record.h"
-#include "util/simd.h"
+#include "simd_tiers.h"
 
 namespace snd::core {
 namespace {
@@ -78,25 +78,23 @@ TEST_F(CommitmentTest, DomainsAreSeparated) {
 }
 
 // Every batched derivation must equal its scalar counterpart element for
-// element, with SIMD batching both on (wide engine) and off (serial).
-TEST_F(CommitmentTest, BatchedDerivationsMatchScalar) {
+// element, at every SIMD dispatch tier.
+TEST_F(CommitmentTest, BatchedDerivationsMatchScalarAtEveryTier) {
   const std::vector<NodeId> nodes = {3, 1, 4, 1, 5, 9, 2, 6};
   const topology::NeighborList neighbors_a = {2, 3, 4};
   const topology::NeighborList neighbors_b = {};
 
-  for (const bool simd : {true, false}) {
-    util::set_simd_enabled(simd);
-
+  test::for_each_simd_tier([&] {
     std::vector<crypto::SymmetricKey> vkeys(nodes.size());
     verification_keys(master_, nodes, vkeys);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      EXPECT_TRUE(vkeys[i] == verification_key(master_, nodes[i])) << "simd=" << simd;
+      EXPECT_TRUE(vkeys[i] == verification_key(master_, nodes[i])) << "i=" << i;
     }
 
     std::vector<crypto::Digest> commits(nodes.size());
     relation_commitments(vkeys, 7, commits);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      EXPECT_EQ(commits[i], relation_commitment(vkeys[i], 7)) << "simd=" << simd;
+      EXPECT_EQ(commits[i], relation_commitment(vkeys[i], 7)) << "i=" << i;
     }
 
     const std::vector<EvidenceSpec> specs = {{1, 2, 0}, {2, 1, 0}, {1, 2, 1}, {9, 9, 3}};
@@ -105,7 +103,7 @@ TEST_F(CommitmentTest, BatchedDerivationsMatchScalar) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       EXPECT_EQ(evidences[i],
                 relation_evidence(master_, specs[i].u, specs[i].v, specs[i].version))
-          << "simd=" << simd;
+          << "i=" << i;
     }
 
     const std::vector<BindingSpec> bindings = {{1, 0, &neighbors_a},
@@ -117,10 +115,9 @@ TEST_F(CommitmentTest, BatchedDerivationsMatchScalar) {
       EXPECT_EQ(binding_digests[i],
                 binding_commitment(master_, bindings[i].node, bindings[i].version,
                                    *bindings[i].neighbors))
-          << "simd=" << simd;
+          << "i=" << i;
     }
-  }
-  util::set_simd_enabled(true);
+  });
 }
 
 class BindingRecordTest : public ::testing::Test {

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "util/simd.h"
+#include "simd_tiers.h"
 
 namespace snd::core {
 namespace {
@@ -247,24 +247,12 @@ TEST_F(MessengerTest, OutOfOrderDeliveryWithinWindowAccepted) {
   EXPECT_FALSE(bob_->open(captured[1]).has_value());  // replay of the newer
 }
 
-// RAII helper: runs a block with SIMD batching forced on or off and
-// restores the previous setting afterwards.
-class SimdGuard {
- public:
-  explicit SimdGuard(bool enabled) : previous_(util::simd_enabled()) {
-    util::set_simd_enabled(enabled);
-  }
-  ~SimdGuard() { util::set_simd_enabled(previous_); }
-
- private:
-  bool previous_;
-};
-
 TEST_F(MessengerTest, SendManyMatchesSequentialSendByteForByte) {
   // send_many() must be indistinguishable on the wire from calling send()
   // in a loop: same nonces, same MACs, same packet order -- including a
   // mid-burst message with no establishable pairwise key (to self), which
-  // is skipped without consuming a nonce.
+  // is skipped without consuming a nonce. Checked at every SIMD dispatch
+  // tier against one sequential reference.
   const std::vector<Messenger::Outgoing> burst = {
       {2, 9, {1, 2, 3}, obs::Phase::kCommit},
       {1, 9, {9}, obs::Phase::kCommit},  // no key with ourselves: skipped
@@ -285,9 +273,8 @@ TEST_F(MessengerTest, SendManyMatchesSequentialSendByteForByte) {
     run();
     return std::pair(sent, captured);
   };
-  const auto run_batched = [&](bool simd) {
+  const auto run_batched = [&]() {
     captured.clear();
-    SimdGuard guard(simd);
     Messenger sender(network_, alice_device_, 1, keys_);
     const std::size_t sent = sender.send_many(burst);
     run();
@@ -298,18 +285,17 @@ TEST_F(MessengerTest, SendManyMatchesSequentialSendByteForByte) {
   ASSERT_EQ(seq_sent, 3u);
   ASSERT_EQ(seq_packets.size(), 3u);
 
-  for (const bool simd : {true, false}) {
-    const auto [batch_sent, batch_packets] = run_batched(simd);
-    EXPECT_EQ(batch_sent, seq_sent) << "simd=" << simd;
-    ASSERT_EQ(batch_packets.size(), seq_packets.size()) << "simd=" << simd;
+  test::for_each_simd_tier([&] {
+    const auto [batch_sent, batch_packets] = run_batched();
+    EXPECT_EQ(batch_sent, seq_sent);
+    ASSERT_EQ(batch_packets.size(), seq_packets.size());
     for (std::size_t i = 0; i < seq_packets.size(); ++i) {
       EXPECT_EQ(batch_packets[i].src, seq_packets[i].src);
       EXPECT_EQ(batch_packets[i].dst, seq_packets[i].dst);
       EXPECT_EQ(batch_packets[i].type, seq_packets[i].type);
-      EXPECT_EQ(batch_packets[i].payload, seq_packets[i].payload)
-          << "simd=" << simd << " i=" << i;
+      EXPECT_EQ(batch_packets[i].payload, seq_packets[i].payload) << "i=" << i;
     }
-  }
+  });
 }
 
 TEST_F(MessengerTest, SendManyPacketsOpenAtTheReceiver) {

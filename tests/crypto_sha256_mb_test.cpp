@@ -1,7 +1,7 @@
 // Multi-buffer SHA-256 engine: digests must be bit-identical to the scalar
 // crypto::Sha256 for every batch shape, lane width, and dispatch tier, and
 // the per-thread compression counter must attribute identically batched vs
-// serial (the §4.3 overhead bench depends on it).
+// one Sha256 context per job (the §4.3 overhead bench depends on it).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,20 +10,13 @@
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_mb.h"
+#include "simd_tiers.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace snd::crypto {
 namespace {
 
-class Sha256MbTest : public ::testing::Test {
- protected:
-  void SetUp() override { util::set_simd_enabled(true); }
-  void TearDown() override {
-    util::set_simd_enabled(true);
-    util::set_forced_simd_tier(std::nullopt);
-  }
-};
+class Sha256MbTest : public ::testing::Test {};
 
 util::Bytes random_bytes(util::Rng& rng, std::size_t n) {
   util::Bytes out(n);
@@ -71,19 +64,21 @@ TEST_F(Sha256MbTest, RaggedBatchesMatchScalar) {
   std::vector<util::Bytes> messages;
   for (const std::size_t n : lengths) messages.push_back(random_bytes(rng, n));
 
-  for (std::size_t size = 1; size <= 9; ++size) {
-    HashBatch batch;
-    std::vector<Digest> expected;
-    for (std::size_t i = 0; i < size; ++i) {
-      const util::Bytes& msg = messages[(size + i * 5) % messages.size()];
-      batch.add().update(msg);
-      expected.push_back(Sha256::hash(msg));
+  test::for_each_simd_tier([&] {
+    for (std::size_t size = 1; size <= 9; ++size) {
+      HashBatch batch;
+      std::vector<Digest> expected;
+      for (std::size_t i = 0; i < size; ++i) {
+        const util::Bytes& msg = messages[(size + i * 5) % messages.size()];
+        batch.add().update(msg);
+        expected.push_back(Sha256::hash(msg));
+      }
+      batch.run();
+      for (std::size_t i = 0; i < size; ++i) {
+        EXPECT_EQ(batch.digest(i), expected[i]) << "size=" << size << " i=" << i;
+      }
     }
-    batch.run();
-    for (std::size_t i = 0; i < size; ++i) {
-      EXPECT_EQ(batch.digest(i), expected[i]) << "size=" << size << " i=" << i;
-    }
-  }
+  });
 }
 
 // Randomized equivalence sweep, including jobs resumed from mid-stream
@@ -128,42 +123,44 @@ TEST_F(Sha256MbTest, AllTiersAgree) {
   std::vector<Digest> scalar;
   for (const auto& msg : messages) scalar.push_back(Sha256::hash(msg));
 
-  for (const util::SimdTier tier :
-       {util::SimdTier::kScalar, util::SimdTier::kSse2, util::SimdTier::kAvx2}) {
-    util::set_forced_simd_tier(tier);
+  test::for_each_simd_tier([&] {
     HashBatch batch;
     for (const auto& msg : messages) batch.add().update(msg);
     batch.run();
     for (std::size_t i = 0; i < messages.size(); ++i) {
-      EXPECT_EQ(batch.digest(i), scalar[i]) << "tier=" << static_cast<int>(tier) << " i=" << i;
+      EXPECT_EQ(batch.digest(i), scalar[i]) << "i=" << i;
     }
-  }
+  });
 }
 
-// SND_SIMD=0 (the runtime gate) must select the serial seed path and still
-// agree, and the batch must behave identically through a clear() cycle.
-TEST_F(Sha256MbTest, GateOffMatchesAndClearRecycles) {
+// One batch recycled through clear() at every tier must agree with
+// Sha256::hash for every size, including the empty batch and the single job
+// that never fills a second lane.
+TEST_F(Sha256MbTest, ClearRecyclesAtEveryTier) {
   util::Rng rng(0x90a7);
   HashBatch batch;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    util::set_simd_enabled(cycle != 1);
-    batch.clear();
-    std::vector<Digest> expected;
-    for (int i = 0; i < 5; ++i) {
-      const util::Bytes msg = random_bytes(rng, 40 * static_cast<std::size_t>(i) + 3);
-      batch.add().update(msg);
-      expected.push_back(Sha256::hash(msg));
+  test::for_each_simd_tier([&] {
+    for (const std::size_t size : {5u, 0u, 1u, 2u, 9u, 1u}) {
+      batch.clear();
+      std::vector<Digest> expected;
+      for (std::size_t i = 0; i < size; ++i) {
+        const util::Bytes msg = random_bytes(rng, 40 * i + 3);
+        batch.add().update(msg);
+        expected.push_back(Sha256::hash(msg));
+      }
+      batch.run();
+      ASSERT_EQ(batch.size(), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        EXPECT_EQ(batch.digest(i), expected[i]) << "size=" << size << " i=" << i;
+      }
     }
-    batch.run();
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(batch.digest(i), expected[i]) << "cycle=" << cycle;
-    }
-  }
+  });
 }
 
 // The op counter must attribute a digest the same number of compressions
-// whether it ran in a wide batch or serially -- including jobs resumed from
-// HMAC midstates, whose pad blocks were counted at HmacKey construction.
+// whether it ran in a wide batch or through its own Sha256 context --
+// including jobs resumed from HMAC midstates, whose pad blocks were counted
+// at HmacKey construction.
 TEST_F(Sha256MbTest, HashOpCountParity) {
   util::Rng rng(0xc0de);
   std::vector<util::Bytes> messages;
@@ -173,23 +170,27 @@ TEST_F(Sha256MbTest, HashOpCountParity) {
   const SymmetricKey key = SymmetricKey::from_seed(rng.next());
   const HmacKey hmac(key);
 
-  const auto run_once = [&](bool wide) {
-    util::set_simd_enabled(wide);
+  reset_hash_op_count();
+  std::vector<Digest> serial_digests;
+  for (const auto& msg : messages) serial_digests.push_back(Sha256().update(msg).finalize());
+  for (const auto& msg : messages) {
+    Sha256 inner = hmac.inner_context();
+    serial_digests.push_back(inner.update(msg).finalize());
+  }
+  const std::uint64_t serial_ops = hash_op_count();
+  EXPECT_GT(serial_ops, 0u);
+
+  test::for_each_simd_tier([&] {
     reset_hash_op_count();
     HashBatch batch;
     for (const auto& msg : messages) batch.add().update(msg);
     for (const auto& msg : messages) batch.add(hmac.inner_context()).update(msg);
     batch.run();
-    std::vector<Digest> digests;
-    for (std::size_t i = 0; i < batch.size(); ++i) digests.push_back(batch.digest(i));
-    return std::pair(hash_op_count(), digests);
-  };
-
-  const auto [serial_ops, serial_digests] = run_once(false);
-  const auto [wide_ops, wide_digests] = run_once(true);
-  EXPECT_EQ(serial_ops, wide_ops);
-  EXPECT_EQ(serial_digests, wide_digests);
-  EXPECT_GT(serial_ops, 0u);
+    EXPECT_EQ(hash_op_count(), serial_ops);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch.digest(i), serial_digests[i]) << "i=" << i;
+    }
+  });
 }
 
 // RFC 4231-equivalent check through the midstate-resume interface: a
@@ -203,17 +204,19 @@ TEST_F(Sha256MbTest, BatchedHmacMatchesScalar) {
     messages.push_back(random_bytes(rng, rng.uniform_int(std::uint64_t{200})));
   }
 
-  HashBatch inner;
-  for (const auto& msg : messages) inner.add(hmac.inner_context()).update(msg);
-  inner.run();
-  HashBatch outer;
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    outer.add(hmac.outer_context()).update(inner.digest(i).bytes);
-  }
-  outer.run();
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    EXPECT_EQ(outer.digest(i), hmac_sha256(key, messages[i]));
-  }
+  test::for_each_simd_tier([&] {
+    HashBatch inner;
+    for (const auto& msg : messages) inner.add(hmac.inner_context()).update(msg);
+    inner.run();
+    HashBatch outer;
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      outer.add(hmac.outer_context()).update(inner.digest(i).bytes);
+    }
+    outer.run();
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      EXPECT_EQ(outer.digest(i), hmac_sha256(key, messages[i]));
+    }
+  });
 }
 
 // Midstate snapshot/resume round-trips exactly (same digest, same op count).

@@ -3,17 +3,21 @@
 // functional lists, evidence buffer and record version, and the total of
 // replay rejects -- is serialized into one canonical text and hashed with
 // SHA-256. The expected digests were recorded before the seed std::map /
-// std::set node state and the derive-per-call crypto path were retired,
-// and both of those implementations produced them too. A change that moves
-// a decision or an RNG draw anywhere in discovery, exchange or validation
-// changes a digest; the failure message prints the digest computed, so an
-// intended behaviour change re-records it here and says why.
+// std::set node state, the derive-per-call crypto path and the
+// one-at-a-time hashing and link filtering were retired, and all of those
+// implementations produced them too. Every variant must reproduce its digest
+// at every SIMD dispatch tier, since each tier runs different batched-hash
+// and strip-filter kernels. A change that moves a decision or an RNG draw
+// anywhere in discovery, exchange or validation changes a digest; the
+// failure message prints the digest computed and the tier, so an intended
+// behaviour change re-records it here and says why.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/deployment_driver.h"
 #include "crypto/sha256.h"
+#include "simd_tiers.h"
 
 namespace snd::core {
 namespace {
@@ -65,6 +69,10 @@ std::string outcome_digest(const Variant& variant) {
   return crypto::Sha256::hash(snapshot(variant)).hex();
 }
 
+void expect_digest_at_every_tier(const Variant& variant, const std::string& expected) {
+  test::for_each_simd_tier([&] { EXPECT_EQ(outcome_digest(variant), expected); });
+}
+
 Variant base_variant(std::uint64_t seed) {
   Variant variant;
   variant.config.field = {{0.0, 0.0}, {140.0, 140.0}};
@@ -75,10 +83,10 @@ Variant base_variant(std::uint64_t seed) {
 }
 
 TEST(GoldenOutcomeTest, CleanDeployment) {
-  EXPECT_EQ(outcome_digest(base_variant(11)),
-            "92ab504087c5a6a0fb03c4adf0b2659e8ca7383bf53496d8e31c131c94ee2144");
-  EXPECT_EQ(outcome_digest(base_variant(12)),
-            "c8ab4eb1734bf115aa7d9d07ca7761bbc688d37385389f300cd8013d49ddc031");
+  expect_digest_at_every_tier(
+      base_variant(11), "92ab504087c5a6a0fb03c4adf0b2659e8ca7383bf53496d8e31c131c94ee2144");
+  expect_digest_at_every_tier(
+      base_variant(12), "c8ab4eb1734bf115aa7d9d07ca7761bbc688d37385389f300cd8013d49ddc031");
 }
 
 TEST(GoldenOutcomeTest, LossyShadowedChannel) {
@@ -89,8 +97,8 @@ TEST(GoldenOutcomeTest, LossyShadowedChannel) {
   variant.config.channel_loss = 0.25;
   variant.config.log_normal_shadowing = true;
   variant.config.shadowing_sigma_db = 4.0;
-  EXPECT_EQ(outcome_digest(variant),
-            "afb87a37fbe0cd707c89181d89095a0b8f531310bfe301172233afed91afc1b0");
+  expect_digest_at_every_tier(variant,
+                              "afb87a37fbe0cd707c89181d89095a0b8f531310bfe301172233afed91afc1b0");
 }
 
 TEST(GoldenOutcomeTest, UpdateExtension) {
@@ -102,16 +110,16 @@ TEST(GoldenOutcomeTest, UpdateExtension) {
   variant.config.protocol.max_updates = 2;
   variant.second_round = 6;
   variant.auto_update = true;
-  EXPECT_EQ(outcome_digest(variant),
-            "de1ca03d238a9f4671bece8760c1cb7057fad7e4fca8fd87d556f6abd40f942d");
+  expect_digest_at_every_tier(variant,
+                              "de1ca03d238a9f4671bece8760c1cb7057fad7e4fca8fd87d556f6abd40f942d");
 }
 
 TEST(GoldenOutcomeTest, EarlyErasureHalfDuplex) {
   Variant variant = base_variant(41);
   variant.config.protocol.early_erasure = true;
   variant.config.half_duplex = true;
-  EXPECT_EQ(outcome_digest(variant),
-            "ef97f5cb7835f61990ff7625297eef8d5fc42f426b85f60c1ef5c01bcdc9fada");
+  expect_digest_at_every_tier(variant,
+                              "ef97f5cb7835f61990ff7625297eef8d5fc42f426b85f60c1ef5c01bcdc9fada");
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include "service/snapshot.h"
 #include "service/validation_service.h"
 #include "service/wire.h"
+#include "simd_tiers.h"
 #include "util/bytes.h"
-#include "util/simd.h"
 
 namespace snd::service {
 namespace {
@@ -365,28 +365,22 @@ TEST(ServiceCommitmentTest, MaintainedIncrementallyAcrossLifecycle) {
   expect_commitments_match_scalar(service, master);
 }
 
-TEST(ServiceCommitmentTest, BatchedMaintenanceMatchesSerialFallback) {
+// The batched commitment maintenance must match the scalar derivation at
+// every SIMD dispatch tier, through seeding, a deploy and a move.
+TEST(ServiceCommitmentTest, BatchedMaintenanceMatchesScalarAtEveryTier) {
   const crypto::SymmetricKey master = crypto::SymmetricKey::from_seed(0xc0118);
   ServiceConfig config = small_config();
   config.master_key = master;
 
-  auto run = [&](bool simd) {
-    util::set_simd_enabled(simd);
+  test::for_each_simd_tier([&] {
     ValidationService service(config);
     service.seed_topology(clique4());
-    service.apply(TopologyEvent::deploy(5, {0.5, 0.5}));
-    service.apply(TopologyEvent::update(2, {0.5, 1.5}));
-    std::vector<std::pair<NodeId, crypto::Digest>> out;
-    for (const auto& [id, state] : service.snapshot()->nodes()) {
-      (void)state;
-      out.emplace_back(id, *service.binding_commitment_of(id));
-    }
-    return out;
-  };
-  const auto batched = run(true);
-  const auto serial = run(false);
-  util::set_simd_enabled(true);
-  EXPECT_EQ(batched, serial);
+    expect_commitments_match_scalar(service, master);
+    ASSERT_TRUE(service.apply(TopologyEvent::deploy(5, {0.5, 0.5})).ok);
+    expect_commitments_match_scalar(service, master);
+    ASSERT_TRUE(service.apply(TopologyEvent::update(2, {0.5, 1.5})).ok);
+    expect_commitments_match_scalar(service, master);
+  });
 }
 
 TEST(ServiceCommitmentTest, AbsentMasterKeyDisablesMaintenance) {

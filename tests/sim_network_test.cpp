@@ -5,12 +5,13 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "crypto/sha256.h"
 #include "obs/sink.h"
+#include "simd_tiers.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace snd::sim {
 namespace {
@@ -209,15 +210,42 @@ struct TrafficResult {
   friend bool operator==(const TrafficResult&, const TrafficResult&) = default;
 };
 
+/// `Model` without its strip classifier: link_exists and both ranges
+/// forward to the model, and classify_links stays the base class's
+/// all-kLinkCheck verdict, so the Network decides every candidate with a
+/// scalar link_exists call -- the per-candidate reference filter.
+template <typename Model>
+class Unclassified final : public PropagationModel {
+ public:
+  template <typename... Args>
+  explicit Unclassified(Args&&... args) : model_(std::forward<Args>(args)...) {}
+  [[nodiscard]] bool link_exists(util::Vec2 a, util::Vec2 b) const override {
+    return model_.link_exists(a, b);
+  }
+  [[nodiscard]] double nominal_range() const override { return model_.nominal_range(); }
+  [[nodiscard]] double max_range() const override { return model_.max_range(); }
+
+ private:
+  Model model_;
+};
+
+/// The model itself, or its Unclassified wrapper when `classified` is false.
+template <typename Model, typename... Args>
+std::unique_ptr<PropagationModel> make_model(bool classified, Args... args) {
+  if (classified) return std::make_unique<Model>(args...);
+  return std::make_unique<Unclassified<Model>>(args...);
+}
+
 /// Builds a log-normal-shadowed field with loss and a jammer, including
 /// devices exactly on grid-cell boundaries and far outside the populated
 /// bounding box, runs broadcast + unicast traffic, and records everything
 /// observable. The field and traffic depend only on the seeds, never on
-/// `use_index`.
-TrafficResult run_traffic(bool use_index) {
+/// `use_index` or `classified`.
+TrafficResult run_traffic(bool use_index, bool classified = true) {
   ChannelConfig config;
   config.loss_probability = 0.25;
-  Network net(std::make_unique<LogNormalModel>(60.0, 3.0, 6.0, 42), config, 7);
+  Network net(make_model<LogNormalModel>(classified, 60.0, 3.0, 6.0, std::uint64_t{42}), config,
+              7);
   net.set_spatial_index_enabled(use_index);
   EXPECT_EQ(net.spatial_index_enabled(), use_index);
 
@@ -274,29 +302,26 @@ TEST(SpatialIndexTest, GridTrafficBitIdenticalToLinearScan) {
   EXPECT_TRUE(grid == linear);
 }
 
-// The SND_SIMD gate is latched into the Network at construction, so each
-// run_traffic call inside these tests picks up the toggled setting.
+// Every tier's strip classifier must deliver exactly what the per-candidate
+// scalar filter delivers, on the grid and on the linear candidate path.
 TEST(SpatialIndexTest, StripFilterTrafficBitIdenticalToScalarFilter) {
-  util::set_simd_enabled(true);
-  const TrafficResult strip_grid = run_traffic(true);
-  const TrafficResult strip_linear = run_traffic(false);
-  util::set_simd_enabled(false);
-  const TrafficResult scalar_grid = run_traffic(true);
-  const TrafficResult scalar_linear = run_traffic(false);
-  util::set_simd_enabled(true);
+  const TrafficResult scalar_grid = run_traffic(true, /*classified=*/false);
+  const TrafficResult scalar_linear = run_traffic(false, /*classified=*/false);
+  EXPECT_GT(scalar_grid.deliveries, 100u);
+  EXPECT_TRUE(scalar_grid == scalar_linear);
 
-  EXPECT_GT(strip_grid.deliveries, 100u);
-  EXPECT_TRUE(strip_grid == scalar_grid);
-  EXPECT_TRUE(strip_linear == scalar_linear);
-  EXPECT_TRUE(strip_grid == scalar_linear);
+  test::for_each_simd_tier([&] {
+    EXPECT_TRUE(run_traffic(true) == scalar_grid);
+    EXPECT_TRUE(run_traffic(false) == scalar_linear);
+  });
 }
 
 /// Unit-disk variant: the strip path issues definite In verdicts here (not
 /// just Out), including for receivers exactly on the disk boundary.
-TrafficResult run_unit_disk_traffic() {
+TrafficResult run_unit_disk_traffic(bool classified = true) {
   ChannelConfig config;
   config.loss_probability = 0.15;
-  Network net(std::make_unique<UnitDiskModel>(50.0), config, 11);
+  Network net(make_model<UnitDiskModel>(classified, 50.0), config, 11);
 
   util::Rng place(5);
   for (std::size_t i = 0; i < 120; ++i) {
@@ -327,13 +352,9 @@ TrafficResult run_unit_disk_traffic() {
 }
 
 TEST(SpatialIndexTest, UnitDiskStripFilterBitIdenticalToScalar) {
-  util::set_simd_enabled(true);
-  const TrafficResult strip = run_unit_disk_traffic();
-  util::set_simd_enabled(false);
-  const TrafficResult scalar = run_unit_disk_traffic();
-  util::set_simd_enabled(true);
-  EXPECT_GT(strip.deliveries, 50u);
-  EXPECT_TRUE(strip == scalar);
+  const TrafficResult scalar = run_unit_disk_traffic(/*classified=*/false);
+  EXPECT_GT(scalar.deliveries, 50u);
+  test::for_each_simd_tier([&] { EXPECT_TRUE(run_unit_disk_traffic() == scalar); });
 }
 
 TEST(SpatialIndexTest, DevicesInRangeMatchesLinearScan) {

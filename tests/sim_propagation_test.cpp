@@ -6,8 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "simd_tiers.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace snd::sim {
 namespace {
@@ -141,27 +141,16 @@ void expect_classes_sound(const PropagationModel& model, util::Vec2 from,
   }
 }
 
-class StripClassifyTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    util::set_simd_enabled(true);
-    util::set_forced_simd_tier(std::nullopt);
-  }
-};
-
 // Survivor classes must agree with the scalar filter at every dispatch
 // tier, over candidates packed onto the range boundary (cell-edge cases:
 // exactly range, one ulp either side) and at every ragged strip length.
-TEST_F(StripClassifyTest, UnitDiskClassesSoundAtBoundaries) {
-  util::set_simd_enabled(true);
+TEST(StripClassifyTest, UnitDiskClassesSoundAtBoundaries) {
   const double range = 10.0;
   UnitDiskModel model(range);
   const util::Vec2 from{3.0, -2.0};
 
   util::Rng rng(0xd15c);
-  for (const util::SimdTier tier :
-       {util::SimdTier::kScalar, util::SimdTier::kSse2, util::SimdTier::kAvx2}) {
-    util::set_forced_simd_tier(tier);
+  test::for_each_simd_tier([&] {
     for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 33u}) {
       std::vector<double> xs;
       std::vector<double> ys;
@@ -181,21 +170,18 @@ TEST_F(StripClassifyTest, UnitDiskClassesSoundAtBoundaries) {
       }
       expect_classes_sound(model, from, xs, ys);
     }
-  }
+  });
 }
 
 // Log-normal strips: definite Out only past the truncated-fade cutoff;
 // fade-edge candidates (just inside max_range) must be Check, never In.
-TEST_F(StripClassifyTest, LogNormalClassesSoundAroundFadeEdge) {
-  util::set_simd_enabled(true);
+TEST(StripClassifyTest, LogNormalClassesSoundAroundFadeEdge) {
   LogNormalModel model(50.0, 3.0, 6.0, 7);
   const util::Vec2 from{10.0, 20.0};
   const double cutoff = model.max_range();
 
   util::Rng rng(0xfade);
-  for (const util::SimdTier tier :
-       {util::SimdTier::kScalar, util::SimdTier::kSse2, util::SimdTier::kAvx2}) {
-    util::set_forced_simd_tier(tier);
+  test::for_each_simd_tier([&] {
     std::vector<double> xs;
     std::vector<double> ys;
     std::vector<std::uint8_t> expected_never_in;
@@ -215,11 +201,11 @@ TEST_F(StripClassifyTest, LogNormalClassesSoundAroundFadeEdge) {
     std::vector<std::uint8_t> classes(xs.size());
     model.classify_links(from, xs.data(), ys.data(), xs.size(), classes.data());
     for (const std::uint8_t c : classes) EXPECT_NE(c, kLinkIn);
-  }
+  });
 }
 
 // The base-class default defers everything to the scalar path.
-TEST_F(StripClassifyTest, DefaultClassifierMarksEverythingCheck) {
+TEST(StripClassifyTest, DefaultClassifierMarksEverythingCheck) {
   class OpaqueModel final : public PropagationModel {
    public:
     [[nodiscard]] bool link_exists(util::Vec2, util::Vec2) const override { return true; }
@@ -227,7 +213,6 @@ TEST_F(StripClassifyTest, DefaultClassifierMarksEverythingCheck) {
     [[nodiscard]] double max_range() const override { return 1.0; }
   };
   OpaqueModel model;
-  EXPECT_FALSE(model.supports_link_classes());
   const std::vector<double> xs = {0.0, 1.0, 2.0};
   const std::vector<double> ys = {0.0, 1.0, 2.0};
   std::vector<std::uint8_t> classes(3, 99);
