@@ -24,6 +24,7 @@
 #include "obs/config.h"
 #include "runner/trial_runner.h"
 #include "util/driver_spec.h"
+#include "util/file.h"
 #include "util/runtime_config.h"
 #include "util/table.h"
 
@@ -99,13 +100,6 @@ TrialResult run_family_trial(std::string_view family, std::size_t nodes, std::ui
                        std::chrono::steady_clock::now() - start)
                        .count();
   return result;
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
@@ -193,7 +187,7 @@ int main(int argc, char** argv) {
                 nodes, seeds);
   const std::string json = std::string(head) + families_json + "\n  ]\n}\n";
   const std::string path = bench_artifact_path("BENCH_adversary.json");
-  if (!write_file(path, json)) {
+  if (!util::write_file(path, json)) {
     std::cerr << "cannot write " << path << "\n";
     return 1;
   }
@@ -202,7 +196,11 @@ int main(int argc, char** argv) {
   const std::string perf =
       "{\n  \"name\": \"adversary_perf\",\n" + perf_json + "\n}\n";
   const std::string perf_path = bench_artifact_path("BENCH_adversary_perf.json");
-  if (write_file(perf_path, perf)) std::cout << "wrote " << perf_path << "\n";
+  if (!util::write_file(perf_path, perf)) {
+    std::cerr << "cannot write " << perf_path << "\n";
+    return 1;
+  }
+  std::cout << "wrote " << perf_path << "\n";
 
   return report.failed == 0 ? 0 : 1;
 }

@@ -26,7 +26,7 @@
 
 #include "adversary/scenario.h"
 #include "analysis/model.h"
-#include "core/deployment_driver.h"
+#include "center_node.h"
 #include "fault/plan.h"
 #include "obs/config.h"
 #include "runner/trial_runner.h"
@@ -35,57 +35,8 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-namespace {
-
-using namespace snd;
-
-struct TrialResult {
-  double accuracy = 0.0;
-  obs::TraceSummary trace;
-};
-
-/// Fraction of the center node's actual neighbors that it validated.
-/// `plan` (optional) injects channel faults into every trial.
-TrialResult center_node_accuracy(std::size_t threshold, std::uint64_t seed,
-                                 const fault::FaultPlan* plan,
-                                 const adversary::ScenarioConfig* scenario) {
-  core::DeploymentConfig config;
-  config.field = {{0.0, 0.0}, {100.0, 100.0}};
-  config.radio_range = 50.0;
-  config.protocol.threshold_t = threshold;
-  config.seed = seed;
-
-  core::SndDeployment deployment(config);
-  if (plan != nullptr && !plan->empty()) deployment.apply_fault_plan(*plan);
-  std::optional<adversary::ScenarioRuntime> runtime;
-  if (scenario != nullptr && !scenario->empty()) runtime.emplace(deployment, *scenario);
-  const NodeId center = deployment.deploy_node_at(config.field.center());
-  std::vector<NodeId> deployed = deployment.deploy_round(199);
-  if (runtime) {
-    deployed.insert(deployed.begin(), center);
-    runtime->arm(deployed);
-  }
-  deployment.run();
-
-  const core::SndNode* agent = deployment.agent(center);
-  std::size_t actual = 0;
-  std::size_t validated = 0;
-  for (const sim::Device& d : deployment.network().devices()) {
-    if (d.identity == center) continue;
-    if (!deployment.network().link(agent->device(), d.id)) continue;
-    ++actual;
-    if (topology::contains(agent->functional_neighbors(), d.identity)) ++validated;
-  }
-  TrialResult result;
-  result.accuracy =
-      actual == 0 ? 0.0 : static_cast<double>(validated) / static_cast<double>(actual);
-  result.trace = deployment.network().trace_summary();
-  return result;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace snd;
   std::size_t jobs = 1;
   obs::ObsConfig obs_config;
   shard::SessionOptions session_options;
@@ -143,22 +94,10 @@ int main(int argc, char** argv) {
   }
   if (!session.open(std::cerr)) return 2;
 
-  obs::Registry registry(thresholds.size() * seeds);
   const auto trial_body = [&](std::size_t i, std::uint64_t seed) {
-    try {
-      TrialResult result =
-          center_node_accuracy(thresholds[i / seeds], seed, plan ? &*plan : nullptr,
-                               scenario ? &*scenario : nullptr);
-      registry.record(i, result.trace);
-      session.record_success(i, {result.accuracy}, result.trace);
-      return result.accuracy;
-    } catch (const std::exception& e) {
-      session.record_failure(i, e.what());
-      throw;
-    } catch (...) {
-      session.record_failure(i, "non-standard exception");
-      throw;
-    }
+    return bench::center_node_accuracy(200, thresholds[i / seeds], seed,
+                                       plan ? &*plan : nullptr,
+                                       scenario ? &*scenario : nullptr);
   };
 
   if (session.enabled()) {
@@ -167,7 +106,7 @@ int main(int argc, char** argv) {
     std::cout << "== Figure 3 (shard " << session.spec().shard_index << "/"
               << session.spec().shard_count << " of " << shard_spec.total_trials
               << " trials) ==\n";
-    (void)pool.run_subset(session.pending(), shard_spec.base_seed, trial_body, &report);
+    session.run(pool, trial_body, &report);
     if (!session.finish(std::cerr)) return 1;
     std::cout << "ran " << session.pending().size() << " trials (" << session.resumed()
               << " resumed), " << report.failed << " failed -> "
@@ -179,13 +118,7 @@ int main(int argc, char** argv) {
             << "200 nodes, 100x100 m, R = 50 m, center node, " << seeds << " seeds, "
             << pool.jobs() << " jobs\n\n";
 
-  const auto accuracy =
-      pool.run(thresholds.size() * seeds, shard_spec.base_seed, trial_body, &report);
-  report.attach_trace(registry.fold());
-  report.metric("accuracy");  // column exists even if every trial failed
-  for (const auto& value : accuracy) {
-    if (value.has_value()) report.metric("accuracy").add(*value);
-  }
+  session.run(pool, trial_body, &report);
   if (!canonical_path.empty() && !report.write_canonical(canonical_path)) {
     std::cerr << cli.program() << ": cannot write " << canonical_path << "\n";
     return 1;
@@ -195,7 +128,8 @@ int main(int argc, char** argv) {
   for (std::size_t ti = 0; ti < thresholds.size(); ++ti) {
     util::RunningStats sim_accuracy;
     for (std::size_t s = 0; s < seeds; ++s) {
-      if (const auto& value = accuracy[ti * seeds + s]) sim_accuracy.add(*value);
+      const shard::TrialRecord& record = session.records()[ti * seeds + s];
+      if (!record.failed) sim_accuracy.add(record.values[0]);
     }
     table.add_row({util::Table::integer(static_cast<long long>(thresholds[ti])),
                    util::Table::num(model.accuracy(thresholds[ti]), 3),
@@ -209,8 +143,12 @@ int main(int argc, char** argv) {
             << "accuracy ~1 for small t, decaying to ~0 by t ~ 150.\n";
 
   const std::string path = report.write_json();
+  if (path.empty()) {
+    std::cerr << cli.program() << ": cannot write BENCH_" << report.name << ".json\n";
+    return 1;
+  }
   std::cout << "\n[" << report.trials << " trials, " << report.failed << " failed, "
-            << util::Table::num(report.trials_per_second(), 1) << " trials/s"
-            << (path.empty() ? "" : ", perf -> " + path) << "]\n";
+            << util::Table::num(report.trials_per_second(), 1) << " trials/s, perf -> "
+            << path << "]\n";
   return report.failed == 0 ? 0 : 1;
 }

@@ -19,14 +19,13 @@
 // With --checkpoint the run persists every trial to a .sndshard file (and
 // --shard i/N restricts it to one stride of the trial space); shard_merge
 // folds the files back into the canonical report. See docs/SHARDING.md.
-#include <cstdio>
 #include <iostream>
 #include <optional>
 #include <vector>
 
 #include "adversary/scenario.h"
 #include "analysis/model.h"
-#include "core/deployment_driver.h"
+#include "center_node.h"
 #include "fault/plan.h"
 #include "obs/config.h"
 #include "runner/trial_runner.h"
@@ -35,56 +34,8 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-namespace {
-
-using namespace snd;
-
-struct TrialResult {
-  double accuracy = 0.0;
-  obs::TraceSummary trace;
-};
-
-TrialResult center_node_accuracy(double density_per_m2, std::size_t threshold,
-                                 std::uint64_t seed, const fault::FaultPlan* plan,
-                                 const adversary::ScenarioConfig* scenario) {
-  core::DeploymentConfig config;
-  config.field = {{0.0, 0.0}, {100.0, 100.0}};
-  config.radio_range = 50.0;
-  config.protocol.threshold_t = threshold;
-  config.seed = seed;
-
-  const auto nodes = static_cast<std::size_t>(density_per_m2 * config.field.area());
-  core::SndDeployment deployment(config);
-  if (plan != nullptr && !plan->empty()) deployment.apply_fault_plan(*plan);
-  std::optional<adversary::ScenarioRuntime> runtime;
-  if (scenario != nullptr && !scenario->empty()) runtime.emplace(deployment, *scenario);
-  const NodeId center = deployment.deploy_node_at(config.field.center());
-  std::vector<NodeId> deployed = deployment.deploy_round(nodes - 1);
-  if (runtime) {
-    deployed.insert(deployed.begin(), center);
-    runtime->arm(deployed);
-  }
-  deployment.run();
-
-  const core::SndNode* agent = deployment.agent(center);
-  std::size_t actual = 0;
-  std::size_t validated = 0;
-  for (const sim::Device& d : deployment.network().devices()) {
-    if (d.identity == center) continue;
-    if (!deployment.network().link(agent->device(), d.id)) continue;
-    ++actual;
-    if (topology::contains(agent->functional_neighbors(), d.identity)) ++validated;
-  }
-  TrialResult result;
-  result.accuracy =
-      actual == 0 ? 0.0 : static_cast<double>(validated) / static_cast<double>(actual);
-  result.trace = deployment.network().trace_summary();
-  return result;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace snd;
   std::size_t jobs = 1;
   obs::ObsConfig obs_config;
   shard::SessionOptions session_options;
@@ -139,24 +90,13 @@ int main(int argc, char** argv) {
   }
   if (!session.open(std::cerr)) return 2;
 
-  obs::Registry registry(cells * seeds);
   const auto trial_body = [&](std::size_t i, std::uint64_t seed) {
     const std::size_t cell = i / seeds;
     const double density = densities_per_1000m2[cell / thresholds.size()] / 1000.0;
-    try {
-      TrialResult result = center_node_accuracy(
-          density, thresholds[cell % thresholds.size()], seed, plan ? &*plan : nullptr,
-          scenario ? &*scenario : nullptr);
-      registry.record(i, result.trace);
-      session.record_success(i, {result.accuracy}, result.trace);
-      return result.accuracy;
-    } catch (const std::exception& e) {
-      session.record_failure(i, e.what());
-      throw;
-    } catch (...) {
-      session.record_failure(i, "non-standard exception");
-      throw;
-    }
+    const auto nodes = static_cast<std::size_t>(density * bench::kPaperField.area());
+    return bench::center_node_accuracy(nodes, thresholds[cell % thresholds.size()], seed,
+                                       plan ? &*plan : nullptr,
+                                       scenario ? &*scenario : nullptr);
   };
 
   if (session.enabled()) {
@@ -165,7 +105,7 @@ int main(int argc, char** argv) {
     std::cout << "== Figure 4 (shard " << session.spec().shard_index << "/"
               << session.spec().shard_count << " of " << shard_spec.total_trials
               << " trials) ==\n";
-    (void)pool.run_subset(session.pending(), shard_spec.base_seed, trial_body, &report);
+    session.run(pool, trial_body, &report);
     if (!session.finish(std::cerr)) return 1;
     std::cout << "ran " << session.pending().size() << " trials (" << session.resumed()
               << " resumed), " << report.failed << " failed -> "
@@ -177,12 +117,7 @@ int main(int argc, char** argv) {
             << "R = 50 m, 100x100 m field, center node, " << seeds << " seeds, "
             << pool.jobs() << " jobs\n\n";
 
-  const auto accuracy = pool.run(cells * seeds, shard_spec.base_seed, trial_body, &report);
-  report.attach_trace(registry.fold());
-  report.metric("accuracy");  // column exists even if every trial failed
-  for (const auto& value : accuracy) {
-    if (value.has_value()) report.metric("accuracy").add(*value);
-  }
+  session.run(pool, trial_body, &report);
   if (!canonical_path.empty() && !report.write_canonical(canonical_path)) {
     std::cerr << cli.program() << ": cannot write " << canonical_path << "\n";
     return 1;
@@ -197,7 +132,8 @@ int main(int argc, char** argv) {
       util::RunningStats sim_accuracy;
       const std::size_t cell = di * thresholds.size() + ti;
       for (std::size_t s = 0; s < seeds; ++s) {
-        if (const auto& value = accuracy[cell * seeds + s]) sim_accuracy.add(*value);
+        const shard::TrialRecord& record = session.records()[cell * seeds + s];
+        if (!record.failed) sim_accuracy.add(record.values[0]);
       }
       const analysis::FieldModel model{density_k / 1000.0, 50.0};
       row.push_back(util::Table::num(sim_accuracy.mean(), 3));
@@ -211,8 +147,12 @@ int main(int argc, char** argv) {
             << "saturates first (t=10 ~1 by ~15 nodes/1000 m^2, t=50 needs ~2x more).\n";
 
   const std::string path = report.write_json();
+  if (path.empty()) {
+    std::cerr << cli.program() << ": cannot write BENCH_" << report.name << ".json\n";
+    return 1;
+  }
   std::cout << "\n[" << report.trials << " trials, " << report.failed << " failed, "
-            << util::Table::num(report.trials_per_second(), 1) << " trials/s"
-            << (path.empty() ? "" : ", perf -> " + path) << "]\n";
+            << util::Table::num(report.trials_per_second(), 1) << " trials/s, perf -> "
+            << path << "]\n";
   return report.failed == 0 ? 0 : 1;
 }

@@ -194,8 +194,12 @@ int main(int argc, char** argv) {
             << "jamming, not a defeat of the validation logic; see EXPERIMENTS.md.\n";
 
   const std::string path = report.write_json();
+  if (path.empty()) {
+    std::cerr << cli.program() << ": cannot write BENCH_" << report.name << ".json\n";
+    return 1;
+  }
   std::cout << "\n[" << report.trials << " trials, " << report.failed << " failed, "
-            << util::Table::num(report.trials_per_second(), 1) << " trials/s"
-            << (path.empty() ? "" : ", perf -> " + path) << "]\n";
+            << util::Table::num(report.trials_per_second(), 1) << " trials/s, perf -> "
+            << path << "]\n";
   return report.failed == 0 ? 0 : 1;
 }

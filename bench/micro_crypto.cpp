@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,6 +27,7 @@
 #include "crypto/hmac.h"
 #include "crypto/session_cache.h"
 #include "crypto/sha256.h"
+#include "util/file.h"
 #include "util/runtime_config.h"
 #include "util/simd.h"
 #include "sim/network.h"
@@ -475,11 +475,9 @@ int write_crypto_artifact() {
   const int batch_gate = write_commitment_batch_block(batch_json, sizeof(batch_json));
 
   const std::string path = bench_artifact_path("BENCH_micro_crypto.json");
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(json, 1, std::strlen(json), f);
-    std::fwrite(batch_json, 1, std::strlen(batch_json), f);
-    std::fwrite("}\n", 1, 2, f);
-    std::fclose(f);
+  if (!util::write_file(path, std::string(json) + batch_json + "}\n")) {
+    std::fprintf(stderr, "micro_crypto: cannot write %s\n", path.c_str());
+    return 1;
   }
   std::printf("auth round trip, %d msgs: kdc %.2f -> %.2f us/msg (%.2fx), "
               "blundo20 %.2f -> %.2f us/msg (%.2fx) -> %s\n",

@@ -15,11 +15,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/deployment_driver.h"
 #include "obs/sink.h"
+#include "util/file.h"
 #include "util/runtime_config.h"
 #include "util/simd.h"
 #include "obs/tracer.h"
@@ -284,9 +284,9 @@ int write_resolution_artifact() {
                 detected_tier_linear.resolution_s / per_tx * 1e6, linear_tier_speedup);
 
   const std::string path = bench_artifact_path("BENCH_micro_sim.json");
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(json, 1, std::strlen(json), f);
-    std::fclose(f);
+  if (!util::write_file(path, json)) {
+    std::fprintf(stderr, "micro_sim: cannot write %s\n", path.c_str());
+    return 1;
   }
   std::printf("broadcast resolution, %zu nodes: linear %.2f us/tx, grid %.2f us/tx, "
               "resolution speedup %.2fx (full round incl. deliveries: %.2fx) -> %s\n",

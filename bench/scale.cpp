@@ -26,6 +26,7 @@
 
 #include "core/deployment_driver.h"
 #include "util/driver_spec.h"
+#include "util/file.h"
 #include "util/runtime_config.h"
 
 namespace {
@@ -174,11 +175,11 @@ int main(int argc, char** argv) {
   const std::string json = std::string(head) + deployments + "\n  ]\n}\n";
 
   const std::string path = bench_artifact_path("BENCH_scale.json");
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+  if (!util::write_file(path, json)) {
+    std::fprintf(stderr, "scale: cannot write %s\n", path.c_str());
+    return 1;
   }
+  std::printf("wrote %s\n", path.c_str());
 
   if (max_rss_mb > 0.0) {
     const double peak = peak_rss_mb();

@@ -37,6 +37,7 @@
 #include "service/validation_service.h"
 #include "service/wire.h"
 #include "util/driver_spec.h"
+#include "util/file.h"
 #include "util/rng.h"
 #include "util/runtime_config.h"
 #include "util/stats.h"
@@ -333,10 +334,10 @@ int main(int argc, char** argv) {
                 static_cast<double>(accepted) / static_cast<double>(queries),
                 equivalent ? "true" : "false");
   const std::string path = bench_artifact_path("BENCH_serve.json");
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fwrite(json, 1, std::strlen(json), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
+  if (!util::write_file(path, json)) {
+    std::fprintf(stderr, "serve_qps: cannot write %s\n", path.c_str());
+    return 1;
   }
+  std::printf("wrote %s\n", path.c_str());
   return equivalent ? 0 : 1;
 }

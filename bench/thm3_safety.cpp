@@ -148,8 +148,12 @@ int main(int argc, char** argv) {
             << "radius ~ field diagonal once c crosses t+2.\n";
 
   const std::string path = report.write_json();
+  if (path.empty()) {
+    std::cerr << cli.program() << ": cannot write BENCH_" << report.name << ".json\n";
+    return 1;
+  }
   std::cout << "\n[" << report.trials << " trials, " << report.failed << " failed, "
-            << util::Table::num(report.trials_per_second(), 1) << " trials/s"
-            << (path.empty() ? "" : ", perf -> " + path) << "]\n";
+            << util::Table::num(report.trials_per_second(), 1) << " trials/s, perf -> "
+            << path << "]\n";
   return report.failed == 0 ? 0 : 1;
 }

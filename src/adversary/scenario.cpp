@@ -6,6 +6,7 @@
 #include "adversary/replayer.h"
 #include "adversary/sybil.h"
 #include "adversary/wormhole.h"
+#include "util/file.h"
 #include "util/json.h"
 
 namespace snd::adversary {
@@ -241,25 +242,13 @@ std::optional<ScenarioConfig> ScenarioConfig::from_value(const util::JsonValue& 
 }
 
 bool ScenarioConfig::save(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), file) == json.size() &&
-                  std::fputc('\n', file) != EOF;
-  return std::fclose(file) == 0 && ok;
+  return util::write_file(path, to_json() + "\n");
 }
 
 std::optional<ScenarioConfig> ScenarioConfig::load(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return std::nullopt;
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) text.append(buf, n);
-  const bool ok = std::ferror(file) == 0;
-  std::fclose(file);
-  if (!ok) return std::nullopt;
-  return parse(text);
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) return std::nullopt;
+  return parse(*text);
 }
 
 bool ScenarioConfig::arm_family(std::string_view family) {

@@ -21,20 +21,10 @@
 
 #include "shard/merge.h"
 #include "util/driver_spec.h"
+#include "util/file.h"
 #include "util/runtime_config.h"
 
-namespace {
-
 using namespace snd;
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::cli::DriverSpec driver_spec(
@@ -61,12 +51,12 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     out_path = bench_artifact_path("BENCH_" + merged->report.name + ".json");
   }
-  if (!write_file(out_path, merged->report.to_canonical_json())) {
+  if (!util::write_file(out_path, merged->report.to_canonical_json())) {
     std::cerr << cli.program() << ": cannot write " << out_path << "\n";
     return 1;
   }
   if (!summary_path.empty() &&
-      !write_file(summary_path, shard::summary_markdown(*merged))) {
+      !util::write_file(summary_path, shard::summary_markdown(*merged))) {
     std::cerr << cli.program() << ": cannot write " << summary_path << "\n";
     return 1;
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/event.h"
+#include "util/file.h"
 #include "util/json.h"
 
 namespace snd::fault {
@@ -194,12 +195,7 @@ std::optional<FaultPlan> FaultPlan::from_value(const util::JsonValue& doc) {
 }
 
 bool FaultPlan::save(const std::string& path) const {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), file) == json.size() &&
-                  std::fputc('\n', file) != EOF;
-  return std::fclose(file) == 0 && ok;
+  return util::write_file(path, to_json() + "\n");
 }
 
 util::cli::FlagGroup plan_flag_group(std::optional<FaultPlan>* out) {
@@ -225,16 +221,9 @@ util::cli::FlagGroup plan_flag_group(std::optional<FaultPlan>* out) {
 }
 
 std::optional<FaultPlan> FaultPlan::load(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return std::nullopt;
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) text.append(buf, n);
-  const bool ok = std::ferror(file) == 0;
-  std::fclose(file);
-  if (!ok) return std::nullopt;
-  return parse(text);
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) return std::nullopt;
+  return parse(*text);
 }
 
 }  // namespace snd::fault

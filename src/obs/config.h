@@ -6,8 +6,9 @@
 //   --trace-json <path|->                   (env: SND_TRACE_JSON)
 //   --trace-bin  <path>                     (env: SND_TRACE_BIN)
 //
-// Flags beat environment variables. Bad values are recorded on the Cli, so
-// the driver's existing cli.validate() call rejects them (exit non-zero).
+// Flags beat environment variables. A driver declares the four flags by
+// adding obs_flag_group() to its util::cli::DriverSpec; bad values are
+// recorded on the Cli, so DriverSpec::parse rejects them (exit non-zero).
 #pragma once
 
 #include <iosfwd>
@@ -36,13 +37,11 @@ struct ObsConfig {
 [[nodiscard]] std::optional<TraceLevel> trace_level_from_name(std::string_view name);
 
 /// Reads the flags/environment above. Unknown values are recorded with
-/// cli.record_error() -- call this before cli.validate() and list "log",
-/// "trace", "trace-json", "trace-bin" among the allowed flags.
+/// cli.record_error(), so the Cli's validate() fails.
 [[nodiscard]] ObsConfig resolve_obs(const util::Cli& cli);
 
 /// The same surface as a DriverSpec flag group: declares the four flags and
-/// resolves them into `*out` during parse(). Prefer this over hand-listing
-/// the flag names in new drivers.
+/// resolves them into `*out` during parse().
 [[nodiscard]] util::cli::FlagGroup obs_flag_group(ObsConfig* out);
 
 /// Installs `config` process-wide: sets the util log level, re-routes

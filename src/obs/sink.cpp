@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/bytes.h"
+#include "util/json.h"
 
 namespace snd::obs {
 
@@ -12,72 +13,6 @@ void Sink::on_log(util::LogLevel level, std::string_view message) {
                util::log_level_name(level).data(), static_cast<int>(message.size()),
                message.data());
 }
-
-void CountingSink::on_event(const Event& event) {
-  const std::scoped_lock lock(mutex_);
-  ++summary_.events;
-  const std::size_t code = event.code;
-  switch (event.kind) {
-    case EventKind::kTx:
-      if (code < kPhaseCount) {
-        ++summary_.tx[code].messages;
-        summary_.tx[code].bytes += event.bytes;
-      }
-      break;
-    case EventKind::kDelivery:
-      ++summary_.deliveries;
-      break;
-    case EventKind::kDrop:
-      if (code < kDropCauseCount) ++summary_.drops[code];
-      break;
-    case EventKind::kPhase:
-      if (code < kNodePhaseCount) ++summary_.node_phases[code];
-      break;
-    case EventKind::kReject:
-      if (code < kRejectReasonCount) ++summary_.rejects[code];
-      break;
-    case EventKind::kAccept:
-      if (code < kAcceptViaCount) ++summary_.accepts[code];
-      break;
-    case EventKind::kInject:
-      if (code < kInjectKindCount) ++summary_.injects[code];
-      break;
-  }
-}
-
-TraceSummary CountingSink::summary() const {
-  const std::scoped_lock lock(mutex_);
-  TraceSummary out = summary_;
-  out.trials = 1;
-  return out;
-}
-
-namespace {
-
-/// JSON string escaping for log messages (event fields are all numeric or
-/// fixed identifier names and never need escaping).
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 JsonLinesSink::JsonLinesSink(const std::string& path) {
   if (path == "-") {
@@ -115,9 +50,7 @@ void JsonLinesSink::on_event(const Event& event) { write_line(to_json(event)); }
 void JsonLinesSink::on_log(util::LogLevel level, std::string_view message) {
   std::string line = "{\"kind\":\"log\",\"level\":\"";
   line += util::log_level_name(level);
-  line += "\",\"msg\":";
-  append_escaped(line, message);
-  line += "}";
+  line += "\",\"msg\":" + util::json_quote(message) + "}";
   write_line(line);
 }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "obs/event.h"
-#include "obs/summary.h"
 #include "util/log.h"
 
 namespace snd::obs {
@@ -41,19 +40,6 @@ class Sink {
 class NullSink final : public Sink {
  public:
   void on_event(const Event&) override {}
-};
-
-/// Aggregates events into a TraceSummary without storing them. The sink
-/// counterpart of Tracer's built-in counters, for consumers that receive an
-/// event stream from elsewhere (thread-safe).
-class CountingSink final : public Sink {
- public:
-  void on_event(const Event& event) override;
-  [[nodiscard]] TraceSummary summary() const;
-
- private:
-  mutable std::mutex mutex_;
-  TraceSummary summary_;
 };
 
 /// Writes each event (and routed log line) as one self-describing JSON

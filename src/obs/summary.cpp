@@ -122,18 +122,4 @@ std::string TraceSummary::to_json() const {
   return out;
 }
 
-void Registry::record(std::size_t index, const TraceSummary& summary) {
-  if (index >= slots_.size()) return;
-  slots_[index].summary = summary;
-  slots_[index].present = true;
-}
-
-TraceSummary Registry::fold() const {
-  TraceSummary folded;
-  for (const Slot& slot : slots_) {
-    if (slot.present) folded.merge(slot.summary);
-  }
-  return folded;
-}
-
 }  // namespace snd::obs

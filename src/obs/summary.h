@@ -1,16 +1,11 @@
-// Per-trial trace summaries and the Registry that folds them into a
-// per-sweep summary.
-//
-// Determinism contract (mirrors runner::TrialRunner): each trial writes its
-// summary into the slot owned by its trial index, and fold() merges slots in
-// index order after the workers join -- the folded summary, including its
-// JSON serialization, is byte-identical for any --jobs count.
+// Per-trial trace summaries. A sweep folds its trials' summaries in trial
+// order (shard::fold_records), so the folded summary, including its JSON
+// serialization, is byte-identical for any --jobs count and shard split.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/event.h"
 
@@ -63,34 +58,6 @@ struct TraceSummary {
   /// "replay"/"injected" drop causes appear only when non-zero, and the
   /// "injects" block appears only when a fault plan actually fired.
   [[nodiscard]] std::string to_json() const;
-};
-
-/// Aggregates per-trial traces into a per-sweep summary. record() writes a
-/// preallocated slot owned by one trial alone (safe from worker threads,
-/// same ownership discipline as TrialRunner's result slots); fold() merges
-/// in trial order after the workers join.
-class Registry {
- public:
-  explicit Registry(std::size_t trials) : slots_(trials) {}
-
-  /// Stores trial `index`'s summary. One writer per slot; out-of-range
-  /// indices are ignored (defensive -- the runner never produces them).
-  void record(std::size_t index, const TraceSummary& summary);
-
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
-  [[nodiscard]] bool recorded(std::size_t index) const {
-    return index < slots_.size() && slots_[index].present;
-  }
-
-  /// Merges every recorded slot in ascending trial order.
-  [[nodiscard]] TraceSummary fold() const;
-
- private:
-  struct Slot {
-    bool present = false;
-    TraceSummary summary;
-  };
-  std::vector<Slot> slots_;
 };
 
 }  // namespace snd::obs

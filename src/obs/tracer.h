@@ -2,15 +2,14 @@
 // bounded ring buffer of recent events, and a pluggable Sink.
 //
 // Cost model (the contract the micro_sim overhead artifact pins):
-//   SND_TRACE=0 (compile-time gate)  emit() compiles to nothing.
-//   kOff                             one predicted branch per emit call.
-//   kCounters (default)              branch + one or two array increments.
-//   kEvents                          counters + ring append + sink virtual
-//                                    call (NullSink: the near-free fast path).
+//   kOff                 one predicted branch per emit call.
+//   kCounters (default)  branch + one or two array increments.
+//   kEvents              counters + ring append + sink virtual call
+//                        (NullSink: the near-free fast path).
 //
 // A Tracer belongs to one single-threaded simulation (one sim::Network);
 // parallel Monte-Carlo trials each own a private Tracer and fold their
-// summaries deterministically in trial order (obs::Registry).
+// summaries deterministically in trial order (shard::fold_records).
 #pragma once
 
 #include <cstdint>
@@ -20,13 +19,6 @@
 #include "obs/event.h"
 #include "obs/sink.h"
 #include "obs/summary.h"
-
-// Compile-time gate: -DSND_TRACE=0 removes event emission entirely (typed
-// Metrics counters in sim/ are unaffected -- they are accounting, not
-// tracing). Defaults on; the CMake option SND_TRACE drives it.
-#ifndef SND_TRACE
-#define SND_TRACE 1
-#endif
 
 namespace snd::obs {
 
@@ -53,24 +45,11 @@ class Tracer {
 
   /// True when emit() does any work; call sites use this to skip building
   /// Event payloads on the fast path.
-  [[nodiscard]] bool active() const {
-#if SND_TRACE
-    return level_ != TraceLevel::kOff;
-#else
-    return false;
-#endif
-  }
+  [[nodiscard]] bool active() const { return level_ != TraceLevel::kOff; }
   /// True when full events are recorded (ring + sink).
-  [[nodiscard]] bool recording() const {
-#if SND_TRACE
-    return level_ == TraceLevel::kEvents;
-#else
-    return false;
-#endif
-  }
+  [[nodiscard]] bool recording() const { return level_ == TraceLevel::kEvents; }
 
   void emit(const Event& event) {
-#if SND_TRACE
     if (level_ == TraceLevel::kOff) return;
     // The kCounters path stays header-inline: dense sweeps emit once per
     // candidate drop, and the two increments cost less than an out-of-line
@@ -78,9 +57,6 @@ class Tracer {
     ++events_;
     count(event);
     if (level_ == TraceLevel::kEvents) record(event);
-#else
-    (void)event;
-#endif
   }
 
   /// Radio-event fast path (tx / delivery / drop): those kinds carry no
@@ -90,11 +66,7 @@ class Tracer {
   /// stay identical to emitting the full event. `n` counts several at once
   /// (receiver resolution tallies its out-of-range drops in bulk).
   void count_radio_event(std::uint64_t n = 1) {
-#if SND_TRACE
     if (level_ != TraceLevel::kOff) events_ += n;
-#else
-    (void)n;
-#endif
   }
 
   /// Events emitted at any active level, and ring overwrites (an overwrite

@@ -1,7 +1,8 @@
 #include "proptest/runner.h"
 
-#include <cstdio>
+#include <optional>
 
+#include "util/file.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -20,26 +21,6 @@ std::string violations_json(const std::vector<Violation>& violations) {
   return out;
 }
 
-bool write_text(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size() &&
-                  std::fputc('\n', file) != EOF;
-  return std::fclose(file) == 0 && ok;
-}
-
-std::string read_text(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) text.append(buf, n);
-  const bool ok = std::ferror(file) == 0;
-  std::fclose(file);
-  return ok ? text : std::string{};
-}
-
 /// Writes the artifact into config.failcase_dir (when enabled) and records
 /// the path on the failcase.
 void emit(FailCase& failcase, const PropConfig& config) {
@@ -47,7 +28,7 @@ void emit(FailCase& failcase, const PropConfig& config) {
   const std::string path = config.failcase_dir + "/FAILCASE_" + failcase.kind + "_" +
                            std::to_string(failcase.trial) + "_" +
                            std::to_string(failcase.trial_seed) + ".json";
-  if (write_text(path, failcase.to_json())) failcase.path = path;
+  if (util::write_file(path, failcase.to_json() + "\n")) failcase.path = path;
 }
 
 }  // namespace
@@ -130,12 +111,12 @@ PropReport run_property_suite(const PropConfig& config) {
 
 ReplayResult replay_failcase(const std::string& path) {
   ReplayResult result;
-  const std::string text = read_text(path);
-  if (text.empty()) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) {
     result.error = "cannot read " + path;
     return result;
   }
-  const auto doc = util::JsonValue::parse(text);
+  const auto doc = util::JsonValue::parse(*text);
   if (!doc || !doc->is_object()) {
     result.error = "malformed FAILCASE JSON";
     return result;

@@ -1,18 +1,18 @@
 #include "runner/trial_runner.h"
 
-#include "util/runtime_config.h"
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <thread>
 
+#include "util/file.h"
+#include "util/json.h"
 #include "util/rng.h"
+#include "util/runtime_config.h"
 
 namespace snd::runner {
 
@@ -187,13 +187,14 @@ void TrialRunner::run_raw(
                               .count();
   for (std::size_t i = 0; i < trials; ++i) {
     report->trial_micros.add(micros[i]);
-    if (failed[i] != 0) {
-      ++report->failed;
-      if (report->errors.size() < SweepReport::kMaxReportedErrors) {
-        const std::size_t trial = indices != nullptr ? indices[i] : i;
-        report->errors.push_back("trial " + std::to_string(trial) + ": " + messages[i]);
-      }
-    }
+    if (failed[i] != 0) report->note_failure(indices != nullptr ? indices[i] : i, messages[i]);
+  }
+}
+
+void SweepReport::note_failure(std::uint64_t trial, std::string_view message) {
+  ++failed;
+  if (errors.size() < kMaxReportedErrors) {
+    errors.push_back("trial " + std::to_string(trial) + ": " + std::string(message));
   }
 }
 
@@ -209,45 +210,7 @@ double SweepReport::trials_per_second() const {
   return wall_seconds > 0.0 ? static_cast<double>(trials) / wall_seconds : 0.0;
 }
 
-void SweepReport::merge(const SweepReport& other) {
-  trials += other.trials;
-  failed += other.failed;
-  jobs = other.jobs;
-  wall_seconds += other.wall_seconds;
-  for (double v : other.trial_micros.values()) trial_micros.add(v);
-  for (const std::string& e : other.errors) {
-    if (errors.size() >= SweepReport::kMaxReportedErrors) break;
-    errors.push_back(e);
-  }
-  for (const auto& [key, series] : other.metrics) {
-    util::Series& mine = metric(key);
-    for (double v : series.values()) mine.add(v);
-  }
-  if (other.has_trace) attach_trace(other.trace);
-}
-
 namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 std::string json_num(double v) {
   char buf[32];
@@ -273,84 +236,61 @@ std::string metric_block(const util::Series& series) {
   return out;
 }
 
-}  // namespace
-
-std::string SweepReport::to_json() const {
-  std::string out = "{\n  \"name\": ";
-  append_json_string(out, name);
-  out += ",\n  \"trials\": " + std::to_string(trials);
-  out += ",\n  \"failed\": " + std::to_string(failed);
-  out += ",\n  \"jobs\": " + std::to_string(jobs);
-  out += ",\n  \"wall_seconds\": " + json_num(wall_seconds);
-  out += ",\n  \"trials_per_second\": " + json_num(trials_per_second());
-  out += ",\n  \"trial_us\": {";
-  if (trial_micros.count() > 0) {
-    out += "\"mean\": " + json_num(trial_micros.mean());
-    out += ", \"p50\": " + json_num(trial_micros.percentile(50.0));
-    out += ", \"p95\": " + json_num(trial_micros.percentile(95.0));
-    out += ", \"max\": " + json_num(trial_micros.percentile(100.0));
+/// The report body; `timing` adds the wall-clock fields that
+/// to_canonical_json() leaves out.
+std::string report_json(const SweepReport& report, bool timing) {
+  std::string out = "{\n  \"name\": " + util::json_quote(report.name);
+  out += ",\n  \"trials\": " + std::to_string(report.trials);
+  out += ",\n  \"failed\": " + std::to_string(report.failed);
+  if (timing) {
+    const util::Series& micros = report.trial_micros;
+    out += ",\n  \"jobs\": " + std::to_string(report.jobs);
+    out += ",\n  \"wall_seconds\": " + json_num(report.wall_seconds);
+    out += ",\n  \"trials_per_second\": " + json_num(report.trials_per_second());
+    out += ",\n  \"trial_us\": {";
+    if (micros.count() > 0) {
+      out += "\"mean\": " + json_num(micros.mean());
+      out += ", \"p50\": " + json_num(micros.percentile(50.0));
+      out += ", \"p95\": " + json_num(micros.percentile(95.0));
+      out += ", \"max\": " + json_num(micros.percentile(100.0));
+    }
+    out += "}";
   }
-  out += "}";
-  if (!metrics.empty()) {
+  if (!report.metrics.empty()) {
     out += ",\n  \"metrics\": {";
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
+    for (std::size_t i = 0; i < report.metrics.size(); ++i) {
       if (i > 0) out += ", ";
-      append_json_string(out, metrics[i].first);
-      out += ": " + metric_block(metrics[i].second);
+      out += util::json_quote(report.metrics[i].first);
+      out += ": " + metric_block(report.metrics[i].second);
     }
     out += "}";
   }
   out += ",\n  \"errors\": [";
-  for (std::size_t i = 0; i < errors.size(); ++i) {
+  for (std::size_t i = 0; i < report.errors.size(); ++i) {
     if (i > 0) out += ", ";
-    append_json_string(out, errors[i]);
+    out += util::json_quote(report.errors[i]);
   }
   out += "]";
-  if (has_trace) out += ",\n  \"trace\": " + trace.to_json();
+  if (report.has_trace) out += ",\n  \"trace\": " + report.trace.to_json();
   out += "\n}\n";
   return out;
 }
 
+}  // namespace
+
+std::string SweepReport::to_json() const { return report_json(*this, /*timing=*/true); }
+
 std::string SweepReport::to_canonical_json() const {
-  std::string out = "{\n  \"name\": ";
-  append_json_string(out, name);
-  out += ",\n  \"trials\": " + std::to_string(trials);
-  out += ",\n  \"failed\": " + std::to_string(failed);
-  if (!metrics.empty()) {
-    out += ",\n  \"metrics\": {";
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      if (i > 0) out += ", ";
-      append_json_string(out, metrics[i].first);
-      out += ": " + metric_block(metrics[i].second);
-    }
-    out += "}";
-  }
-  out += ",\n  \"errors\": [";
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    if (i > 0) out += ", ";
-    append_json_string(out, errors[i]);
-  }
-  out += "]";
-  if (has_trace) out += ",\n  \"trace\": " + trace.to_json();
-  out += "\n}\n";
-  return out;
+  return report_json(*this, /*timing=*/false);
 }
 
 std::string SweepReport::write_json() const {
   const std::string path = bench_artifact_path("BENCH_" + name + ".json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return {};
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok ? path : std::string{};
+  return util::write_file(path, to_json()) ? path : std::string{};
 }
 
 bool SweepReport::write_canonical(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_canonical_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return util::write_file(path, to_canonical_json());
 }
 
 }  // namespace snd::runner

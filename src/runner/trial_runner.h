@@ -20,6 +20,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -38,23 +39,24 @@ struct SweepReport {
   double wall_seconds = 0.0;
   util::Series trial_micros;        ///< Per-trial wall time, in trial order.
   std::vector<std::string> errors;  ///< First few failure messages, trial order.
-  /// Cap on `errors`; shared with shard::merge_shards so a merged report
-  /// reconstructs the exact error list an unsharded run would have kept.
   static constexpr std::size_t kMaxReportedErrors = 8;
 
+  /// Counts one failed trial and keeps its "trial N: message" line while
+  /// fewer than kMaxReportedErrors are listed.
+  void note_failure(std::uint64_t trial, std::string_view message);
+
   /// Named per-trial result columns (e.g. "accuracy"), appended in trial
-  /// order by the driver after the workers join. Deterministic, so they are
-  /// part of the canonical report (below) and of the .sndshard columnar
-  /// format; serialized as mean/stdev/ci95 per metric.
+  /// order after the workers join. Deterministic, so they are part of the
+  /// canonical report (below) and of the .sndshard columnar format;
+  /// serialized as mean/stdev/ci95 per metric.
   std::vector<std::pair<std::string, util::Series>> metrics;
   /// The column named `name`, created on first use (insertion order is
   /// serialization order).
   util::Series& metric(std::string_view name);
 
   /// Folded per-trial trace summaries (typed per-phase traffic, drop-cause
-  /// breakdown, protocol counters). Deterministic: drivers record each
-  /// trial's Network::trace_summary() into an obs::Registry slot keyed by
-  /// trial index and attach registry.fold() -- identical for any --jobs.
+  /// breakdown, protocol counters), merged in trial order -- identical for
+  /// any --jobs (shard::fold_records).
   bool has_trace = false;
   obs::TraceSummary trace;
   void attach_trace(const obs::TraceSummary& folded) {
@@ -63,9 +65,6 @@ struct SweepReport {
   }
 
   [[nodiscard]] double trials_per_second() const;
-  /// Folds another sweep into this one (drivers running several grids keep
-  /// one cumulative report). Timing series are concatenated, wall time sums.
-  void merge(const SweepReport& other);
   [[nodiscard]] std::string to_json() const;
   /// Deterministic subset of to_json(): drops the wall-clock fields (jobs,
   /// wall_seconds, trials_per_second, trial_us) and keeps name, trials,
@@ -75,9 +74,9 @@ struct SweepReport {
   [[nodiscard]] std::string to_canonical_json() const;
   /// Writes BENCH_<name>.json into $SND_BENCH_DIR (default: the working
   /// directory); returns the path, or an empty string on I/O failure.
-  std::string write_json() const;
+  [[nodiscard]] std::string write_json() const;
   /// Writes to_canonical_json() to `path`; false on I/O failure.
-  bool write_canonical(const std::string& path) const;
+  [[nodiscard]] bool write_canonical(const std::string& path) const;
 };
 
 class TrialRunner {
@@ -124,18 +123,6 @@ class TrialRunner {
         },
         report);
     return results;
-  }
-
-  /// Convenience for double-valued trials: mean/stdev aggregated in trial
-  /// order, so the statistics are bit-identical across job counts.
-  template <typename Fn>
-  util::RunningStats run_stats(std::size_t trials, std::uint64_t base_seed, Fn&& fn,
-                               SweepReport* report = nullptr) {
-    util::RunningStats stats;
-    for (const auto& value : run(trials, base_seed, fn, report)) {
-      if (value.has_value()) stats.add(*value);
-    }
-    return stats;
   }
 
  private:

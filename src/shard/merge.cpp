@@ -1,12 +1,29 @@
 #include "shard/merge.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
-#include "obs/summary.h"
-
 namespace snd::shard {
+
+void fold_records(const ShardSpec& spec, std::span<const TrialRecord> records,
+                  runner::SweepReport& report) {
+  report.name = spec.sweep_id;
+  report.trials = records.size();
+  for (const std::string& name : spec.metric_names) report.metric(name);
+  obs::TraceSummary trace;
+  for (const TrialRecord& record : records) {
+    if (record.failed) {
+      report.note_failure(record.trial, record.error);
+      continue;
+    }
+    trace.merge(record.trace);
+    for (std::size_t m = 0; m < spec.metric_names.size(); ++m) {
+      report.metric(spec.metric_names[m])
+          .add(m < record.values.size() ? record.values[m] : 0.0);
+    }
+  }
+  report.attach_trace(trace);
+}
 
 std::optional<MergeResult> merge_shards(const std::vector<std::string>& paths,
                                         std::string* error) {
@@ -45,10 +62,10 @@ std::optional<MergeResult> merge_shards(const std::vector<std::string>& paths,
   // outside their file's shard, so cross-file duplicates can only come from
   // two files claiming the same shard_index -- rejected above.)
   const std::size_t total = static_cast<std::size_t>(first.total_trials);
-  std::vector<const TrialRecord*> by_trial(total, nullptr);
+  std::vector<TrialRecord*> by_trial(total, nullptr);
   std::uint64_t present = 0;
-  for (const ShardFileData& file : files) {
-    for (const TrialRecord& record : file.records) {
+  for (ShardFileData& file : files) {
+    for (TrialRecord& record : file.records) {
       by_trial[record.trial] = &record;
       ++present;
     }
@@ -67,29 +84,12 @@ std::optional<MergeResult> merge_shards(const std::vector<std::string>& paths,
                 ") -- is a shard file absent or truncated?");
   }
 
-  // Fold in global trial order through the same code paths an unsharded
-  // driver uses, so the canonical JSON matches byte for byte.
+  // Global trial order, the order a plain run folds its own records in.
+  std::vector<TrialRecord> ordered;
+  ordered.reserve(total);
+  for (TrialRecord* record : by_trial) ordered.push_back(std::move(*record));
   MergeResult out;
-  out.report.name = first.sweep_id;
-  out.report.trials = total;
-  for (const std::string& name : first.metric_names) out.report.metric(name);
-  obs::Registry registry(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const TrialRecord& record = *by_trial[i];
-    registry.record(i, record.trace);
-    if (record.failed) {
-      ++out.report.failed;
-      if (out.report.errors.size() < runner::SweepReport::kMaxReportedErrors) {
-        out.report.errors.push_back("trial " + std::to_string(i) + ": " + record.error);
-      }
-      continue;
-    }
-    for (std::size_t m = 0; m < first.metric_names.size(); ++m) {
-      out.report.metric(first.metric_names[m])
-          .add(m < record.values.size() ? record.values[m] : 0.0);
-    }
-  }
-  out.report.attach_trace(registry.fold());
+  fold_records(first, ordered, out.report);
 
   for (std::uint32_t s = 0; s < first.shard_count; ++s) {
     const ShardFileData* file = by_shard[s];

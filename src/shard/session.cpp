@@ -1,9 +1,34 @@
 #include "shard/session.h"
 
-#include <algorithm>
+#include <exception>
 #include <ostream>
 
+#include "shard/merge.h"
+
 namespace snd::shard {
+
+namespace {
+
+/// One trial's outcome: the body's values and trace, or the message of the
+/// exception it threw.
+TrialRecord run_trial(const TrialBody& body, std::size_t trial, std::uint64_t seed) {
+  TrialRecord record;
+  record.trial = trial;
+  try {
+    TrialOutput output = body(trial, seed);
+    record.values = std::move(output.values);
+    record.trace = output.trace;
+  } catch (const std::exception& e) {
+    record.failed = true;
+    record.error = e.what();
+  } catch (...) {
+    record.failed = true;
+    record.error = "non-standard exception";
+  }
+  return record;
+}
+
+}  // namespace
 
 SessionOptions resolve_session(const util::Cli& cli) {
   SessionOptions options;
@@ -93,9 +118,27 @@ bool Session::open(std::ostream& err) {
   return true;
 }
 
-void Session::record(TrialRecord record) {
+void Session::run(runner::TrialRunner& pool, const TrialBody& body,
+                  runner::SweepReport* report) {
+  if (!options_.enabled) records_.resize(pending_.size());
+  (void)pool.run_subset(
+      pending_, spec_.base_seed,
+      [&](std::size_t trial, std::uint64_t seed) {
+        keep(run_trial(body, trial, seed), report);
+        return 0;  // the outcome lives in the record
+      },
+      report);
+  if (!options_.enabled) fold_records(spec_, records_, *report);
+}
+
+void Session::keep(TrialRecord record, runner::SweepReport* report) {
+  if (!options_.enabled) {
+    // A plain run's pending() is every trial, so trial i owns records_[i].
+    records_[record.trial] = std::move(record);
+    return;
+  }
   const std::scoped_lock lock(mutex_);
-  if (!writer_.is_open()) return;
+  if (record.failed) report->note_failure(record.trial, record.error);
   writer_.append(std::move(record));
   if (writer_.buffered() >= options_.checkpoint_every) {
     if (!writer_.checkpoint(wall_seconds())) io_error_ = true;
@@ -107,26 +150,6 @@ void Session::record(TrialRecord record) {
 double Session::wall_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count() +
          writer_.resumed_wall_seconds();
-}
-
-void Session::record_success(std::uint64_t trial, std::vector<double> values,
-                             const obs::TraceSummary& trace) {
-  if (!options_.enabled) return;
-  TrialRecord record;
-  record.trial = trial;
-  record.values = std::move(values);
-  record.trace = trace;
-  this->record(std::move(record));
-}
-
-void Session::record_failure(std::uint64_t trial, std::string message) {
-  if (!options_.enabled) return;
-  TrialRecord record;
-  record.trial = trial;
-  record.failed = true;
-  record.error = std::move(message);
-  record.values.assign(spec_.metric_names.size(), 0.0);
-  this->record(std::move(record));
 }
 
 bool Session::finish(std::ostream& err) {

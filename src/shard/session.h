@@ -1,26 +1,31 @@
-// Driver-side glue between a SweepReport-producing bench and the shard
-// farm: resolves the shared --shard/--checkpoint/--resume flag surface,
-// computes the pending trial indices (owned by this shard, minus trials
-// already checkpointed when resuming), and persists every completed trial to the
-// .sndshard checkpoint file from the worker threads.
+// The one path every trial of a sharded sweep (fig3, fig4) takes: resolves
+// the shared --shard/--checkpoint/--resume flag surface, computes the
+// pending trial indices (owned by this shard, minus trials already
+// checkpointed when resuming), runs them, and keeps every outcome as a
+// TrialRecord -- in memory for a plain run, in the .sndshard checkpoint
+// file when checkpointing.
 //
-//   shard::SessionOptions sopt = shard::resolve_session(cli);
-//   // ... cli.validate({... "shard", "checkpoint", "resume", ...}) ...
+//   shard::SessionOptions sopt;
+//   driver_spec.group(shard::session_flag_group(&sopt));
+//   // ... driver_spec.parse(argc, argv) ...
 //   shard::Session session(sopt, spec);
 //   if (!session.open(std::cerr)) return 2;
-//   pool.run_subset(session.pending(), spec.base_seed, body, &report);
+//   session.run(pool, body, &report);  // body(trial, seed) -> TrialOutput
 //   if (!session.finish(std::cerr)) return 1;
 //
-// See docs/SHARDING.md.
+// A plain run's report is folded from its records by fold_records, the
+// function shard_merge folds shard files with. See docs/SHARDING.md.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "runner/trial_runner.h"
 #include "shard/format.h"
 #include "util/cli.h"
 #include "util/driver_spec.h"
@@ -51,13 +56,23 @@ struct SessionOptions {
 
 /// The same surface as a DriverSpec flag group: declares --shard,
 /// --checkpoint, --resume, --checkpoint-every and resolves them into `*out`
-/// during parse(). Prefer this over hand-listing the flags in new drivers.
+/// during parse().
 [[nodiscard]] util::cli::FlagGroup session_flag_group(SessionOptions* out);
 
-/// One shard run of one sweep. Thread-safe recording: the runner's worker
-/// threads call record_success/record_failure concurrently; every
-/// checkpoint_every records the session flushes a self-validating chunk, so
-/// a crash loses at most the unflushed buffer.
+/// What a trial body returns. A trial that fails throws instead.
+struct TrialOutput {
+  std::vector<double> values;  ///< parallel to ShardSpec::metric_names
+  obs::TraceSummary trace;
+};
+
+/// body(trial, seed): one trial of the sweep, seeded with
+/// util::derive_seed(base_seed, trial). Called from the pool's worker
+/// threads.
+using TrialBody = std::function<TrialOutput(std::size_t trial, std::uint64_t seed)>;
+
+/// One shard run of one sweep. When checkpointing, every checkpoint_every
+/// records the session flushes a self-validating chunk, so a crash loses at
+/// most the unflushed buffer.
 class Session {
  public:
   /// `spec` carries sweep_id/total_trials/base_seed/metric_names; the shard
@@ -79,16 +94,23 @@ class Session {
   /// Trials restored from the checkpoint by open() when resuming.
   [[nodiscard]] std::size_t resumed() const { return resumed_; }
 
-  /// Persist one completed trial (values parallel to spec().metric_names).
-  void record_success(std::uint64_t trial, std::vector<double> values,
-                      const obs::TraceSummary& trace);
-  void record_failure(std::uint64_t trial, std::string message);
+  /// Runs every pending trial on `pool` and keeps its outcome as a
+  /// TrialRecord; a body that throws yields a failed record carrying the
+  /// exception's message. `report` (not null) gets the pool's timing
+  /// fields. A plain run then sets its canonical fields with fold_records
+  /// over records(); a checkpointing run writes its records to the file and
+  /// only counts their failures in `*report` (shard_merge folds the files).
+  void run(runner::TrialRunner& pool, const TrialBody& body, runner::SweepReport* report);
+
+  /// A plain run's records after run(): one per trial, in trial order.
+  /// Empty when checkpointing.
+  [[nodiscard]] const std::vector<TrialRecord>& records() const { return records_; }
 
   /// Final checkpoint + close; false (message on `err`) if any write failed.
   [[nodiscard]] bool finish(std::ostream& err);
 
  private:
-  void record(TrialRecord record);
+  void keep(TrialRecord record, runner::SweepReport* report);
   [[nodiscard]] double wall_seconds() const;
 
   SessionOptions options_;
@@ -96,7 +118,8 @@ class Session {
   std::vector<std::uint32_t> pending_;
   std::size_t resumed_ = 0;
   std::chrono::steady_clock::time_point start_;
-  std::mutex mutex_;
+  std::vector<TrialRecord> records_;
+  std::mutex mutex_;  ///< guards writer_, io_error_ and the report's failures
   ShardWriter writer_;
   bool io_error_ = false;
 };

@@ -146,7 +146,7 @@ class Network {
   [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }
   /// One-trial summary combining the always-on radio accounting (Metrics)
-  /// with the tracer's protocol counters; trials is set to 1 so Registry
+  /// with the tracer's protocol counters; trials is set to 1 so sweep
   /// folds count trials correctly.
   [[nodiscard]] obs::TraceSummary trace_summary() const;
   [[nodiscard]] const PropagationModel& propagation() const { return *propagation_; }

@@ -1,9 +1,10 @@
 // Tests for the observability pipeline: typed Metrics, drop-cause
 // accounting, the Tracer ring and sinks, the shared --log/--trace config
-// surface, and the determinism of Registry folds across worker counts.
+// surface, and the determinism of a sweep's trace fold across worker counts.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iostream>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "obs/sink.h"
 #include "obs/tracer.h"
 #include "runner/trial_runner.h"
+#include "shard/session.h"
 #include "sim/network.h"
 #include "util/cli.h"
 #include "util/log.h"
@@ -132,7 +134,6 @@ TEST(DropCauseTest, NoLinkCandidatesAreOutOfRange) {
 
 // -- Tracer ring and sinks --------------------------------------------------
 
-#if SND_TRACE
 obs::Event make_event(std::uint8_t i) {
   return obs::Event{.kind = obs::EventKind::kPhase,
                     .code = 0,
@@ -154,17 +155,28 @@ TEST(TracerTest, RingOverflowIsCountedNotSilent) {
   EXPECT_EQ(recent.back().t_ns, 5);
 }
 
+/// Counts the events it is fed.
+class ProbeSink final : public obs::Sink {
+ public:
+  void on_event(const obs::Event&) override { ++events; }
+  std::size_t events = 0;
+};
+
 TEST(TracerTest, CountersLevelSkipsRingAndSink) {
-  auto sink = std::make_shared<obs::CountingSink>();
+  auto sink = std::make_shared<ProbeSink>();
   obs::Tracer tracer(obs::TraceLevel::kCounters, sink, 4);
   for (std::uint8_t i = 0; i < 3; ++i) tracer.emit(make_event(i));
   EXPECT_EQ(tracer.events(), 3u);
   EXPECT_TRUE(tracer.recent().empty());
-  EXPECT_EQ(sink->summary().events, 0u);  // sink only fed at kEvents
+  EXPECT_EQ(sink->events, 0u);  // sink only fed at kEvents
 
   obs::TraceSummary summary;
   tracer.accumulate_into(summary);
   EXPECT_EQ(summary.node_phases[0], 3u);
+
+  tracer.set_level(obs::TraceLevel::kEvents);
+  tracer.emit(make_event(3));
+  EXPECT_EQ(sink->events, 1u);
 }
 
 TEST(TracerTest, OffLevelIsInert) {
@@ -172,28 +184,6 @@ TEST(TracerTest, OffLevelIsInert) {
   for (std::uint8_t i = 0; i < 5; ++i) tracer.emit(make_event(i));
   EXPECT_EQ(tracer.events(), 0u);
   EXPECT_FALSE(tracer.active());
-}
-
-TEST(TracerTest, CountingSinkAggregatesByKind) {
-  auto sink = std::make_shared<obs::CountingSink>();
-  obs::Tracer tracer(obs::TraceLevel::kEvents, sink, 64);
-  tracer.emit(obs::Event{.kind = obs::EventKind::kTx,
-                         .code = static_cast<std::uint8_t>(obs::Phase::kHello),
-                         .node = 1,
-                         .peer = kNoNode,
-                         .bytes = 11,
-                         .t_ns = 0});
-  tracer.emit(obs::Event{.kind = obs::EventKind::kDrop,
-                         .code = static_cast<std::uint8_t>(obs::DropCause::kLoss),
-                         .node = 2,
-                         .peer = 1,
-                         .bytes = 11,
-                         .t_ns = 1});
-  const obs::TraceSummary summary = sink->summary();
-  EXPECT_EQ(summary.tx[static_cast<std::size_t>(obs::Phase::kHello)].messages, 1u);
-  EXPECT_EQ(summary.tx[static_cast<std::size_t>(obs::Phase::kHello)].bytes, 11u);
-  EXPECT_EQ(summary.drops[static_cast<std::size_t>(obs::DropCause::kLoss)], 1u);
-  EXPECT_EQ(summary.events, 2u);
 }
 
 TEST(TracerTest, ProtocolRunEmitsLifecycleEvents) {
@@ -217,7 +207,6 @@ TEST(TracerTest, ProtocolRunEmitsLifecycleEvents) {
   EXPECT_GT(accepts, 0u);
   EXPECT_GT(summary.tx[static_cast<std::size_t>(obs::Phase::kHello)].messages, 0u);
 }
-#endif  // SND_TRACE
 
 TEST(JsonLinesSinkTest, EventSerializationMatchesDocumentedSchema) {
   const obs::Event event{.kind = obs::EventKind::kDrop,
@@ -392,9 +381,8 @@ TEST(LogSinkTest, LogLinesRouteThroughInstalledSink) {
   EXPECT_EQ(seen[0], "error: kept");
 }
 
-// -- Registry determinism ---------------------------------------------------
+// -- Trace fold determinism --------------------------------------------------
 
-#if SND_TRACE
 obs::TraceSummary traced_trial(std::uint64_t seed) {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {40.0, 40.0}};
@@ -407,18 +395,26 @@ obs::TraceSummary traced_trial(std::uint64_t seed) {
   return deployment.network().trace_summary();
 }
 
-TEST(RegistryDeterminismTest, FoldIsByteIdenticalAcrossJobCounts) {
-  constexpr std::size_t kTrials = 8;
+TEST(TraceFoldDeterminismTest, FoldIsByteIdenticalAcrossJobCounts) {
+  shard::ShardSpec spec;
+  spec.sweep_id = "traced";
+  spec.base_seed = 55;
+  spec.total_trials = 8;
   std::string baseline;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     runner::TrialRunner pool(jobs);
-    obs::Registry registry(kTrials);
-    pool.run(kTrials, /*base_seed=*/55, [&](std::size_t i, std::uint64_t seed) {
-      registry.record(i, traced_trial(seed));
-      return 0;
-    });
-    for (std::size_t i = 0; i < kTrials; ++i) EXPECT_TRUE(registry.recorded(i));
-    const std::string folded = registry.fold().to_json();
+    runner::SweepReport report;
+    shard::Session session(shard::SessionOptions{}, spec);
+    ASSERT_TRUE(session.open(std::cerr));
+    session.run(
+        pool,
+        [](std::size_t, std::uint64_t seed) {
+          return shard::TrialOutput{{}, traced_trial(seed)};
+        },
+        &report);
+    EXPECT_EQ(report.failed, 0u);
+    ASSERT_TRUE(report.has_trace);
+    const std::string folded = report.trace.to_json();
     if (baseline.empty()) {
       baseline = folded;
       EXPECT_NE(baseline.find("\"trials\":8"), std::string::npos);
@@ -426,26 +422,6 @@ TEST(RegistryDeterminismTest, FoldIsByteIdenticalAcrossJobCounts) {
       EXPECT_EQ(folded, baseline) << "jobs=" << jobs;
     }
   }
-}
-#endif  // SND_TRACE
-
-TEST(RegistryTest, IgnoresOutOfRangeSlotsAndMergesInOrder) {
-  obs::Registry registry(2);
-  obs::TraceSummary a;
-  a.trials = 1;
-  a.deliveries = 5;
-  obs::TraceSummary b;
-  b.trials = 1;
-  b.deliveries = 7;
-  registry.record(1, b);
-  registry.record(0, a);
-  registry.record(99, a);  // out of range: dropped, not fatal
-  EXPECT_TRUE(registry.recorded(0));
-  EXPECT_TRUE(registry.recorded(1));
-  EXPECT_FALSE(registry.recorded(99));
-  const obs::TraceSummary folded = registry.fold();
-  EXPECT_EQ(folded.trials, 2u);
-  EXPECT_EQ(folded.deliveries, 12u);
 }
 
 }  // namespace

@@ -4,12 +4,11 @@
 // plan, emit a FAILCASE, replay it bit-identically -- works end to end.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "proptest/oracles.h"
 #include "proptest/runner.h"
 #include "proptest/scenario.h"
 #include "proptest/shrink.h"
+#include "util/file.h"
 #include "util/rng.h"
 
 namespace snd::proptest {
@@ -365,10 +364,7 @@ TEST(ShrinkTest, PassingPlanShrinksToNothing) {
 TEST(ReplayTest, RejectsGarbageArtifacts) {
   EXPECT_FALSE(replay_failcase("/no/such/file.json").loaded);
   const std::string path = ::testing::TempDir() + "bad_failcase.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("{\"kind\":\"invariant\"}", f);
-  std::fclose(f);
+  ASSERT_TRUE(util::write_file(path, "{\"kind\":\"invariant\"}"));
   const ReplayResult result = replay_failcase(path);
   EXPECT_FALSE(result.loaded);
   EXPECT_FALSE(result.error.empty());

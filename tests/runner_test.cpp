@@ -55,7 +55,6 @@ TEST(TrialRunnerTest, ResultsBitIdenticalAcrossJobCounts) {
   const std::size_t trials = 64;
   TrialRunner serial(1);
   const auto baseline = serial.run(trials, 123, noisy_trial);
-  const util::RunningStats baseline_stats = serial.run_stats(trials, 123, noisy_trial);
 
   for (std::size_t jobs : {2, 3, 8}) {
     TrialRunner pool(jobs);
@@ -67,11 +66,6 @@ TEST(TrialRunnerTest, ResultsBitIdenticalAcrossJobCounts) {
       // a single trial's stream.
       EXPECT_EQ(*results[i], *baseline[i]) << "trial " << i << " jobs " << jobs;
     }
-    const util::RunningStats stats = pool.run_stats(trials, 123, noisy_trial);
-    EXPECT_EQ(stats.mean(), baseline_stats.mean());
-    EXPECT_EQ(stats.variance(), baseline_stats.variance());
-    EXPECT_EQ(stats.min(), baseline_stats.min());
-    EXPECT_EQ(stats.max(), baseline_stats.max());
   }
 }
 
@@ -113,17 +107,6 @@ TEST(TrialRunnerTest, ThrowingTrialDoesNotKillTheSweep) {
   }
 }
 
-TEST(TrialRunnerTest, RunStatsSkipsFailedTrials) {
-  TrialRunner pool(2);
-  const util::RunningStats stats =
-      pool.run_stats(10, 0, [](std::size_t i, std::uint64_t) -> double {
-        if (i == 0) throw std::runtime_error("boom");
-        return 1.0;
-      });
-  EXPECT_EQ(stats.count(), 9u);
-  EXPECT_EQ(stats.mean(), 1.0);
-}
-
 TEST(TrialRunnerTest, ReportCapturesTimingAndThroughput) {
   TrialRunner pool(2);
   SweepReport report;
@@ -152,21 +135,6 @@ TEST(TrialRunnerTest, ZeroTrials) {
   EXPECT_TRUE(pool.run(0, 1, noisy_trial, &report).empty());
   EXPECT_EQ(report.trials, 0u);
   EXPECT_EQ(report.trials_per_second(), 0.0);
-}
-
-TEST(SweepReportTest, MergeAccumulates) {
-  TrialRunner pool(2);
-  SweepReport a;
-  a.name = "merged";
-  pool.run(8, 1, noisy_trial, &a);
-  SweepReport b;
-  pool.run(
-      4, 2,
-      [](std::size_t, std::uint64_t) -> double { throw std::runtime_error("x"); }, &b);
-  a.merge(b);
-  EXPECT_EQ(a.trials, 12u);
-  EXPECT_EQ(a.failed, 4u);
-  EXPECT_EQ(a.trial_micros.count(), 12u);
 }
 
 TEST(SweepReportTest, JsonContainsTheHeadlineFields) {

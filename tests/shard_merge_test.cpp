@@ -1,7 +1,8 @@
-// shard::merge_shards validation and byte-identity, and the shard::Session
-// driver glue: a sweep run as N shards (with failures, checkpoints, and a
-// simulated crash + resume) must merge into a canonical report
-// byte-identical to the one an unsharded run of the same sweep produces.
+// shard::merge_shards validation and byte-identity, and shard::Session: a
+// sweep run as N shards (with failures, checkpoints, and a simulated crash +
+// resume) must merge into a canonical report byte-identical to the one a
+// plain Session run of the same sweep produces, and that report must hold
+// the trials' own scores and failures.
 #include <filesystem>
 #include <iostream>
 #include <stdexcept>
@@ -31,11 +32,15 @@ ShardSpec sweep_spec() {
 }
 
 /// The deterministic per-trial "simulation" both the sharded and unsharded
-/// paths run: a seed-derived score, with trials divisible by 9 failing.
+/// paths run: a seed-derived score, with trials 4, 13 and 22 failing.
 double trial_score(std::size_t i, std::uint64_t seed) {
   if (i % 9 == 4) throw std::runtime_error("synthetic failure " + std::to_string(i));
   util::Rng rng(seed);
   return rng.uniform() + static_cast<double>(i) * 1e-6;
+}
+
+TrialOutput score_trial(std::size_t i, std::uint64_t seed) {
+  return {{trial_score(i, seed)}, obs::TraceSummary{}};
 }
 
 std::string temp_path(const std::string& name) { return ::testing::TempDir() + name; }
@@ -52,44 +57,43 @@ SessionOptions options_for(const std::string& path, std::uint32_t index,
   return options;
 }
 
-/// Runs one shard of the sweep through a Session (the same shape the fig3 /
-/// fig4 drivers use), returning the runner's report.
-runner::SweepReport run_shard(const SessionOptions& options) {
-  runner::TrialRunner pool(2);
+/// Runs the sweep through a Session (the same path the fig3 / fig4 drivers
+/// take), returning its report.
+runner::SweepReport run_session(const SessionOptions& options, std::size_t jobs = 2) {
+  runner::TrialRunner pool(jobs);
   runner::SweepReport report;
   report.name = "merge_sweep";
   Session session(options, sweep_spec());
   EXPECT_TRUE(session.open(std::cerr));
-  (void)pool.run_subset(
-      session.pending(), kBaseSeed,
-      [&](std::size_t i, std::uint64_t seed) {
-        try {
-          const double score = trial_score(i, seed);
-          session.record_success(i, {score}, obs::TraceSummary{});
-          return score;
-        } catch (const std::exception& e) {
-          session.record_failure(i, e.what());
-          throw;
-        }
-      },
-      &report);
+  session.run(pool, score_trial, &report);
   EXPECT_TRUE(session.finish(std::cerr));
   return report;
 }
 
-/// The unsharded reference: same sweep through the plain runner path.
-std::string unsharded_canonical() {
-  runner::TrialRunner pool(2);
-  runner::SweepReport report;
-  report.name = "merge_sweep";
-  const auto values = pool.run(kTrials, kBaseSeed, trial_score, &report);
-  obs::Registry registry(kTrials);
-  report.attach_trace(registry.fold());
-  report.metric("score");
-  for (const auto& value : values) {
-    if (value.has_value()) report.metric("score").add(*value);
+/// Runs one shard of the sweep, checkpointing to options.checkpoint_path.
+void run_shard(const SessionOptions& options) { (void)run_session(options); }
+
+/// The unsharded reference: a plain Session run of the whole sweep.
+std::string unsharded_canonical() { return run_session(SessionOptions{}).to_canonical_json(); }
+
+TEST(ShardMerge, PlainRunReportHoldsTheTrialsOwnResults) {
+  // Computed from trial_score directly, not through the fold.
+  std::vector<double> scores;
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    if (i % 9 != 4) scores.push_back(trial_score(i, util::derive_seed(kBaseSeed, i)));
   }
-  return report.to_canonical_json();
+  const std::vector<std::string> errors = {"trial 4: synthetic failure 4",
+                                           "trial 13: synthetic failure 13",
+                                           "trial 22: synthetic failure 22"};
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    const runner::SweepReport report = run_session(SessionOptions{}, jobs);
+    EXPECT_EQ(report.trials, kTrials) << "jobs=" << jobs;
+    EXPECT_EQ(report.failed, 3u) << "jobs=" << jobs;
+    EXPECT_EQ(report.errors, errors) << "jobs=" << jobs;
+    ASSERT_EQ(report.metrics.size(), 1u);
+    EXPECT_EQ(report.metrics[0].first, "score");
+    EXPECT_EQ(report.metrics[0].second.values(), scores) << "jobs=" << jobs;
+  }
 }
 
 TEST(ShardMerge, ShardedRunMergesByteIdenticalToUnsharded) {

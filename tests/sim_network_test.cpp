@@ -480,7 +480,6 @@ TEST(SpatialIndexTest, SetPositionKeepsGridIdenticalToLinearScan) {
   }
 }
 
-#if SND_TRACE
 // -- Recorded event trace of a busy, hostile channel ---------------------------
 
 /// Deterministic fault hook that exercises every perturbation: by a hash of
@@ -636,7 +635,6 @@ TEST(TraceDigestTest, HostileDenseTrafficTraceMatchesRecordedDigest) {
   EXPECT_EQ(sha.finalize().hex(),
             "51479d349dda83b7181057b5de803e1abc66e76b78478a3c8c54374bc023b1a9");
 }
-#endif  // SND_TRACE
 
 TEST(MetricsTest, ResetClears) {
   Metrics metrics;

@@ -6,6 +6,7 @@
 
 #include "util/cli.h"
 #include "util/driver_spec.h"
+#include "util/file.h"
 #include "util/runtime_config.h"
 
 namespace snd::util::cli {
@@ -223,6 +224,22 @@ TEST(RuntimeConfigTest, BenchArtifactPathRespectsOverride) {
   set_runtime_config_for_testing(without_dir);
   EXPECT_EQ(bench_artifact_path("BENCH_x.json"), "BENCH_x.json");
   set_runtime_config_for_testing(saved);
+}
+
+TEST(TextFileTest, WriteThenReadRoundTripsEveryByte) {
+  const std::string path = ::testing::TempDir() + "text_file_round_trip.json";
+  // Longer than one read buffer, with quotes, escapes and a bare CR.
+  const std::string text = "{\"k\": \"a\\\"b\"}\r\n" + std::string(10000, 'x') + "\n";
+  ASSERT_TRUE(util::write_file(path, text));
+  EXPECT_EQ(util::read_file(path), text);
+  ASSERT_TRUE(util::write_file(path, ""));  // truncates
+  EXPECT_EQ(util::read_file(path), "");
+}
+
+TEST(TextFileTest, UnwritablePathFailsInsteadOfDroppingTheText) {
+  const std::string path = ::testing::TempDir() + "no_such_dir/BENCH_x.json";
+  EXPECT_FALSE(util::write_file(path, "{}\n"));
+  EXPECT_FALSE(util::read_file(path).has_value());
 }
 
 }  // namespace
