@@ -15,14 +15,19 @@
 // functional topology from scratch and asserts the incrementally-maintained
 // snapshot serializes byte-identically (--verify-rebuild, on by default;
 // exit 1 on divergence). Results go to BENCH_serve.json: QPS plus
-// us_per_query_p50/p99, us_per_event_p50/p99 (ingest latency) and
-// bootstrap.us_per_node (seed_topology wall time per node), which
-// ci/bench_trend.py picks up automatically ("us_per" keys are trend-gated).
-// A bootstrap position the service cannot index exits 2.
+// us_per_query_p50/p99, us_per_event_p50/p99 (ingest latency),
+// bootstrap.us_per_node (seed_topology wall time per node) and
+// rebuild.us_per_node (rebuild() alone, per live node; 0 when the gate is
+// skipped), which ci/bench_trend.py picks up automatically ("us_per" keys
+// are trend-gated). In-process runs also record the final snapshot's
+// directed validated_edges and tentative_edges as JSON integers, for the
+// trend step's exact count class. A bootstrap position the service cannot
+// index exits 2.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -289,17 +294,34 @@ int main(int argc, char** argv) {
   }
 
   bool equivalent = true;
+  double rebuild_us_per_node = 0.0;
   if (verify && !socket_mode) {
-    const auto start = Clock::now();
-    equivalent =
-        service.snapshot()->canonical_json() == service.rebuild()->canonical_json();
-    std::printf("equivalence gate: incremental %s rebuild (%.2f s, epoch %llu)\n",
-                equivalent ? "==" : "!=", since_ns(start) / 1e9,
+    auto start = Clock::now();
+    const auto rebuilt = service.rebuild();
+    const double rebuild_s = since_ns(start) / 1e9;
+    rebuild_us_per_node =
+        rebuild_s * 1e6 / static_cast<double>(std::max<std::size_t>(service.node_count(), 1));
+    start = Clock::now();
+    equivalent = service.snapshot()->canonical_json() == rebuilt->canonical_json();
+    std::printf("equivalence gate: incremental %s rebuild (rebuild %.2f s, comparison %.2f s, "
+                "epoch %llu)\n",
+                equivalent ? "==" : "!=", rebuild_s, since_ns(start) / 1e9,
                 static_cast<unsigned long long>(service.snapshot()->epoch()));
     if (!equivalent) {
       std::fprintf(stderr,
                    "serve_qps: FAIL: incremental snapshot diverged from rebuild\n");
     }
+  }
+
+  // Directed edge counts of the final snapshot: only an in-process run's
+  // local service has ingested the events.
+  std::string counts;
+  if (!socket_mode) {
+    const auto snapshot = service.snapshot();
+    std::size_t tentative = 0;
+    for (const auto& [id, state] : snapshot->nodes()) tentative += state->neighbors.size();
+    counts = "  \"validated_edges\": " + std::to_string(snapshot->validated_edge_count()) +
+             ",\n  \"tentative_edges\": " + std::to_string(tentative) + ",\n";
   }
 
   char json[1024];
@@ -320,17 +342,21 @@ int main(int argc, char** argv) {
                 "  \"bootstrap\": {\n"
                 "    \"us_per_node\": %.3f\n"
                 "  },\n"
+                "  \"rebuild\": {\n"
+                "    \"us_per_node\": %.3f\n"
+                "  },\n"
                 "  \"ingest\": {\n"
                 "    \"us_per_event_p50\": %.2f,\n"
                 "    \"us_per_event_p99\": %.2f\n"
                 "  },\n"
+                "%s"
                 "  \"accepted_fraction\": %.4f,\n"
                 "  \"equivalence_gate\": %s\n"
                 "}\n",
                 socket_mode ? "socket" : "inproc", queries, nodes,
                 static_cast<std::size_t>(ingest_ns.count()), wall_s, qps, p50_us, p99_us,
                 latency_ns.mean() / 1e3, bootstrap_s * 1e6 / static_cast<double>(nodes),
-                ingest_p50_us, ingest_p99_us,
+                rebuild_us_per_node, ingest_p50_us, ingest_p99_us, counts.c_str(),
                 static_cast<double>(accepted) / static_cast<double>(queries),
                 equivalent ? "true" : "false");
   const std::string path = bench_artifact_path("BENCH_serve.json");

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -58,17 +58,17 @@ std::vector<T> spliced_out(const std::vector<T>& list, std::size_t at) {
   return out;
 }
 
-/// The members of `neighbors` whose common-neighbor count (the parallel
-/// entry of `counts`) reaches `need` = t+1, built at its exact size.
+/// The members of `neighbors` whose parallel entry of `values` (a count, or
+/// a 0/1 verdict) reaches `need`, built at its exact size.
+template <typename Values>
 topology::NeighborList validated_from(const topology::NeighborList& neighbors,
-                                      const std::vector<std::uint32_t>& counts,
-                                      std::size_t need) {
-  const auto kept = std::count_if(counts.begin(), counts.end(),
-                                  [need](std::uint32_t count) { return count >= need; });
+                                      const Values& values, std::size_t need) {
+  const auto kept = std::count_if(values.begin(), values.end(),
+                                  [need](auto value) { return value >= need; });
   topology::NeighborList validated;
   validated.reserve(static_cast<std::size_t>(kept));
   for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    if (counts[i] >= need) validated.push_back(neighbors[i]);
+    if (values[i] >= need) validated.push_back(neighbors[i]);
   }
   return validated;
 }
@@ -111,6 +111,111 @@ std::uint32_t shift_common(const topology::NeighborList& neighbors,
 
 constexpr std::uint32_t kCountUp = 1;
 constexpr std::uint32_t kCountDown = ~std::uint32_t{0};
+
+using Placement = std::pair<NodeId, util::Vec2>;
+
+/// A whole world's tentative lists in slot order: slot i is the i-th node in
+/// (cell, input index) order, `origin[i]` its index in the input, and
+/// `rows[i]` its N(u) as ascending slots.
+struct Neighborhoods {
+  std::vector<std::uint32_t> origin;
+  std::vector<topology::NeighborList> rows;
+};
+
+/// The cell-sorted pass (docs/SERVICE.md, "Bootstrap", steps 2-3). It reads
+/// positions alone, through the cell arithmetic and predicate query_disc uses.
+Neighborhoods neighborhoods(std::span<const Placement> nodes, double radius) {
+  const SpatialGrid cells(radius);  // arithmetic only: holds no node
+  const std::size_t n = nodes.size();
+  Neighborhoods pass{std::vector<std::uint32_t>(n), std::vector<topology::NeighborList>(n)};
+  struct Keyed {
+    std::uint64_t key;
+    std::uint32_t index;
+  };
+  std::vector<util::Vec2> positions(n);
+  std::vector<Keyed> occupied;  // each occupied cell's key and first slot
+  {
+    std::vector<Keyed> order(n);
+    for (std::uint32_t k = 0; k < n; ++k) order[k] = {cells.cell_key(nodes[k].second), k};
+    std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
+      return a.key != b.key ? a.key < b.key : a.index < b.index;
+    });
+    for (std::uint32_t i = 0; i < n; ++i) {
+      pass.origin[i] = order[i].index;
+      positions[i] = nodes[order[i].index].second;
+      if (i == 0 || order[i].key != order[i - 1].key) occupied.push_back({order[i].key, i});
+    }
+  }
+
+  // The cell range of u's disc, as one run of slots per column, tested
+  // with the predicate query_disc uses. The nodes of a cell nearly always
+  // share a range, so its runs are looked up once.
+  const auto first_slot = [&](std::uint64_t key) {
+    const auto cell = std::lower_bound(
+        occupied.begin(), occupied.end(), key,
+        [](const Keyed& entry, std::uint64_t wanted) { return entry.key < wanted; });
+    return cell != occupied.end() ? cell->index : static_cast<std::uint32_t>(n);
+  };
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
+  std::optional<SpatialGrid::CellRange> runs_of;
+  topology::NeighborList found;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const SpatialGrid::CellRange range = cells.disc_cells(positions[i], radius);
+    if (range != runs_of) {
+      runs.clear();
+      for (std::int64_t cx = range.x_lo; cx <= range.x_hi; ++cx) {
+        runs.emplace_back(first_slot(SpatialGrid::cell_key(cx, range.y_lo)),
+                          first_slot(SpatialGrid::cell_key(cx, range.y_hi + 1)));
+      }
+      runs_of = range;
+    }
+    found.clear();
+    for (const auto& [begin, end] : runs) {
+      for (std::uint32_t j = begin; j < end; ++j) {
+        if (j != i && SpatialGrid::in_range(positions[i], positions[j], radius)) {
+          found.push_back(j);
+        }
+      }
+    }
+    pass.rows[i].assign(found.begin(), found.end());
+  }
+  return pass;
+}
+
+/// The last step of both whole-world derivations: one NodeState per slot,
+/// filled into the map by ascending id (a repeated id keeps only one). Each
+/// row turns into ids in place, sorted by id together with its values
+/// (`values(i)`: slot i's counts or verdicts), and the validated list keeps
+/// the members whose value reaches `need`.
+template <typename Values>
+Snapshot::NodeMap build_states(std::span<const Placement> nodes, Neighborhoods& pass,
+                               Values values, std::size_t need) {
+  const std::size_t n = nodes.size();
+  std::vector<NodeId> ids(n);           // by slot
+  std::vector<std::uint64_t> by_id(n);  // (id, slot), ascending
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ids[i] = nodes[pass.origin[i]].first;
+    by_id[i] = std::uint64_t{ids[i]} << 32 | i;
+  }
+  std::sort(by_id.begin(), by_id.end());
+  Snapshot::NodeMap map;
+  std::vector<std::pair<NodeId, std::uint32_t>> entries;
+  for (const std::uint64_t key : by_id) {
+    const auto i = static_cast<std::uint32_t>(key);
+    topology::NeighborList& row = pass.rows[i];
+    const auto row_values = values(i);
+    entries.clear();
+    for (std::size_t k = 0; k < row.size(); ++k) entries.emplace_back(ids[row[k]], row_values[k]);
+    std::sort(entries.begin(), entries.end());
+    for (std::size_t k = 0; k < row.size(); ++k) std::tie(row[k], row_values[k]) = entries[k];
+    NodeState state;
+    state.position = nodes[pass.origin[i]].second;
+    state.validated = validated_from(row, row_values, need);
+    state.neighbors = std::move(row);
+    map.insert_or_assign(ids[i], std::make_shared<const NodeState>(std::move(state)));
+  }
+  return map;
+}
 
 }  // namespace
 
@@ -194,26 +299,6 @@ topology::NeighborList ValidationService::derive_neighbors(NodeId id,
   const auto self = std::lower_bound(neighbors.begin(), neighbors.end(), id);
   if (self != neighbors.end() && *self == id) neighbors.erase(self);
   return neighbors;
-}
-
-topology::NeighborList ValidationService::derive_validated(
-    NodeId id, const Snapshot::NodeMap& nodes) const {
-  const auto* state = nodes.find(id);
-  topology::NeighborList validated;
-  if (state == nullptr) return validated;
-  const topology::NeighborList& mine = (*state)->neighbors;
-  for (const NodeId other : mine) {
-    const auto* peer = nodes.find(other);
-    if (peer == nullptr) continue;
-    if (core::meets_threshold(mine, (*peer)->neighbors, config_.threshold_t)) {
-      validated.push_back(other);
-    }
-  }
-  return validated;  // `mine` is sorted, so validated is too
-}
-
-NodeState ValidationService::clone_state(const Snapshot::NodeMap& nodes, NodeId id) {
-  return **nodes.find(id);
 }
 
 ApplyResult ValidationService::apply_locked(const TopologyEvent& event,
@@ -379,8 +464,8 @@ std::size_t ValidationService::apply_all(std::span<const TopologyEvent> events) 
   return applied;
 }
 
-ApplyResult ValidationService::seed_topology(
-    std::span<const std::pair<NodeId, util::Vec2>> nodes) {
+ApplyResult ValidationService::seed_topology(std::span<const Placement> nodes) {
+  if (map_->size() != 0) return ApplyResult::failure("seed: the service is not empty");
   for (const auto& [id, position] : nodes) {
     if (!grid_.indexable(position)) {
       return ApplyResult::failure("seed: node " + std::to_string(id) +
@@ -388,72 +473,12 @@ ApplyResult ValidationService::seed_topology(
     }
   }
   const std::size_t n = nodes.size();
-  const double radius = config_.radio_range;
-
-  // Slot i is the i-th node in (cell, input index) order: `origin[i]` is its
-  // index in `nodes`, `ids[i]` its id, and `rows[i]` becomes N(u) as
-  // ascending slots.
-  std::vector<std::uint32_t> origin(n);
-  std::vector<NodeId> ids(n);
-  std::vector<topology::NeighborList> rows(n);
-  {
-    struct Keyed {
-      std::uint64_t key;
-      std::uint32_t index;
-    };
-    std::vector<util::Vec2> positions(n);
-    std::vector<Keyed> cells;  // each occupied cell's key and first slot
-    {
-      std::vector<Keyed> order(n);
-      for (std::uint32_t k = 0; k < n; ++k) order[k] = {grid_.cell_key(nodes[k].second), k};
-      std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
-        return a.key != b.key ? a.key < b.key : a.index < b.index;
-      });
-      for (std::uint32_t i = 0; i < n; ++i) {
-        origin[i] = order[i].index;
-        std::tie(ids[i], positions[i]) = nodes[origin[i]];
-        grid_.insert(ids[i], positions[i]);
-        if (i == 0 || order[i].key != order[i - 1].key) cells.push_back({order[i].key, i});
-      }
-    }
-
-    // The cell range of u's disc, as one run of slots per column, tested
-    // with the predicate query_disc uses. The nodes of a cell nearly always
-    // share a range, so its runs are looked up once.
-    const auto first_slot = [&](std::uint64_t key) {
-      const auto cell = std::lower_bound(
-          cells.begin(), cells.end(), key,
-          [](const Keyed& entry, std::uint64_t wanted) { return entry.key < wanted; });
-      return cell != cells.end() ? cell->index : static_cast<std::uint32_t>(n);
-    };
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> runs;
-    std::optional<SpatialGrid::CellRange> runs_of;
-    topology::NeighborList found;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const SpatialGrid::CellRange range = grid_.disc_cells(positions[i], radius);
-      if (range != runs_of) {
-        runs.clear();
-        for (std::int64_t cx = range.x_lo; cx <= range.x_hi; ++cx) {
-          runs.emplace_back(first_slot(SpatialGrid::cell_key(cx, range.y_lo)),
-                            first_slot(SpatialGrid::cell_key(cx, range.y_hi + 1)));
-        }
-        runs_of = range;
-      }
-      found.clear();
-      for (const auto& [begin, end] : runs) {
-        for (std::uint32_t j = begin; j < end; ++j) {
-          if (j != i && SpatialGrid::in_range(positions[i], positions[j], radius)) {
-            found.push_back(j);
-          }
-        }
-      }
-      rows[i].assign(found.begin(), found.end());
-    }
-  }
+  Neighborhoods pass = neighborhoods(nodes, config_.radio_range);
 
   // One intersection per undirected edge (i, j), i < j, written into both
   // count rows. N(·) is symmetric and i runs upward, so row j's entries
   // below j are written in order: `filled[j]` so far, and the next is i.
+  const std::vector<topology::NeighborList>& rows = pass.rows;
   std::vector<std::vector<std::uint32_t>> counts(n);
   for (std::uint32_t i = 0; i < n; ++i) counts[i].resize(rows[i].size());
   {
@@ -470,33 +495,25 @@ ApplyResult ValidationService::seed_topology(
     }
   }
 
-  // Each row and its counts turn into ids in place, sorted by id together;
-  // each NodeState is built once, and the node map filled by ascending id.
-  std::vector<std::uint32_t> by_id(n);
-  std::iota(by_id.begin(), by_id.end(), 0u);
-  std::sort(by_id.begin(), by_id.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return ids[a] < ids[b]; });
-  const std::size_t need = config_.threshold_t + 1;
-  Snapshot::NodeMap map;
-  counts_.reserve(counts_.size() + n);
-  std::vector<std::pair<NodeId, std::uint32_t>> entries;
-  for (const std::uint32_t i : by_id) {
-    topology::NeighborList& row = rows[i];
-    std::vector<std::uint32_t>& row_counts = counts[i];
-    entries.clear();
-    for (std::size_t k = 0; k < row.size(); ++k) entries.emplace_back(ids[row[k]], row_counts[k]);
-    std::sort(entries.begin(), entries.end());
-    for (std::size_t k = 0; k < row.size(); ++k) std::tie(row[k], row_counts[k]) = entries[k];
-    NodeState state;
-    state.position = nodes[origin[i]].second;
-    state.validated = validated_from(row, row_counts, need);
-    state.neighbors = std::move(row);
-    map.insert_or_assign(ids[i], std::make_shared<const NodeState>(std::move(state)));
-    counts_.insert_or_assign(ids[i], std::move(row_counts));
+  Snapshot::NodeMap map = build_states(
+      nodes, pass, [&](std::uint32_t i) { return std::span(counts[i]); }, config_.threshold_t + 1);
+  if (map.size() != n) {  // a repeated id: nothing has changed yet
+    std::unordered_set<NodeId> seen;
+    for (const auto& [id, position] : nodes) {
+      if (!seen.insert(id).second) {
+        return ApplyResult::failure("seed: node " + std::to_string(id) + " listed twice");
+      }
+    }
+  }
+  counts_.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto& [id, position] = nodes[pass.origin[i]];
+    grid_.insert(id, position);
+    counts_.insert_or_assign(id, std::move(counts[i]));
   }
   if (config_.master_key.present()) {
-    std::vector<NodeId> ascending(n);
-    for (std::size_t k = 0; k < n; ++k) ascending[k] = ids[by_id[k]];
+    std::vector<NodeId> ascending;
+    for (const auto& [id, state] : map) ascending.push_back(id);
     refresh_commitments(ascending, map);
   }
   publish(std::move(map));
@@ -514,22 +531,37 @@ std::shared_ptr<const Snapshot> ValidationService::snapshot() const {
 }
 
 std::shared_ptr<const Snapshot> ValidationService::rebuild() const {
-  Snapshot::NodeMap map;
-  for (const auto& [id, live] : *map_) {
-    auto state = std::make_shared<NodeState>();
-    state->position = live->position;
-    state->neighbors = derive_neighbors(id, live->position);
-    map.insert_or_assign(id, std::move(state));
+  // The live (id, position) pairs, by id, are all it reads: no list, count,
+  // grid cell or commitment that ingestion maintains.
+  std::vector<Placement> live;
+  live.reserve(map_->size());
+  for (const auto& [id, state] : *map_) live.emplace_back(id, state->position);
+  const std::size_t n = live.size();
+  Neighborhoods pass = neighborhoods(live, config_.radio_range);
+
+  // One threshold verdict per undirected edge (i, j), i < j, written as a bit
+  // into both rows' entries at each row's offset, as seed_topology's counts.
+  std::vector<std::size_t> offset(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) offset[i + 1] = offset[i] + pass.rows[i].size();
+  std::vector<bool> verdicts(offset[n]);
+  std::vector<std::uint32_t> filled(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const topology::NeighborList& row = pass.rows[i];
+    for (std::size_t k = filled[i]; k < row.size(); ++k) {
+      const std::uint32_t j = row[k];
+      verdicts[offset[i] + k] = verdicts[offset[j] + filled[j]++] =
+          core::meets_threshold(row, pass.rows[j], config_.threshold_t);
+    }
   }
-  for (const auto& [id, live] : *map_) {
-    topology::NeighborList validated = derive_validated(id, map);
-    NodeState next = clone_state(map, id);
-    next.validated = std::move(validated);
-    map.insert_or_assign(id, std::make_shared<const NodeState>(std::move(next)));
-  }
+
+  std::vector<std::uint8_t> unpacked;  // the row being built's verdicts
+  const auto row_verdicts = [&](std::uint32_t i) {
+    unpacked.assign(verdicts.begin() + offset[i], verdicts.begin() + offset[i + 1]);
+    return std::span(unpacked);
+  };
   return std::make_shared<const Snapshot>(
       epoch_, config_.threshold_t, config_.radio_range,
-      std::make_shared<const Snapshot::NodeMap>(std::move(map)));
+      std::make_shared<const Snapshot::NodeMap>(build_states(live, pass, row_verdicts, 1)));
 }
 
 void ValidationService::publish(Snapshot::NodeMap nodes) {

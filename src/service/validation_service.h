@@ -34,10 +34,12 @@
 // Everything else is structurally shared with the previous epoch: the node
 // map is a persistent radix trie, so starting an epoch copies nothing and
 // each changed node copies only its trie path -- O(|disc| · height) per
-// event, whatever the node count. rebuild() recomputes the world from
-// scratch with the threshold predicate, using no counts; the equivalence
-// suite asserts both paths serialize byte-identically after arbitrary event
-// sequences, and that every count row matches a recount.
+// event, whatever the node count. rebuild() recomputes the world from the
+// live positions alone, through seed_topology's cell-sorted pass and the
+// threshold predicate, reading no grid, count or commitment. The
+// equivalence suite asserts both paths serialize byte-identically after
+// arbitrary event sequences, that every count row matches a recount, and
+// that seed and rebuild match a brute-force all-pairs derivation.
 //
 // ## Concurrency
 //
@@ -165,9 +167,10 @@ class ValidationService {
   /// Bulk bootstrap: deploys all nodes and publishes one epoch. One pass
   /// over the nodes sorted by grid cell derives every tentative list, and
   /// each common-neighbor count is computed once per undirected edge --
-  /// O(n log n + Σ deg²). Requires distinct ids; call on an empty service.
-  /// Fails, changing nothing, when a position fails SpatialGrid::indexable;
-  /// the error names the first such node.
+  /// O(n log n + Σ deg²). Fails, changing nothing, on a service that is not
+  /// empty, when a position fails SpatialGrid::indexable (the error names
+  /// the first such node), or when an id appears twice (it names the first
+  /// repeat in input order).
   ApplyResult seed_topology(std::span<const std::pair<NodeId, util::Vec2>> nodes);
 
   /// Current snapshot; never null, safe to call from any thread and to
@@ -179,9 +182,11 @@ class ValidationService {
     return snapshot()->validate(u, v);
   }
 
-  /// From-scratch recomputation of the current world (same epoch number),
-  /// ignoring all incrementally-maintained lists. The equivalence gate
-  /// asserts snapshot()->canonical_json() == rebuild()->canonical_json().
+  /// From-scratch recomputation of the current world (same epoch number)
+  /// from the live (id, position) pairs alone, through seed_topology's
+  /// cell-sorted pass and core::meets_threshold (once per undirected edge);
+  /// it reads no maintained list, grid, count or commitment. The
+  /// equivalence gate asserts snapshot()->canonical_json() == rebuild()->canonical_json().
   [[nodiscard]] std::shared_ptr<const Snapshot> rebuild() const;
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
@@ -209,13 +214,6 @@ class ValidationService {
   /// Tentative list for `id`: live nodes within R, excluding `id` itself.
   [[nodiscard]] topology::NeighborList derive_neighbors(NodeId id,
                                                         util::Vec2 position) const;
-  /// Validated list for `id` given the current tentative lists in `nodes`,
-  /// by the threshold predicate alone (rebuild()'s reference path).
-  [[nodiscard]] topology::NeighborList derive_validated(
-      NodeId id, const Snapshot::NodeMap& nodes) const;
-
-  /// Clones nodes[id] (which must exist) for mutation.
-  [[nodiscard]] static NodeState clone_state(const Snapshot::NodeMap& nodes, NodeId id);
 
   ApplyResult apply_locked(const TopologyEvent& event, Snapshot::NodeMap& nodes);
   void publish(Snapshot::NodeMap nodes);

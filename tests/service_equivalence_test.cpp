@@ -3,16 +3,21 @@
 // from-scratch rebuild of the same world. This is what licenses the
 // R-disc locality optimization in ValidationService::apply_locked -- if the
 // affected-region bound were ever too tight, these tests would diverge.
+// seed_topology and rebuild() derive N(u) through one cell-sorted pass, so
+// both are also held to a brute-force all-pairs derivation that shares no
+// cell arithmetic with that pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/validation.h"
 #include "fault/plan.h"
 #include "service/events.h"
 #include "service/validation_service.h"
@@ -73,6 +78,52 @@ std::vector<NodeId> ids_of(const std::vector<std::pair<NodeId, util::Vec2>>& nod
   return ids;
 }
 
+/// The world `nodes` (distinct ids) by brute force: SpatialGrid::in_range
+/// over every pair, with no cells, then core::meets_threshold on the
+/// resulting lists. It shares no cell arithmetic with seed_topology or
+/// rebuild().
+Snapshot brute_force(std::vector<std::pair<NodeId, util::Vec2>> nodes, double radius,
+                     std::size_t t) {
+  std::sort(nodes.begin(), nodes.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<topology::NeighborList> lists(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = 0; j < nodes.size(); ++j) {
+      if (j != i && SpatialGrid::in_range(nodes[i].second, nodes[j].second, radius)) {
+        lists[i].push_back(nodes[j].first);
+      }
+    }
+  }
+  Snapshot::NodeMap map;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    auto state = std::make_shared<NodeState>();
+    state->position = nodes[i].second;
+    for (const NodeId other : lists[i]) {
+      const auto j = static_cast<std::size_t>(
+          std::lower_bound(nodes.begin(), nodes.end(), other,
+                           [](const auto& node, NodeId id) { return node.first < id; }) -
+          nodes.begin());
+      if (core::meets_threshold(lists[i], lists[j], t)) state->validated.push_back(other);
+    }
+    state->neighbors = lists[i];
+    map.insert_or_assign(nodes[i].first, std::move(state));
+  }
+  return Snapshot(0, t, radius, std::make_shared<const Snapshot::NodeMap>(std::move(map)));
+}
+
+/// The snapshot and rebuild() both equal the brute-force derivation of the
+/// service's live (id, position) pairs.
+void expect_brute_force(const ValidationService& service, const std::string& context) {
+  const auto snapshot = service.snapshot();
+  std::vector<std::pair<NodeId, util::Vec2>> live;
+  for (const auto& [id, state] : snapshot->nodes()) live.emplace_back(id, state->position);
+  const std::string expected =
+      brute_force(live, service.config().radio_range, service.config().threshold_t)
+          .canonical_json();
+  ASSERT_EQ(snapshot->canonical_json(), expected) << context << ": snapshot";
+  ASSERT_EQ(service.rebuild()->canonical_json(), expected) << context << ": rebuild()";
+}
+
 TEST(ServiceEquivalenceTest, SeededTopologyMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {200.0, 200.0}};
   ValidationService service({.radio_range = 25.0, .threshold_t = 2});
@@ -93,6 +144,8 @@ TEST(ServiceEquivalenceTest, RandomizedSequencesMatchRebuild) {
       ASSERT_TRUE(service.apply(event).ok);
     }
     expect_equivalent(service, "after randomized per-event ingestion");
+    expect_brute_force(service, "after randomized per-event ingestion, seed " +
+                                    std::to_string(seed));
   }
 }
 
@@ -352,6 +405,24 @@ TEST(ServiceEquivalenceTest, BulkSeedMatchesIndependentDerivations) {
       ASSERT_EQ(deployed.apply_all(deploys), deploys.size()) << context;
       ASSERT_EQ(seeded.snapshot()->canonical_json(), deployed.snapshot()->canonical_json())
           << context;
+    }
+  }
+}
+
+// seed_topology and rebuild() derive N(u) through one pass, so comparing
+// them cannot catch a cell-range bug in it; the brute-force derivation can.
+TEST(ServiceEquivalenceTest, BulkSeedAndRebuildMatchBruteForce) {
+  for (const BootstrapCase& input : bootstrap_cases()) {
+    std::size_t largest = 0;
+    const Snapshot probe = brute_force(input.nodes, input.radius, 0);
+    for (const auto& [id, state] : probe.nodes()) {
+      largest = std::max(largest, state->neighbors.size());
+    }
+    for (const std::size_t t : {std::size_t{0}, std::size_t{1}, std::size_t{5}, largest + 1}) {
+      const std::string context = input.name + " t=" + std::to_string(t);
+      ValidationService seeded({.radio_range = input.radius, .threshold_t = t});
+      ASSERT_TRUE(seeded.seed_topology(input.nodes).ok) << context;
+      expect_brute_force(seeded, context);
     }
   }
 }

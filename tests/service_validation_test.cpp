@@ -317,6 +317,66 @@ TEST(ServicePositionTest, SeedWithAnUnindexablePositionChangesNothing) {
   EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
 }
 
+using Bootstrap = std::vector<std::pair<NodeId, util::Vec2>>;
+
+ServiceConfig keyed_range10_config() {
+  return {.radio_range = 10.0, .threshold_t = 0,
+          .master_key = crypto::SymmetricKey::from_seed(0x5eed)};
+}
+
+TEST(ServiceSeedTest, RepeatedIdChangesNothing) {
+  ValidationService service(keyed_range10_config());
+  const std::string empty = service.snapshot()->canonical_json();
+  const ApplyResult result = service.seed_topology(
+      Bootstrap{{1, {0.0, 0.0}}, {2, {1.0, 0.0}}, {1, {2.0, 0.0}}, {3, {3.0, 0.0}}});
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("node 1 listed twice"), std::string::npos) << result.error;
+  EXPECT_EQ(service.snapshot()->canonical_json(), empty);
+  EXPECT_EQ(service.snapshot()->epoch(), 0u);
+  EXPECT_EQ(service.node_count(), 0u);
+  EXPECT_EQ(service.common_counts(1), nullptr);
+  EXPECT_EQ(service.commitment_count(), 0u);
+
+  // The first repeat in input order, not the least repeated id.
+  const ApplyResult later = service.seed_topology(
+      Bootstrap{{5, {0.0, 0.0}}, {7, {1.0, 0.0}}, {7, {2.0, 0.0}}, {5, {3.0, 0.0}}});
+  EXPECT_FALSE(later.ok);
+  EXPECT_NE(later.error.find("node 7 listed twice"), std::string::npos) << later.error;
+  EXPECT_EQ(service.snapshot()->canonical_json(), empty);
+
+  // The grid holds none of them: a deploy where they were finds no neighbor.
+  ASSERT_TRUE(service.apply(TopologyEvent::deploy(4, {1.5, 0.0})).ok);
+  EXPECT_TRUE(service.snapshot()->find(4)->neighbors.empty());
+  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+}
+
+TEST(ServiceSeedTest, NonEmptyServiceChangesNothing) {
+  ValidationService service(keyed_range10_config());
+  ASSERT_TRUE(service.seed_topology(Bootstrap{{1, {0.0, 0.0}}, {2, {1.0, 0.0}}}).ok);
+  const std::string before = service.snapshot()->canonical_json();
+  const std::vector<std::uint32_t> counts = *service.common_counts(1);
+  const crypto::Digest commitment = *service.binding_commitment_of(1);
+
+  for (const bool empty_input : {false, true}) {
+    const Bootstrap nodes = empty_input ? Bootstrap{} : Bootstrap{{3, {2.0, 0.0}}};
+    const ApplyResult result = service.seed_topology(nodes);
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("not empty"), std::string::npos) << result.error;
+    EXPECT_EQ(service.snapshot()->canonical_json(), before);
+    EXPECT_EQ(service.snapshot()->epoch(), 1u);
+    EXPECT_EQ(service.node_count(), 2u);
+    EXPECT_EQ(*service.common_counts(1), counts);
+    EXPECT_EQ(service.common_counts(3), nullptr);
+    EXPECT_EQ(service.commitment_count(), 2u);
+    EXPECT_EQ(*service.binding_commitment_of(1), commitment);
+  }
+
+  // The grid still holds exactly nodes 1 and 2.
+  ASSERT_TRUE(service.apply(TopologyEvent::deploy(4, {2.0, 0.0})).ok);
+  EXPECT_EQ(service.snapshot()->find(4)->neighbors, (topology::NeighborList{1, 2}));
+  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+}
+
 // -- Commitment maintenance --------------------------------------------------
 
 /// Every live node's maintained commitment must equal the scalar
