@@ -5,8 +5,9 @@
 // complete on one machine with a bounded footprint -- and the BENCH_scale.json
 // artifact feeds the CI bench-trend gate: the us_per_node series is a
 // tracked "us_per" cost (lower is better), and the integer work counts
-// (events, deliveries, functional edges, sift steps, candidates) are
-// deterministic, so CI compares them with the baseline exactly.
+// (events, deliveries, functional edges, sift steps, candidates) and the
+// footprint count (node_bytes) are deterministic, so CI compares them with
+// the baseline exactly.
 //
 // Field sizing: a unit-disk radio of range R on a side-L square field gives
 // mean degree ~ n*pi*R^2/L^2, so L = R*sqrt(n*pi/degree) holds the degree
@@ -45,6 +46,11 @@ struct ScaleResult {
   /// and receiver candidates the channel tested.
   std::uint64_t sift_steps = 0;
   std::uint64_t candidates = 0;
+  /// Deterministic footprint once the run has drained, per node: every
+  /// agent's bytes (SndNode::footprint_bytes) plus the network's slabs and
+  /// per-device arrays (Network::footprint_bytes), divided by n. Unlike
+  /// peak RSS it does not depend on the allocator or the host.
+  std::uint64_t node_bytes = 0;
 };
 
 /// Peak resident set of this process, MB. ru_maxrss is kilobytes on Linux.
@@ -80,10 +86,13 @@ ScaleResult run_scale(std::size_t nodes, double degree, std::uint64_t seed) {
     result.sift_steps = deployment.network().scheduler().sift_steps();
     result.candidates = deployment.network().metrics().candidates();
     std::uint64_t edges = 0;
+    std::uint64_t bytes = deployment.network().footprint_bytes();
     for (const core::SndNode* agent : deployment.agents()) {
       edges += agent->functional_neighbors().size();
+      bytes += agent->footprint_bytes();
     }
     result.functional_edges = edges;
+    result.node_bytes = bytes / nodes;
   }
   result.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
   result.us_per_node = result.wall_s / static_cast<double>(nodes) * 1e6;
@@ -135,14 +144,15 @@ int main(int argc, char** argv) {
     results.push_back(r);
     std::printf("%9zu nodes: %8.2f s wall, %7.2f us/node, peak RSS %8.1f MB, "
                 "%llu events, %llu deliveries, %llu functional edges, "
-                "%llu sift steps, %llu candidates\n",
+                "%llu sift steps, %llu candidates, %llu bytes/node\n",
                 r.nodes, r.wall_s, r.us_per_node, r.peak_rss_mb,
                 static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.deliveries),
                 static_cast<unsigned long long>(r.functional_edges),
                 static_cast<unsigned long long>(r.sift_steps),
-                static_cast<unsigned long long>(r.candidates));
-    char entry[640];
+                static_cast<unsigned long long>(r.candidates),
+                static_cast<unsigned long long>(r.node_bytes));
+    char entry[704];
     std::snprintf(entry, sizeof(entry),
                   "%s    {\n"
                   "      \"nodes\": %zu,\n"
@@ -154,14 +164,16 @@ int main(int argc, char** argv) {
                   "      \"deliveries\": %llu,\n"
                   "      \"functional_edges\": %llu,\n"
                   "      \"sift_steps\": %llu,\n"
-                  "      \"candidates\": %llu\n"
+                  "      \"candidates\": %llu,\n"
+                  "      \"node_bytes\": %llu\n"
                   "    }",
                   deployments.empty() ? "" : ",\n", r.nodes, r.wall_s, r.us_per_node,
                   r.peak_rss_mb, static_cast<unsigned long long>(r.events),
                   static_cast<unsigned long long>(r.deliveries),
                   static_cast<unsigned long long>(r.functional_edges),
                   static_cast<unsigned long long>(r.sift_steps),
-                  static_cast<unsigned long long>(r.candidates));
+                  static_cast<unsigned long long>(r.candidates),
+                  static_cast<unsigned long long>(r.node_bytes));
     deployments += entry;
   }
 

@@ -13,8 +13,9 @@
 //
 // After the run (in-process mode) the equivalence gate rebuilds the
 // functional topology from scratch and asserts the incrementally-maintained
-// snapshot serializes byte-identically (--verify-rebuild, on by default;
-// exit 1 on divergence). Results go to BENCH_serve.json: QPS plus
+// snapshot equals it, as Snapshot::first_difference decides without
+// serializing either (--verify-rebuild, on by default; exit 1 naming the
+// first differing node). Results go to BENCH_serve.json: QPS plus
 // us_per_query_p50/p99, us_per_event_p50/p99 (ingest latency),
 // bootstrap.us_per_node (seed_topology wall time per node) and
 // rebuild.us_per_node (rebuild() alone, per live node; 0 when the gate is
@@ -302,14 +303,17 @@ int main(int argc, char** argv) {
     rebuild_us_per_node =
         rebuild_s * 1e6 / static_cast<double>(std::max<std::size_t>(service.node_count(), 1));
     start = Clock::now();
-    equivalent = service.snapshot()->canonical_json() == rebuilt->canonical_json();
+    const auto difference = service.snapshot()->first_difference(*rebuilt);
+    equivalent = !difference;
     std::printf("equivalence gate: incremental %s rebuild (rebuild %.2f s, comparison %.2f s, "
                 "epoch %llu)\n",
                 equivalent ? "==" : "!=", rebuild_s, since_ns(start) / 1e9,
                 static_cast<unsigned long long>(service.snapshot()->epoch()));
-    if (!equivalent) {
+    if (difference) {
       std::fprintf(stderr,
-                   "serve_qps: FAIL: incremental snapshot diverged from rebuild\n");
+                   "serve_qps: FAIL: incremental snapshot diverged from rebuild: %s "
+                   "(incremental vs rebuild)\n",
+                   difference->c_str());
     }
   }
 

@@ -128,8 +128,9 @@ void MaliciousAgent::serve_record_to(NodeId requester) {
 }
 
 void MaliciousAgent::try_creep_update(NodeId new_node) {
+  // No client-side copy of §4.4's version cap: the attacker asks at every
+  // version, so the K-holding server's own check is what stops it at m.
   if (!secrets_.record || protocol_config_.max_updates == 0) return;
-  if (secrets_.record->version >= protocol_config_.max_updates) return;
 
   core::UpdateRequestPayload request{*secrets_.record, {}};
   for (const auto& [issuer, digest] : evidence_buffer_) {

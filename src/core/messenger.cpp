@@ -68,7 +68,7 @@ void Messenger::transmit_authenticated(NodeId to, std::uint8_t type,
 bool Messenger::send(NodeId to, std::uint8_t type, const util::Bytes& payload,
                      obs::Phase phase) {
   const crypto::PairKeyCache::Entry& entry = key_cache_.get(to);
-  if (!entry.key.present()) return false;
+  if (!entry.present()) return false;
   const std::uint64_t nonce = ++nonce_counter_;
   crypto::Sha256 inner = entry.mac.inner_context();
   mac_absorb(inner, identity_, to, type, payload, nonce);
@@ -99,7 +99,7 @@ std::size_t Messenger::send_many(std::span<const Outgoing> messages) {
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const Outgoing& m = messages[i];
     const crypto::PairKeyCache::Entry& entry = key_cache_.get(m.to);
-    if (!entry.key.present()) continue;  // skipped without a nonce, like send() == false
+    if (!entry.present()) continue;  // skipped without a nonce, like send() == false
     const std::uint64_t nonce = ++nonce_counter_;
     crypto::HashBatch::Job job = inner.add(entry.mac.inner_context());
     mac_absorb(job, identity_, m.to, m.type, m.payload, nonce);
@@ -146,7 +146,7 @@ std::optional<std::span<const std::uint8_t>> Messenger::open(const sim::Packet& 
   if (!nonce || !mac) return std::nullopt;
 
   const crypto::PairKeyCache::Entry& entry = key_cache_.get(packet.src);
-  if (!entry.key.present()) return std::nullopt;
+  if (!entry.present()) return std::nullopt;
   crypto::Sha256 inner = entry.mac.inner_context();
   mac_absorb(inner, packet.src, identity_, packet.type, payload, *nonce);
   const crypto::ShortMac expected = entry.mac.finish_short(std::move(inner));

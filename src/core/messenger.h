@@ -8,10 +8,11 @@
 // rather than per-session counters, because a replica legitimately re-keys
 // the same identity from a different radio.
 //
-// Hot path: pairwise keys and their HMAC midstates are memoized per peer
-// (crypto::PairKeyCache) and the MAC input is streamed straight into the
-// hash context, so a steady-state send()/open() does no key derivation and
-// no heap allocation. The tag is HMAC(K_uv, u32 src | u32 dst | u8 type |
+// Hot path: the HMAC midstates of each peer's pairwise key are memoized
+// (crypto::PairKeyCache, one probe per lookup; the key itself is not kept)
+// and the MAC input is streamed straight into the hash context, so a
+// steady-state send()/open() does no key derivation and no heap
+// allocation. The tag is HMAC(K_uv, u32 src | u32 dst | u8 type |
 // u16 len | payload | u64 nonce) truncated to crypto::kShortMacSize bytes;
 // tests/core_messenger_test.cpp checks it against crypto::short_mac over
 // those bytes framed independently.
@@ -98,6 +99,12 @@ class Messenger {
   /// Number of (peer, sender-device) replay windows held. Each is O(1)
   /// memory, so this -- not the message count -- bounds replay state.
   [[nodiscard]] std::size_t replay_window_count() const { return replay_windows_.size(); }
+
+  /// Heap bytes held by the pairwise-key cache and the replay windows
+  /// (capacity × element size).
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    return key_cache_.footprint_bytes() + replay_windows_.footprint_bytes();
+  }
 
   /// Messages that authenticated but were rejected by the replay window
   /// (also charged to obs::DropCause::kReplay on the network's metrics).

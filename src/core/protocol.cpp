@@ -170,25 +170,24 @@ void SndNode::on_hello_ack(const sim::Packet& packet) { consider_tentative(packe
 
 void SndNode::consider_tentative(const sim::Packet& packet) {
   if (!started_ || discovery_complete_) return;
-  if (topology::contains(tentative_, packet.src)) return;
   // Direct verification is a (potentially expensive) challenge-response:
   // it runs once per candidate identity and the verdict is remembered, not
-  // re-rolled for every overheard packet.
-  const bool* cached = verification_cache_.find(packet.src);
-  bool accepted;
-  if (cached != nullptr) {
-    accepted = *cached;
-  } else {
-    accepted = verifier_->verify(network_, device_, packet.sender_device, packet.src);
-    verification_cache_.try_emplace(packet.src, accepted);
-  }
-  if (!accepted) return;
+  // re-rolled for every overheard packet. One probe settles every later
+  // copy: an accepted sender is in tentative_ already, a rejected one stays
+  // out.
+  const auto [verdict, first_copy] = verdicts_.try_emplace(packet.src, false);
+  if (!first_copy) return;
+  // verify() is a synchronous check that never reaches this agent's
+  // handlers, so `verdict` is still valid when it returns.
+  *verdict = verifier_->verify(network_, device_, packet.sender_device, packet.src);
+  if (!*verdict) return;
   topology::insert_sorted(tentative_, packet.src);
 }
 
 void SndNode::finish_discovery() {
   if (discovery_complete_) return;
   discovery_complete_ = true;
+  verdicts_ = {};  // only consider_tentative reads it, and only until now
 
   record_ = BindingRecord::make(master_, identity_, 0, tentative_);
   trace_event(network_, identity_, obs::EventKind::kPhase, obs::NodePhase::kDiscoveryDone,
@@ -337,7 +336,7 @@ void SndNode::run_validation() {
   // Phase C -- transmit. The whole round goes on the air as one jittered
   // burst (commit then evidence per neighbor, in the decision order) whose
   // MACs also drain wide through Messenger::send_many. Payloads are
-  // serialized now: neighbor_records_ is cleared before the burst fires.
+  // serialized now: neighbor_records_ is released before the burst fires.
   std::vector<Messenger::Outgoing> burst;
   std::size_t commit_index = 0;
   for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -362,8 +361,9 @@ void SndNode::run_validation() {
   trace_event(network_, identity_, obs::EventKind::kPhase, obs::NodePhase::kValidated, kNoNode,
               static_cast<std::uint32_t>(functional_.size()));
 
-  // Binding records of neighbors are no longer needed (paper §4.3).
-  neighbor_records_.clear();
+  // Binding records of neighbors are no longer needed (paper §4.3); the
+  // map's storage goes with them.
+  neighbor_records_ = {};
 
   if (config_.max_updates > 0) {
     // Keep K alive briefly to serve update requests, then erase.
@@ -384,6 +384,21 @@ void SndNode::erase_master_key() {
 
 sim::Time SndNode::key_exposure() const {
   return (erased_at_ ? *erased_at_ : network_.now()) - deployed_at_;
+}
+
+std::size_t SndNode::footprint_bytes() const {
+  const auto list_bytes = [](const topology::NeighborList& list) {
+    return list.capacity() * sizeof(NodeId);
+  };
+  std::size_t bytes = sizeof(SndNode) + messenger_.footprint_bytes() + list_bytes(tentative_) +
+                      list_bytes(functional_) + evidence_buffer_.footprint_bytes() +
+                      acked_identities_.footprint_bytes() +
+                      verdicts_.footprint_bytes() +
+                      neighbor_records_.footprint_bytes() +
+                      pending_events_.capacity() * sizeof(sim::EventId);
+  if (record_) bytes += list_bytes(record_->neighbors);
+  for (const auto& [id, record] : neighbor_records_) bytes += list_bytes(record.neighbors);
+  return bytes;
 }
 
 void SndNode::on_relation_commit(const sim::Packet& packet,

@@ -3,15 +3,18 @@
 //
 // Lifecycle of a node deployed at time T:
 //   T            Hello broadcasts (repeated, jittered).
-//   ..T+W_d      collects HelloAcks/Hellos, direct-verifying each sender;
-//                frozen into the tentative list N(u) at T+W_d.
+//   ..T+W_d      collects HelloAcks/Hellos, direct-verifying each sender
+//                once (one verdict-table probe per overheard copy);
+//                frozen into the tentative list N(u) at T+W_d, when the
+//                verdict table is released.
 //   T+W_d        binding record R(u) = {0, N(u), C(u)} created; K_u = H(K|u)
 //                derived; RecordRequests sent to every tentative neighbor.
 //   ..T+W_d+W_e  RecordReplies collected and verified with K.
 //   T+W_d+W_e    threshold check |N(u) ∩ N(v)| >= t+1 for every v with a
 //                verified record; functional neighbors chosen; relation
 //                commitments C(u,v) = H(K_v|u) sent; evidences E(u,v) sent
-//                to update-capable neighbors.
+//                to update-capable neighbors; the collected records are
+//                released.
 //   +W_u         (extension only) serves binding-record updates with K.
 //   then         *** K erased ***. The node keeps only R(u), K_u, N(u),
 //                the functional list, and the evidence buffer.
@@ -35,6 +38,7 @@
 #include "crypto/keypredist.h"
 #include "sim/network.h"
 #include "util/flat.h"
+#include "util/peer_table.h"
 #include "verify/verifier.h"
 
 namespace snd::core {
@@ -103,6 +107,11 @@ class SndNode {
   /// Returns the running exposure if K is still present.
   [[nodiscard]] sim::Time key_exposure() const;
 
+  /// Bytes this agent holds: the object itself plus every container's
+  /// capacity × element size (the Messenger's included). Deterministic for
+  /// a given run, so bench/scale gates it exactly as `node_bytes`.
+  [[nodiscard]] std::size_t footprint_bytes() const;
+
   // -- Adversary interface ------------------------------------------------
   /// Everything an attacker physically extracting this node's memory gets
   /// *right now*. Honors erasure: `master` is absent after key deletion.
@@ -163,7 +172,8 @@ class SndNode {
   topology::NeighborList functional_;
   std::optional<BindingRecord> record_;
   /// Verified binding records of tentative neighbors (kept only until
-  /// validation; the paper notes R(v) can be deleted after use).
+  /// validation, which releases the map; the paper notes R(v) can be
+  /// deleted after use).
   util::FlatMap<NodeId, BindingRecord> neighbor_records_;
   /// A record request arrived before our record existed.
   bool pending_record_request_ = false;
@@ -173,8 +183,9 @@ class SndNode {
   EvidenceMap evidence_buffer_;
   /// Identities already answered with a HelloAck (duplicate suppression).
   util::FlatSet<NodeId> acked_identities_;
-  /// Direct-verification verdicts, one per candidate identity.
-  util::FlatMap<NodeId, bool> verification_cache_;
+  /// Direct-verification verdicts, one per candidate identity heard during
+  /// discovery; released when discovery ends.
+  util::PeerTable<NodeId, bool> verdicts_;
   /// Update requests this node has issued (diagnostics).
   std::size_t updates_requested_ = 0;
   /// Events scheduled by this agent (cancelled on stop/destruction).

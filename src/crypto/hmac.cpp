@@ -55,13 +55,13 @@ bool verify_short_mac(const SymmetricKey& key, std::span<const std::uint8_t> mes
 HmacKey::HmacKey(const SymmetricKey& key) {
   if (!key.present()) return;
   const Pads pads = make_pads(key);
-  inner_.update(pads.ipad);
-  outer_.update(pads.opad);
+  inner_ = Sha256().update(pads.ipad).midstate().state;
+  outer_ = Sha256().update(pads.opad).midstate().state;
   present_ = true;
 }
 
 Digest HmacKey::mac(std::span<const std::uint8_t> message) const {
-  Sha256 inner = inner_;
+  Sha256 inner = inner_context();
   inner.update(message);
   return finish(std::move(inner));
 }
@@ -81,8 +81,7 @@ bool HmacKey::verify_short_mac(std::span<const std::uint8_t> message,
 
 Digest HmacKey::finish(Sha256&& inner) const {
   const Digest inner_digest = inner.finalize();
-  Sha256 outer = outer_;
-  return outer.update(inner_digest.bytes).finalize();
+  return outer_context().update(inner_digest.bytes).finalize();
 }
 
 ShortMac HmacKey::finish_short(Sha256&& inner) const {

@@ -24,12 +24,14 @@ ShortMac short_mac(const SymmetricKey& key, std::span<const std::uint8_t> messag
 bool verify_short_mac(const SymmetricKey& key, std::span<const std::uint8_t> message,
                       std::span<const std::uint8_t> mac);
 
-/// Precomputed HMAC key: the ipad/opad blocks are hashed once into two
-/// saved Sha256 midstates at construction, so each MAC afterwards resumes
-/// from a midstate instead of re-deriving and re-compressing the pads. For
-/// the protocol's short messages that halves the compression calls per tag.
-/// Tags are bit-identical to hmac_sha256() by construction: both paths feed
-/// the same byte sequence through the same contexts.
+/// Precomputed HMAC key: the ipad and opad blocks are hashed once at
+/// construction, and only the two 32-byte chaining values they leave are
+/// kept (a pad is exactly one block, so nothing else of either context is
+/// live). Each MAC afterwards resumes from them through Sha256::resume
+/// instead of re-deriving and re-compressing the pads; for the protocol's
+/// short messages that halves the compression calls per tag. The raw key is
+/// not kept. Tags are bit-identical to hmac_sha256() by construction: both
+/// paths feed the same byte sequence through the same compressions.
 class HmacKey {
  public:
   /// Absent key; mac() must not be called until assigned from a real key.
@@ -43,19 +45,22 @@ class HmacKey {
   [[nodiscard]] bool verify_short_mac(std::span<const std::uint8_t> message,
                                       std::span<const std::uint8_t> mac) const;
 
-  /// Streaming interface: copy the inner midstate, update() it with the
+  /// Streaming interface: take the inner context, update() it with the
   /// message fields directly (no intermediate buffer), then finish().
-  [[nodiscard]] Sha256 inner_context() const { return inner_; }
+  [[nodiscard]] Sha256 inner_context() const { return Sha256::resume(inner_, kPadBytes); }
   [[nodiscard]] Digest finish(Sha256&& inner) const;
   [[nodiscard]] ShortMac finish_short(Sha256&& inner) const;
-  /// Outer midstate for the batched engine (crypto::HashBatch): a batched
+  /// Outer context for the batched engine (crypto::HashBatch): a batched
   /// MAC drains the inner contexts wide, then the outer contexts over the
   /// inner digests -- the same byte flow as finish(), in two phases.
-  [[nodiscard]] Sha256 outer_context() const { return outer_; }
+  [[nodiscard]] Sha256 outer_context() const { return Sha256::resume(outer_, kPadBytes); }
 
  private:
-  Sha256 inner_;  // state after absorbing key ^ ipad
-  Sha256 outer_;  // state after absorbing key ^ opad
+  /// One SHA-256 block: the key zero-padded and XORed with a pad byte.
+  static constexpr std::uint64_t kPadBytes = 64;
+
+  std::array<std::uint32_t, 8> inner_{};  // chaining value after key ^ ipad
+  std::array<std::uint32_t, 8> outer_{};  // chaining value after key ^ opad
   bool present_ = false;
 };
 

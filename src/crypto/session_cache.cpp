@@ -8,10 +8,7 @@ const PairKeyCache::Entry& PairKeyCache::get(NodeId peer) {
   auto derived = scheme_->pairwise(self_, peer);
   if (!derived || !derived->present()) return absent_;
 
-  Entry& slot = entries_.get_or_insert(peer);
-  slot.key = std::move(*derived);
-  slot.mac = HmacKey(slot.key);
-  return slot;
+  return *entries_.try_emplace(peer, Entry{HmacKey(*derived)}).first;
 }
 
 }  // namespace snd::crypto

@@ -3,9 +3,12 @@
 // Deriving pairwise(u, v) is the single most expensive step on the message
 // hot path: a KDF hash for KdcScheme, a λ-degree polynomial evaluation for
 // BlundoScheme. The derivation is deterministic per pair, so each endpoint
-// memoizes the key -- and the HMAC ipad/opad midstates computed from it --
-// the first time it talks to a peer, and every later send()/open() is a
-// lookup in a sorted array.
+// derives the key the first time it talks to a peer, hashes the HMAC pads
+// once, and keeps only the resulting HmacKey: two 32-byte chaining values,
+// 68 bytes an entry, trivially copyable. The raw key is never stored. Every
+// later send()/open() is one probe of an open-addressing table
+// (util::PeerTable), which nothing iterates, so its slot order cannot reach
+// an output.
 //
 // Absent keys are deliberately NOT cached: with probabilistic schemes (or
 // incremental deployment, where a peer provisions after our first attempt)
@@ -15,19 +18,20 @@
 #pragma once
 
 #include <memory>
+#include <type_traits>
 
 #include "crypto/hmac.h"
 #include "crypto/keypredist.h"
-#include "util/flat.h"
 #include "util/ids.h"
+#include "util/peer_table.h"
 
 namespace snd::crypto {
 
 class PairKeyCache {
  public:
   struct Entry {
-    SymmetricKey key;   // absent when the scheme has no key for the pair
-    HmacKey mac;        // midstates for `key`; absent iff key is absent
+    HmacKey mac;  // pad midstates of the pairwise key; absent if there is none
+    [[nodiscard]] bool present() const { return mac.present(); }
   };
 
   PairKeyCache(std::shared_ptr<const KeyPredistribution> scheme, NodeId self)
@@ -41,15 +45,22 @@ class PairKeyCache {
 
   /// Drops one peer's entry (e.g. after re-keying in tests).
   void invalidate(NodeId peer) { entries_.erase(peer); }
-  void clear() { entries_.clear(); }
+  /// Drops every entry and releases the table.
+  void clear() { entries_ = {}; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] NodeId self() const { return self_; }
+  /// Heap bytes the entry table holds (capacity × slot size).
+  [[nodiscard]] std::size_t footprint_bytes() const { return entries_.footprint_bytes(); }
 
  private:
   std::shared_ptr<const KeyPredistribution> scheme_;
   NodeId self_;
-  util::FlatMap<NodeId, Entry> entries_;
+  util::PeerTable<NodeId, Entry> entries_;
   Entry absent_;  // returned (not stored) when derivation fails
 };
+
+static_assert(std::is_trivially_copyable_v<PairKeyCache::Entry> &&
+                  sizeof(PairKeyCache::Entry) <= 68,
+              "a cache entry is two SHA-256 chaining values and a flag");
 
 }  // namespace snd::crypto

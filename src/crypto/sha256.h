@@ -71,8 +71,18 @@ class Sha256 {
   /// Rebuilds a context from a snapshot; behaves exactly like the context
   /// midstate() was taken from (same digest, same compression count).
   static Sha256 resume(const Midstate& m);
+  /// The same for a snapshot taken at a block boundary, which is all its
+  /// chaining state: `total_bytes` (a multiple of 64) absorbed, nothing
+  /// buffered. This is how HmacKey stores its pad midstates.
+  static Sha256 resume(const std::array<std::uint32_t, 8>& chaining,
+                       std::uint64_t total_bytes) {
+    return Sha256(chaining, total_bytes);
+  }
 
  private:
+  Sha256(const std::array<std::uint32_t, 8>& chaining, std::uint64_t total_bytes)
+      : state_(chaining), total_bytes_(total_bytes) {}
+
   void process_block(const std::uint8_t* block);
 
   std::array<std::uint32_t, 8> state_{};

@@ -11,12 +11,14 @@
 // canonical_json() / digest() deliberately exclude the epoch: they describe
 // the topology itself, so an incrementally-maintained snapshot and a
 // from-scratch rebuild of the same world serialize byte-identically. That
-// equality is the service's correctness gate (tests/service_equivalence_test,
-// the CI serve-smoke job, and serve_qps --verify-rebuild all assert it).
+// equality is the service's correctness gate. first_difference() decides it
+// without serializing either world and names the first node that differs;
+// the service tests and serve_qps's gate (CI serve-smoke) call it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "topology/graph.h"
@@ -74,6 +76,15 @@ class Snapshot {
   [[nodiscard]] std::string canonical_json() const;
   /// CRC-32 of canonical_json(); the wire protocol's cheap equivalence probe.
   [[nodiscard]] std::uint32_t digest() const;
+
+  /// The first difference between this topology and `other`, or nothing
+  /// exactly when their canonical_json() strings are equal. Compares t, the
+  /// radio range, then both node maps in id order: a node present in one
+  /// only, each position coordinate bit for bit as "%a" prints it (so the
+  /// sign of zero counts), then the neighbor and validated lists. The
+  /// message names the node and field, e.g. "node 17: neighbors[3] is 5 vs
+  /// 6". Serializes nothing; the epoch is ignored, as in canonical_json().
+  [[nodiscard]] std::optional<std::string> first_difference(const Snapshot& other) const;
 
  private:
   std::uint64_t epoch_;

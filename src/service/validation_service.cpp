@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -121,6 +122,34 @@ struct Neighborhoods {
   std::vector<std::uint32_t> origin;
   std::vector<topology::NeighborList> rows;
 };
+
+/// Whether the count or verdict pass may write edge (i, j), i's entry for
+/// j, into row j: row j's next unwritten entry must exist and name i. Both
+/// passes write each undirected edge once, from its lower slot, so this
+/// holds at every write iff N(·) is symmetric -- one compare per edge keeps
+/// a faulty pass from writing past the end of a row.
+bool next_entry_names(const Neighborhoods& pass, const std::vector<std::uint32_t>& filled,
+                      std::uint32_t i, std::uint32_t j) {
+  const topology::NeighborList& row = pass.rows[j];
+  return filled[j] < row.size() && row[filled[j]] == i;
+}
+
+/// Names, by id, the first pair in slot order that N(·) lists one way only.
+/// Only runs once next_entry_names() has failed.
+std::string asymmetry(std::span<const Placement> nodes, const Neighborhoods& pass) {
+  const auto id = [&](std::uint32_t slot) {
+    return std::to_string(nodes[pass.origin[slot]].first);
+  };
+  for (std::uint32_t i = 0; i < pass.rows.size(); ++i) {
+    for (const std::uint32_t j : pass.rows[i]) {
+      const topology::NeighborList& back = pass.rows[j];
+      if (std::find(back.begin(), back.end(), i) == back.end()) {
+        return "N(" + id(i) + ") lists " + id(j) + " but N(" + id(j) + ") does not list " + id(i);
+      }
+    }
+  }
+  return "a row of N(·) is not strictly ascending";
+}
 
 /// The cell-sorted pass (docs/SERVICE.md, "Bootstrap", steps 2-3). It reads
 /// positions alone, through the cell arithmetic and predicate query_disc uses.
@@ -478,6 +507,7 @@ ApplyResult ValidationService::seed_topology(std::span<const Placement> nodes) {
   // One intersection per undirected edge (i, j), i < j, written into both
   // count rows. N(·) is symmetric and i runs upward, so row j's entries
   // below j are written in order: `filled[j]` so far, and the next is i.
+  // An asymmetric pass fails the seed before anything has changed.
   const std::vector<topology::NeighborList>& rows = pass.rows;
   std::vector<std::vector<std::uint32_t>> counts(n);
   for (std::uint32_t i = 0; i < n; ++i) counts[i].resize(rows[i].size());
@@ -487,6 +517,9 @@ ApplyResult ValidationService::seed_topology(std::span<const Placement> nodes) {
       const topology::NeighborList& row = rows[i];
       for (std::size_t k = filled[i]; k < row.size(); ++k) {
         const std::uint32_t j = row[k];
+        if (!next_entry_names(pass, filled, i, j)) [[unlikely]] {
+          return ApplyResult::failure("seed: " + asymmetry(nodes, pass));
+        }
         const auto common =
             static_cast<std::uint32_t>(topology::intersection_size(row, rows[j]));
         counts[i][k] = common;
@@ -540,7 +573,8 @@ std::shared_ptr<const Snapshot> ValidationService::rebuild() const {
   Neighborhoods pass = neighborhoods(live, config_.radio_range);
 
   // One threshold verdict per undirected edge (i, j), i < j, written as a bit
-  // into both rows' entries at each row's offset, as seed_topology's counts.
+  // into both rows' entries at each row's offset, as seed_topology's counts
+  // (and checked the same way: an asymmetric pass is a bug in the pass).
   std::vector<std::size_t> offset(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) offset[i + 1] = offset[i] + pass.rows[i].size();
   std::vector<bool> verdicts(offset[n]);
@@ -549,6 +583,9 @@ std::shared_ptr<const Snapshot> ValidationService::rebuild() const {
     const topology::NeighborList& row = pass.rows[i];
     for (std::size_t k = filled[i]; k < row.size(); ++k) {
       const std::uint32_t j = row[k];
+      if (!next_entry_names(pass, filled, i, j)) [[unlikely]] {
+        throw std::logic_error("rebuild: " + asymmetry(live, pass));
+      }
       verdicts[offset[i] + k] = verdicts[offset[j] + filled[j]++] =
           core::meets_threshold(row, pass.rows[j], config_.threshold_t);
     }

@@ -169,8 +169,9 @@ class ValidationService {
   /// each common-neighbor count is computed once per undirected edge --
   /// O(n log n + Σ deg²). Fails, changing nothing, on a service that is not
   /// empty, when a position fails SpatialGrid::indexable (the error names
-  /// the first such node), or when an id appears twice (it names the first
-  /// repeat in input order).
+  /// the first such node), when an id appears twice (it names the first
+  /// repeat in input order), or when the pass derived an asymmetric N(·)
+  /// (a bug in the pass; it names the first pair listed one way only).
   ApplyResult seed_topology(std::span<const std::pair<NodeId, util::Vec2>> nodes);
 
   /// Current snapshot; never null, safe to call from any thread and to
@@ -186,7 +187,9 @@ class ValidationService {
   /// from the live (id, position) pairs alone, through seed_topology's
   /// cell-sorted pass and core::meets_threshold (once per undirected edge);
   /// it reads no maintained list, grid, count or commitment. The
-  /// equivalence gate asserts snapshot()->canonical_json() == rebuild()->canonical_json().
+  /// equivalence gate asserts that snapshot()->first_difference(*rebuild())
+  /// finds nothing. Throws std::logic_error naming the pair if the pass
+  /// derived an asymmetric N(·), which only a bug in the pass can do.
   [[nodiscard]] std::shared_ptr<const Snapshot> rebuild() const;
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }

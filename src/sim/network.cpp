@@ -543,6 +543,21 @@ std::uint64_t Network::max_tx_bytes() const {
   return max_bytes;
 }
 
+std::size_t Network::footprint_bytes() const {
+  const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  std::size_t total = bytes(devices_) + bytes(receivers_) + bytes(tx_bytes_) + bytes(energy_j_) +
+                      bytes(tx_busy_until_) + bytes(tx_run_start_) + bytes(jammers_) +
+                      bytes(pos_x_) + bytes(pos_y_) + bytes(strip_x_) + bytes(strip_y_) +
+                      bytes(strip_class_) + bytes(linear_ids_) + bytes(linked_) +
+                      bytes(unlinked_) + bytes(free_packets_) + bytes(free_deliveries_) +
+                      bytes(spare_groups_) + scheduler_.footprint_bytes();
+  total += packets_.size() * sizeof(PacketSlot) + deliveries_.size() * sizeof(Delivery);
+  for (const PacketSlot& slot : packets_) total += bytes(slot.packet.payload);
+  for (const Delivery& delivery : deliveries_) total += bytes(delivery.overhearers);
+  for (const std::vector<DeviceId>& group : spare_groups_) total += bytes(group);
+  return total;
+}
+
 std::size_t Network::add_jammer(util::Circle area) {
   jammers_.push_back(area);
   return jammers_.size() - 1;

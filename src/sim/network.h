@@ -166,6 +166,12 @@ class Network {
   void set_energy_j(DeviceId id, double joules) { energy_j_.at(id) = joules; }
   [[nodiscard]] const EnergyConfig& energy_config() const { return energy_; }
 
+  /// Heap bytes held by the per-device arrays, the packet and delivery
+  /// slabs with their payload and receiver buffers, the transmit scratch
+  /// and the scheduler (capacity × element size; a deque slab counts its
+  /// slots). The spatial index's hash maps are not counted.
+  [[nodiscard]] std::size_t footprint_bytes() const;
+
  private:
   /// Drains `joules` from a device; kills it at exhaustion.
   void drain(DeviceId id, double joules);

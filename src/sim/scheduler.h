@@ -63,6 +63,12 @@ class Scheduler {
   /// Action slots the slab holds, in use or free. Slots are recycled, so
   /// this never exceeds the most keys the heap held at once.
   [[nodiscard]] std::size_t slab_slots() const { return actions_.size(); }
+  /// Heap bytes held by the key heap, the action slab and its free list
+  /// (capacity × element size).
+  [[nodiscard]] std::size_t footprint_bytes() const {
+    return heap_.capacity() * sizeof(Key) + actions_.capacity() * sizeof(EventAction) +
+           free_slots_.capacity() * sizeof(std::uint32_t);
+  }
 
   /// Test hook: fast-forwards the event-id counter (e.g. to just below
   /// 2^32) so overflow behavior at >= 10^8 events is testable without

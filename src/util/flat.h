@@ -9,9 +9,18 @@
 // a red-black tree on every axis that matters at million-node scale: no
 // per-entry 48-byte node header, no pointer chasing, no allocator traffic.
 //
+// Which maps stay sorted, and why: those whose key order reaches an output
+// (SndNode's evidence buffer, walked into update requests and stolen
+// secrets; the validation service's commitments), and cold ones touched a
+// few times per peer (neighbor records, acked identities, replay windows),
+// where a hash table bought no time and cost memory. Maps probed on every
+// overheard copy (the discovery verdicts, the pairwise-key cache) use
+// util::PeerTable instead: one probe and an in-place insert, where a sorted
+// array pays a binary search and shifts every later entry.
+//
 // References returned by find()/get_or_insert() are invalidated by any
 // mutation (vector growth or shifting); callers on hot paths consume them
-// immediately, as with PairKeyCache.
+// immediately.
 #pragma once
 
 #include <algorithm>
@@ -74,6 +83,8 @@ class FlatMap {
   [[nodiscard]] bool empty() const { return items_.empty(); }
   void clear() { items_.clear(); }
   void reserve(std::size_t n) { items_.reserve(n); }
+  /// Heap bytes held: capacity × element size.
+  [[nodiscard]] std::size_t footprint_bytes() const { return items_.capacity() * sizeof(Item); }
 
   [[nodiscard]] const std::vector<Item>& items() const { return items_; }
   [[nodiscard]] auto begin() const { return items_.begin(); }
@@ -110,6 +121,8 @@ class FlatSet {
   [[nodiscard]] bool empty() const { return keys_.empty(); }
   void clear() { keys_.clear(); }
   [[nodiscard]] const std::vector<Key>& keys() const { return keys_; }
+  /// Heap bytes held: capacity × element size.
+  [[nodiscard]] std::size_t footprint_bytes() const { return keys_.capacity() * sizeof(Key); }
 
  private:
   std::vector<Key> keys_;

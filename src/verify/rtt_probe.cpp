@@ -32,7 +32,7 @@ bool RttResponder::handle(const sim::Packet& packet) {
   if (!nonce || !reader.exhausted()) return true;  // consumed but malformed
 
   const crypto::PairKeyCache::Entry& entry = key_cache_.get(packet.src);
-  if (!entry.key.present()) return true;  // cannot authenticate a response
+  if (!entry.present()) return true;  // cannot authenticate a response
   const crypto::ShortMac mac = rtt_response_mac(entry.mac, *nonce, identity_);
 
   // Respond after the declared fixed turnaround; the challenger subtracts
@@ -92,7 +92,7 @@ bool RttChallenger::handle(const sim::Packet& packet) {
   if (it == pending_.end() || it->second.finished) return true;
 
   const crypto::PairKeyCache::Entry& entry = key_cache_.get(it->second.target);
-  if (!entry.key.present() ||
+  if (!entry.present() ||
       !util::constant_time_equal(rtt_response_mac(entry.mac, *nonce, it->second.target), *mac)) {
     return true;  // forged response: keep waiting for an authentic one
   }

@@ -1,8 +1,10 @@
 // Tests of the §4.4 binding-record update extension.
 #include <gtest/gtest.h>
 
+#include "core/commitment.h"
 #include "core/deployment_driver.h"
 #include "core/protocol.h"
+#include "obs/summary.h"
 
 namespace snd::core {
 namespace {
@@ -111,6 +113,42 @@ TEST(UpdateExtensionTest, VersionCapEnforcedClientSide) {
   deployment.deploy_node_at({35, 35});
   deployment.run();
   EXPECT_EQ(old_node->record_version(), 1u);
+}
+
+TEST(UpdateExtensionTest, VersionCapEnforcedServerSide) {
+  // An honest client never asks at version m (VersionCapEnforcedClientSide),
+  // so the K-holding server's own cap check is exercised only by a client
+  // that ignores it. Hand the server a genuine version-m record with a
+  // genuine evidence bound to it: every check but the cap would pass. It
+  // must refuse and send nothing back.
+  constexpr std::uint32_t kCap = 1;
+  SndDeployment deployment(extension_config(kCap));
+  deployment.deploy_round(6);
+  deployment.run();
+  SndNode* old_node = deployment.agent(1);
+  const NodeId server = deployment.deploy_node_at({28, 28});
+  deployment.run_for(sim::Time::milliseconds(20));  // server deployed, K alive
+
+  const crypto::SymmetricKey& master = deployment.master_key();
+  constexpr NodeId kIssuer = 9999;  // not in the record: a real addition
+  ASSERT_FALSE(topology::contains(old_node->record().neighbors, kIssuer));
+  UpdateRequestPayload request{
+      BindingRecord::make(master, 1, kCap, old_node->record().neighbors), {}};
+  request.evidences.emplace_back(kIssuer, relation_evidence(master, kIssuer, 1, kCap));
+
+  ASSERT_TRUE(deployment.network().tracer().active());
+  const obs::TraceSummary before = deployment.network().trace_summary();
+  Messenger as_old(deployment.network(), old_node->device(), 1, deployment.key_scheme());
+  ASSERT_TRUE(as_old.send(server, static_cast<std::uint8_t>(MessageType::kUpdateRequest),
+                          request.serialize(), snd::obs::Phase::kOther));
+  deployment.run();
+  const obs::TraceSummary after = deployment.network().trace_summary();
+
+  const auto refused = static_cast<std::size_t>(obs::RejectReason::kUpdateRefused);
+  const auto update = static_cast<std::size_t>(obs::Phase::kUpdate);
+  EXPECT_EQ(after.rejects[refused] - before.rejects[refused], 1u);
+  EXPECT_EQ(after.tx[update].messages - before.tx[update].messages, 0u) << "a reply was sent";
+  EXPECT_EQ(old_node->record_version(), 0u);
 }
 
 TEST(UpdateExtensionTest, ServerFiltersForgedEvidence) {

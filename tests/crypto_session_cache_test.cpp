@@ -17,7 +17,7 @@ TEST(PairKeyCacheTest, DerivesAndCachesOnFirstLookup) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.self(), 1u);
   const PairKeyCache::Entry& entry = cache.get(2);
-  EXPECT_TRUE(entry.key.present());
+  EXPECT_TRUE(entry.present());
   EXPECT_TRUE(entry.mac.present());
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -27,7 +27,7 @@ TEST(PairKeyCacheTest, SecondLookupCostsNoHashes) {
   PairKeyCache cache(scheme, 1);
   (void)cache.get(2);
   reset_hash_op_count();
-  EXPECT_TRUE(cache.get(2).key.present());
+  EXPECT_TRUE(cache.get(2).present());
   EXPECT_EQ(hash_op_count(), 0u);  // pure map lookup, no KDF, no pad hashing
 }
 
@@ -45,8 +45,8 @@ TEST(PairKeyCacheTest, SymmetricAcrossEndpoints) {
     PairKeyCache v(scheme, 2);
     const PairKeyCache::Entry& a = u.get(2);
     const PairKeyCache::Entry& b = v.get(1);
-    ASSERT_TRUE(a.key.present());
-    ASSERT_TRUE(b.key.present());
+    ASSERT_TRUE(a.present());
+    ASSERT_TRUE(b.present());
     EXPECT_EQ(a.mac.short_mac(message), b.mac.short_mac(message)) << scheme->name();
   }
 }
@@ -71,7 +71,7 @@ TEST(PairKeyCacheTest, InvalidateDropsEntryAndRederives) {
   cache.invalidate(2);
   EXPECT_EQ(cache.size(), 1u);
   reset_hash_op_count();
-  EXPECT_TRUE(cache.get(2).key.present());
+  EXPECT_TRUE(cache.get(2).present());
   EXPECT_GT(hash_op_count(), 0u);  // really re-derived
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -81,7 +81,7 @@ TEST(PairKeyCacheTest, SelfPairIsAbsent) {
   std::shared_ptr<const KeyPredistribution> scheme = KdcScheme::from_seed(7);
   PairKeyCache cache(scheme, 1);
   const PairKeyCache::Entry& entry = cache.get(1);
-  EXPECT_FALSE(entry.key.present());
+  EXPECT_FALSE(entry.present());
   EXPECT_FALSE(entry.mac.present());
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -93,12 +93,12 @@ TEST(PairKeyCacheTest, AbsentResultNotCachedSoLateProvisioningWorks) {
   eg->provision(1);
   PairKeyCache cache(std::static_pointer_cast<const KeyPredistribution>(eg), 1);
   const PairKeyCache::Entry& miss = cache.get(2);  // peer not provisioned yet
-  EXPECT_FALSE(miss.key.present());
+  EXPECT_FALSE(miss.present());
   EXPECT_EQ(cache.size(), 0u);
 
   eg->provision(2);  // rings of 80 from a pool of 100 always intersect
   const PairKeyCache::Entry& hit = cache.get(2);
-  EXPECT_TRUE(hit.key.present());
+  EXPECT_TRUE(hit.present());
   EXPECT_TRUE(hit.mac.present());
   EXPECT_EQ(cache.size(), 1u);
 }

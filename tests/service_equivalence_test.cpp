@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -44,7 +45,7 @@ std::vector<std::pair<NodeId, util::Vec2>> random_field(std::size_t count,
 void expect_equivalent(const ValidationService& service, const char* context) {
   const auto incremental = service.snapshot();
   const auto rebuilt = service.rebuild();
-  ASSERT_EQ(incremental->canonical_json(), rebuilt->canonical_json()) << context;
+  ASSERT_EQ(incremental->first_difference(*rebuilt).value_or(""), "") << context;
   EXPECT_EQ(incremental->digest(), rebuilt->digest()) << context;
 }
 
@@ -117,17 +118,17 @@ void expect_brute_force(const ValidationService& service, const std::string& con
   const auto snapshot = service.snapshot();
   std::vector<std::pair<NodeId, util::Vec2>> live;
   for (const auto& [id, state] : snapshot->nodes()) live.emplace_back(id, state->position);
-  const std::string expected =
-      brute_force(live, service.config().radio_range, service.config().threshold_t)
-          .canonical_json();
-  ASSERT_EQ(snapshot->canonical_json(), expected) << context << ": snapshot";
-  ASSERT_EQ(service.rebuild()->canonical_json(), expected) << context << ": rebuild()";
+  const Snapshot expected =
+      brute_force(live, service.config().radio_range, service.config().threshold_t);
+  ASSERT_EQ(snapshot->first_difference(expected).value_or(""), "") << context << ": snapshot";
+  ASSERT_EQ(service.rebuild()->first_difference(expected).value_or(""), "")
+      << context << ": rebuild()";
 }
 
 TEST(ServiceEquivalenceTest, SeededTopologyMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {200.0, 200.0}};
   ValidationService service({.radio_range = 25.0, .threshold_t = 2});
-  service.seed_topology(random_field(300, field, 11));
+  ASSERT_EQ(service.seed_topology(random_field(300, field, 11)).error, "");
   expect_equivalent(service, "after seed_topology");
 }
 
@@ -136,7 +137,7 @@ TEST(ServiceEquivalenceTest, RandomizedSequencesMatchRebuild) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     ValidationService service({.radio_range = 25.0, .threshold_t = 2});
     const auto initial = random_field(120, field, util::derive_seed(500, seed));
-    service.seed_topology(initial);
+    ASSERT_EQ(service.seed_topology(initial).error, "");
     std::vector<NodeId> live;
     for (const auto& [id, position] : initial) live.push_back(id);
     const auto events = random_events(250, field, std::move(live), seed);
@@ -153,7 +154,7 @@ TEST(ServiceEquivalenceTest, BatchIngestionMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {150.0, 150.0}};
   ValidationService service({.radio_range = 25.0, .threshold_t = 2});
   const auto initial = random_field(150, field, 77);
-  service.seed_topology(initial);
+  ASSERT_EQ(service.seed_topology(initial).error, "");
   std::vector<NodeId> live;
   for (const auto& [id, position] : initial) live.push_back(id);
   const auto events = random_events(400, field, std::move(live), 78);
@@ -164,7 +165,7 @@ TEST(ServiceEquivalenceTest, BatchIngestionMatchesRebuild) {
 TEST(ServiceEquivalenceTest, RejectedEventsLeaveTopologyEquivalent) {
   const util::Rect field{{0.0, 0.0}, {100.0, 100.0}};
   ValidationService service({.radio_range = 25.0, .threshold_t = 1});
-  service.seed_topology(random_field(50, field, 5));
+  ASSERT_EQ(service.seed_topology(random_field(50, field, 5)).error, "");
   EXPECT_FALSE(service.apply(TopologyEvent::deploy(3, {1.0, 1.0})).ok);
   EXPECT_FALSE(service.apply(TopologyEvent::revoke(9999)).ok);
   EXPECT_FALSE(service.apply(TopologyEvent::update(9999, {1.0, 1.0})).ok);
@@ -177,7 +178,7 @@ TEST(ServiceEquivalenceTest, DenseClusterStressMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {40.0, 40.0}};
   ValidationService service({.radio_range = 25.0, .threshold_t = 3});
   const auto initial = random_field(80, field, 21);
-  service.seed_topology(initial);
+  ASSERT_EQ(service.seed_topology(initial).error, "");
   std::vector<NodeId> live;
   for (const auto& [id, position] : initial) live.push_back(id);
   const auto events = random_events(300, field, std::move(live), 22);
@@ -211,7 +212,7 @@ TEST(ServiceEquivalenceTest, CountIndexMatchesRecountAcrossThresholds) {
                                     " seed=" + std::to_string(seed);
         ValidationService service({.radio_range = 50.0, .threshold_t = t});
         const auto initial = random_field(field.nodes, field.area, util::derive_seed(900, seed));
-        service.seed_topology(initial);
+        ASSERT_EQ(service.seed_topology(initial).error, "");
         expect_counts_recount(service, context + " after seed_topology");
         const auto events = random_events(field.events, field.area, ids_of(initial), seed);
         for (const TopologyEvent& event : events) {
@@ -227,7 +228,7 @@ TEST(ServiceEquivalenceTest, CountIndexEdgeCases) {
   const util::Rect field{{0.0, 0.0}, {100.0, 100.0}};
   ValidationService service({.radio_range = 50.0, .threshold_t = 5});
   const auto initial = random_field(200, field, 41);
-  service.seed_topology(initial);
+  ASSERT_EQ(service.seed_topology(initial).error, "");
 
   const util::Vec2 home = service.snapshot()->find(7)->position;
   ASSERT_TRUE(service.apply(TopologyEvent::update(7, home)).ok);
@@ -403,7 +404,7 @@ TEST(ServiceEquivalenceTest, BulkSeedMatchesIndependentDerivations) {
         deploys.push_back(TopologyEvent::deploy(id, position));
       }
       ASSERT_EQ(deployed.apply_all(deploys), deploys.size()) << context;
-      ASSERT_EQ(seeded.snapshot()->canonical_json(), deployed.snapshot()->canonical_json())
+      ASSERT_EQ(seeded.snapshot()->first_difference(*deployed.snapshot()).value_or(""), "")
           << context;
     }
   }
@@ -431,7 +432,7 @@ TEST(ServiceEquivalenceTest, FaultPlanDrivenSequenceMatchesRebuild) {
   const util::Rect field{{0.0, 0.0}, {120.0, 120.0}};
   ValidationService service({.radio_range = 25.0, .threshold_t = 2});
   const auto initial = random_field(100, field, 31);
-  service.seed_topology(initial);
+  ASSERT_EQ(service.seed_topology(initial).error, "");
 
   // Crash a handful of nodes, reboot some of them later; delivery actions
   // are topology-neutral and must be skipped by the projection.
@@ -467,6 +468,152 @@ TEST(ServiceEquivalenceTest, FaultPlanDrivenSequenceMatchesRebuild) {
   // The projection itself is deterministic (reboot positions derive from
   // the plan seed).
   EXPECT_TRUE(events == events_from_fault_plan(plan, field));
+}
+
+// -- Snapshot::first_difference: the gate's comparison ------------------------
+
+struct PlainNode {
+  NodeId id = 0;
+  util::Vec2 position;
+  topology::NeighborList neighbors;
+  topology::NeighborList validated;
+};
+
+Snapshot make_snapshot(std::size_t t, double radius, const std::vector<PlainNode>& nodes) {
+  Snapshot::NodeMap map;
+  for (const PlainNode& node : nodes) {
+    auto state = std::make_shared<NodeState>();
+    state->position = node.position;
+    state->neighbors = node.neighbors;
+    state->validated = node.validated;
+    map.insert_or_assign(node.id, std::move(state));
+  }
+  return Snapshot(0, t, radius, std::make_shared<const Snapshot::NodeMap>(std::move(map)));
+}
+
+/// first_difference finds nothing exactly when the canonical strings are
+/// equal, in both directions. Returns whether they were equal.
+bool expect_agrees_with_canonical(const Snapshot& a, const Snapshot& b,
+                                  const std::string& context) {
+  const bool same_text = a.canonical_json() == b.canonical_json();
+  const auto ab = a.first_difference(b);
+  const auto ba = b.first_difference(a);
+  EXPECT_EQ(!ab.has_value(), same_text) << context << ": " << ab.value_or("nothing");
+  EXPECT_EQ(!ba.has_value(), same_text) << context << ": " << ba.value_or("nothing");
+  return same_text;
+}
+
+TEST(SnapshotDifferenceTest, FindsNothingExactlyWhenCanonicalStringsAreEqual) {
+  // Values whose "%a" forms collide or nearly collide: both zeros, NaNs of
+  // either sign with different payloads (the format drops the payload), a
+  // denormal, an infinity.
+  const double nan_a = std::numeric_limits<double>::quiet_NaN();
+  const double nan_b = std::bit_cast<double>(std::bit_cast<std::uint64_t>(nan_a) | 1);
+  const std::vector<double> values = {0.0, -0.0, 1.0, 0.1, nan_a, -nan_a, nan_b,
+                                      4.9e-324, std::numeric_limits<double>::infinity()};
+  util::Rng rng(20260);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+  };
+  const auto random_list = [&] {
+    topology::NeighborList list;
+    for (NodeId v = 0; v < 6; ++v) {
+      if (pick(3) == 0) list.push_back(v);
+    }
+    return list;
+  };
+  const auto random_nodes = [&] {
+    std::vector<PlainNode> nodes;
+    for (NodeId id = 0; id < 6; ++id) {
+      if (pick(2) == 0) continue;
+      nodes.push_back({id, {values[pick(values.size())], values[pick(values.size())]},
+                       random_list(), random_list()});
+    }
+    return nodes;
+  };
+
+  std::size_t equal = 0;
+  constexpr int kRounds = 2000;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string context = "round " + std::to_string(round);
+    const std::size_t t = pick(2);
+    const double radius = values[pick(values.size())];
+    const std::vector<PlainNode> base = random_nodes();
+    std::vector<PlainNode> other = base;
+    std::size_t other_t = t;
+    double other_radius = radius;
+    // One edit (or none, or a whole new world) of each kind the gate sees.
+    switch (pick(7)) {
+      case 0:
+        break;
+      case 1:
+        other = random_nodes();
+        break;
+      case 2:
+        other_t = pick(2);
+        other_radius = values[pick(values.size())];
+        break;
+      case 3:
+        if (!other.empty()) other.erase(other.begin() + static_cast<long>(pick(other.size())));
+        break;
+      case 4:
+        if (!other.empty()) {
+          PlainNode& node = other[pick(other.size())];
+          (pick(2) == 0 ? node.position.x : node.position.y) = values[pick(values.size())];
+        }
+        break;
+      case 5:
+        if (!other.empty()) other[pick(other.size())].neighbors = random_list();
+        break;
+      default:
+        if (!other.empty()) other[pick(other.size())].validated = random_list();
+        break;
+    }
+    equal += expect_agrees_with_canonical(make_snapshot(t, radius, base),
+                                          make_snapshot(other_t, other_radius, other), context)
+                 ? 1
+                 : 0;
+  }
+  // Both outcomes are exercised, the equal one also through NaN payloads.
+  EXPECT_GT(equal, kRounds / 10u);
+  EXPECT_LT(equal, kRounds * 9u / 10u);
+}
+
+TEST(SnapshotDifferenceTest, NamesThePlantedDifference) {
+  const std::vector<PlainNode> base = {{3, {1.0, 0.0}, {5, 8}, {5}},
+                                       {5, {2.0, 2.0}, {3, 8}, {3}},
+                                       {8, {4.0, 1.5}, {3, 5}, {}}};
+  const Snapshot reference = make_snapshot(2, 25.0, base);
+  EXPECT_EQ(reference.first_difference(make_snapshot(2, 25.0, base)), std::nullopt);
+
+  std::vector<PlainNode> signed_zero = base;
+  signed_zero[0].position.y = -0.0;  // equal as doubles, not as "%a" prints them
+  EXPECT_EQ(reference.first_difference(make_snapshot(2, 25.0, signed_zero)).value_or(""),
+            "node 3: pos.y is 0x0p+0 vs -0x0p+0");
+
+  std::vector<PlainNode> one_element = base;
+  one_element[1].neighbors = {3, 9};
+  EXPECT_EQ(reference.first_difference(make_snapshot(2, 25.0, one_element)).value_or(""),
+            "node 5: neighbors[1] is 8 vs 9");
+  std::vector<PlainNode> shorter = base;
+  shorter[2].validated = {3};
+  EXPECT_EQ(reference.first_difference(make_snapshot(2, 25.0, shorter)).value_or(""),
+            "node 8: validated[0] is absent vs 3");
+
+  std::vector<PlainNode> missing = base;
+  missing.erase(missing.begin() + 1);
+  EXPECT_EQ(reference.first_difference(make_snapshot(2, 25.0, missing)).value_or(""),
+            "node 5 is only in the first snapshot");
+  EXPECT_EQ(make_snapshot(2, 25.0, missing).first_difference(reference).value_or(""),
+            "node 5 is only in the second snapshot");
+  std::vector<PlainNode> last_missing = base;
+  last_missing.pop_back();
+  EXPECT_EQ(reference.first_difference(make_snapshot(2, 25.0, last_missing)).value_or(""),
+            "node 8 is only in the first snapshot");
+
+  EXPECT_EQ(reference.first_difference(make_snapshot(3, 25.0, base)).value_or(""), "t is 2 vs 3");
+  EXPECT_EQ(reference.first_difference(make_snapshot(2, 30.0, base)).value_or(""),
+            "radio_range is 0x1.9p+4 vs 0x1.ep+4");
 }
 
 }  // namespace

@@ -56,6 +56,7 @@ TEST(ServiceProtocolTest, OneRoundMatchesTheSimulatedProtocol) {
         ASSERT_TRUE(service.seed_topology(placements).ok) << context;
         const auto snapshot = service.snapshot();
         const auto rebuilt = service.rebuild();
+        EXPECT_EQ(snapshot->first_difference(*rebuilt).value_or(""), "") << context;
 
         std::size_t functional_edges = 0;
         for (const core::SndNode* agent : agents) {

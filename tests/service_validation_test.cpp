@@ -123,7 +123,7 @@ TEST(ValidationServiceTest, DigestMatchesRebuildAfterEvents) {
   ASSERT_TRUE(service.apply(TopologyEvent::update(2, {2.0, 2.0})).ok);
   ASSERT_TRUE(service.apply(TopologyEvent::deploy(7, {0.5, 1.5})).ok);
   ASSERT_TRUE(service.apply(TopologyEvent::revoke(1)).ok);
-  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+  EXPECT_EQ(service.snapshot()->first_difference(*service.rebuild()).value_or(""), "");
   EXPECT_EQ(service.snapshot()->digest(), service.rebuild()->digest());
 }
 
@@ -242,7 +242,7 @@ TEST(ServicePositionTest, DeployAtCellRangeLimitIsRejected) {
   ASSERT_TRUE(service.apply(TopologyEvent::deploy(4, {-kBoundary + 50.0, 0.0})).ok);
   EXPECT_EQ(service.snapshot()->find(2)->neighbors, topology::NeighborList{3});
   EXPECT_TRUE(service.snapshot()->find(4)->neighbors.empty());
-  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+  EXPECT_EQ(service.snapshot()->first_difference(*service.rebuild()).value_or(""), "");
 }
 
 TEST(ServicePositionTest, DeployAtCellRangeLimitAnswersWireError) {
@@ -278,7 +278,7 @@ TEST(ServicePositionTest, NonFiniteOrOutOfRangeEventsLeaveTheWorldAlone) {
   EXPECT_EQ(service.snapshot()->epoch(), epoch);
   EXPECT_EQ(service.apply_all(batch), 1u);
   EXPECT_EQ(service.snapshot()->find(2)->position, (util::Vec2{1.5, 0.0}));
-  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+  EXPECT_EQ(service.snapshot()->first_difference(*service.rebuild()).value_or(""), "");
 }
 
 TEST(ServicePositionTest, SeedWithAnUnindexablePositionChangesNothing) {
@@ -314,7 +314,7 @@ TEST(ServicePositionTest, SeedWithAnUnindexablePositionChangesNothing) {
   EXPECT_EQ(service.node_count(), 6u);
   EXPECT_EQ(service.snapshot()->find(11)->neighbors, topology::NeighborList{12});
   EXPECT_EQ(service.snapshot()->validated_edge_count(), 12u);
-  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+  EXPECT_EQ(service.snapshot()->first_difference(*service.rebuild()).value_or(""), "");
 }
 
 using Bootstrap = std::vector<std::pair<NodeId, util::Vec2>>;
@@ -347,7 +347,7 @@ TEST(ServiceSeedTest, RepeatedIdChangesNothing) {
   // The grid holds none of them: a deploy where they were finds no neighbor.
   ASSERT_TRUE(service.apply(TopologyEvent::deploy(4, {1.5, 0.0})).ok);
   EXPECT_TRUE(service.snapshot()->find(4)->neighbors.empty());
-  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+  EXPECT_EQ(service.snapshot()->first_difference(*service.rebuild()).value_or(""), "");
 }
 
 TEST(ServiceSeedTest, NonEmptyServiceChangesNothing) {
@@ -374,7 +374,7 @@ TEST(ServiceSeedTest, NonEmptyServiceChangesNothing) {
   // The grid still holds exactly nodes 1 and 2.
   ASSERT_TRUE(service.apply(TopologyEvent::deploy(4, {2.0, 0.0})).ok);
   EXPECT_EQ(service.snapshot()->find(4)->neighbors, (topology::NeighborList{1, 2}));
-  EXPECT_EQ(service.snapshot()->canonical_json(), service.rebuild()->canonical_json());
+  EXPECT_EQ(service.snapshot()->first_difference(*service.rebuild()).value_or(""), "");
 }
 
 // -- Commitment maintenance --------------------------------------------------
