@@ -2,27 +2,31 @@
 // each attacker/mobility family, against the same center-node workload the
 // fig3/fig4 reproductions measure.
 //
-// The (family, seed) grid is one flat trial space sharded by
-// runner::TrialRunner. Two artifacts come out:
-//   BENCH_adversary.json       deterministic results (accuracy, admitted
-//                              identities, replay rejects, attacker event
-//                              counts) -- byte-identical for a fixed seed at
-//                              any --jobs, asserted in CI.
-//   BENCH_adversary_perf.json  wall-clock us_per_trial per family, the
+// The (family, seed) grid is one flat trial space run through
+// shard::run_sweep. Two artifacts come out:
+//   BENCH_adversary.json       the sweep report: the metric columns over all
+//                              trials, the folded trace and the timing
+//                              fields. Its deterministic part is what
+//                              --canonical-report writes, byte-identical at
+//                              any --jobs (asserted in CI).
+//   BENCH_adversary_perf.json  <family>_us_per_trial, the mean per-trial wall
+//                              time the pool measured for each family; the
 //                              ci/bench_trend.py series (timing only, never
 //                              compared byte-wise).
+// The per-family values are in the table.
 //
-//   ./adversary [--seeds 8] [--nodes 60] [--jobs N] [--log warn]
-#include <chrono>
-#include <cstdio>
+//   ./adversary [--seeds 8] [--nodes 60] [--jobs N] [--canonical-report PATH]
+//               [--shard i/N] [--checkpoint PATH] [--log warn]
+#include <array>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adversary/scenario.h"
 #include "core/deployment_driver.h"
-#include "obs/config.h"
-#include "runner/trial_runner.h"
+#include "shard/sweep.h"
 #include "util/driver_spec.h"
 #include "util/file.h"
 #include "util/runtime_config.h"
@@ -42,17 +46,10 @@ adversary::ScenarioConfig family_config(std::string_view family) {
   return config;
 }
 
-struct TrialResult {
-  double accuracy = 0.0;
-  std::uint64_t tentative = 0;
-  std::uint64_t replay_rejects = 0;
-  std::uint64_t attacker_events = 0;
-  double wall_us = 0.0;
-};
+enum Metric : std::size_t { kAccuracy, kTentative, kReplayRejects, kAttackerEvents };
 
-TrialResult run_family_trial(std::string_view family, std::size_t nodes, std::uint64_t seed) {
-  const auto start = std::chrono::steady_clock::now();
-
+shard::TrialOutput run_family_trial(std::string_view family, std::size_t nodes,
+                                    std::uint64_t seed) {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {100.0, 100.0}};
   config.radio_range = 50.0;
@@ -79,7 +76,6 @@ TrialResult run_family_trial(std::string_view family, std::size_t nodes, std::ui
   }
   deployment.run();
 
-  TrialResult result;
   const core::SndNode* agent = deployment.agent(center);
   std::size_t actual = 0;
   std::size_t validated = 0;
@@ -89,118 +85,75 @@ TrialResult run_family_trial(std::string_view family, std::size_t nodes, std::ui
     ++actual;
     if (topology::contains(agent->functional_neighbors(), d.identity)) ++validated;
   }
-  result.accuracy =
-      actual == 0 ? 0.0 : static_cast<double>(validated) / static_cast<double>(actual);
+  std::uint64_t tentative = 0;
+  std::uint64_t replay_rejects = 0;
   for (const core::SndNode* a : deployment.agents()) {
-    result.tentative += a->tentative_neighbors().size();
-    result.replay_rejects += a->replay_rejects();
+    tentative += a->tentative_neighbors().size();
+    replay_rejects += a->replay_rejects();
   }
-  if (runtime) result.attacker_events = runtime->attacker_events();
-  result.wall_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  return result;
+  const double accuracy =
+      actual == 0 ? 0.0 : static_cast<double>(validated) / static_cast<double>(actual);
+  return {{accuracy, static_cast<double>(tentative), static_cast<double>(replay_rejects),
+           static_cast<double>(runtime ? runtime->attacker_events() : 0)},
+          deployment.network().trace_summary()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t jobs = 1;
-  obs::ObsConfig obs_config;
+  shard::SweepFlags flags;
   util::cli::DriverSpec spec(
       "adversary",
       "Adversary scenario sweep: center-node discovery accuracy and defense\n"
       "telemetry under relay, sybil, replay, mobility, and churn scenarios.");
   spec.int_flag("seeds", 8, "N", "independent seeds per family", 1)
-      .int_flag("nodes", 60, "N", "deployment size per trial", 12)
-      .group(util::cli::jobs_group(&jobs))
-      .group(obs::obs_flag_group(&obs_config));
+      .int_flag("nodes", 60, "N", "deployment size per trial", 12);
+  shard::add_sweep_flags(spec, &flags);
   const util::cli::Driver cli = spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  if (!obs::apply_obs(obs_config, std::cerr)) return 2;
 
   const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
   const auto nodes = static_cast<std::size_t>(cli.get_int("nodes"));
-  runner::TrialRunner pool(jobs);
 
-  std::cout << "== Adversary scenarios: " << kFamilies.size() << " families x " << seeds
-            << " seeds, " << nodes << " nodes, " << pool.jobs() << " jobs ==\n\n";
+  // Flat (family, seed) trial space: cell f is family kFamilies[f].
+  const shard::Sweep sweep{"adversary", 31337, kFamilies.size(), seeds,
+                           {"accuracy", "tentative", "replay_rejects", "attacker_events"}};
+  const std::string header = "== Adversary scenarios: " + std::to_string(kFamilies.size()) +
+                             " families x " + std::to_string(seeds) + " seeds, " +
+                             std::to_string(nodes) + " nodes, " +
+                             std::to_string(flags.jobs) + " jobs ==\n\n";
 
-  // Flat (family, seed) trial space; trial i is family i/seeds, seed i%seeds.
-  runner::SweepReport report;
-  report.name = "adversary";
-  const auto results = pool.run(
-      kFamilies.size() * seeds, 31337,
-      [&](std::size_t i, std::uint64_t seed) {
-        return run_family_trial(kFamilies[i / seeds], nodes, seed);
-      },
-      &report);
+  const auto body = [&](std::size_t i, std::uint64_t seed) {
+    return run_family_trial(kFamilies[sweep.cell(i)], nodes, seed);
+  };
 
-  util::Table table({"family", "accuracy", "tentative", "replay_rejects", "attacker_events",
+  const auto table = [&](const shard::SweepRecords& records) {
+    const auto total = [&](std::size_t f, Metric metric) {
+      return std::to_string(static_cast<std::uint64_t>(records.stats(f, metric).sum()));
+    };
+    util::Table out({"family", "accuracy", "tentative", "replay_rejects", "attacker_events",
                      "us/trial"});
-  // Deterministic artifact: aggregates folded in trial order; no timing.
-  std::string families_json;
-  std::string perf_json;
-  for (std::size_t f = 0; f < kFamilies.size(); ++f) {
-    double accuracy_sum = 0.0;
-    std::uint64_t tentative = 0;
-    std::uint64_t rejects = 0;
-    std::uint64_t events = 0;
-    double wall_us = 0.0;
-    std::size_t completed = 0;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      const auto& r = results[f * seeds + s];
-      if (!r.has_value()) continue;
-      ++completed;
-      accuracy_sum += r->accuracy;
-      tentative += r->tentative;
-      rejects += r->replay_rejects;
-      events += r->attacker_events;
-      wall_us += r->wall_us;
+    std::string perf = "{\n  \"name\": \"adversary_perf\"";
+    for (std::size_t f = 0; f < kFamilies.size(); ++f) {
+      const util::RunningStats accuracy = records.stats(f, kAccuracy);
+      const double mean_accuracy =
+          accuracy.count() == 0 ? 0.0 : accuracy.sum() / static_cast<double>(accuracy.count());
+      const double us_per_trial = records.micros(f).mean();
+      out.add_row({std::string(kFamilies[f]), util::Table::num(mean_accuracy, 3),
+                   total(f, kTentative), total(f, kReplayRejects), total(f, kAttackerEvents),
+                   util::Table::num(us_per_trial, 0)});
+      perf += ",\n  \"" + std::string(kFamilies[f]) +
+              "_us_per_trial\": " + util::Table::num(us_per_trial, 1);
     }
-    const double accuracy = completed == 0 ? 0.0 : accuracy_sum / completed;
-    const double us_per_trial = completed == 0 ? 0.0 : wall_us / completed;
-    char entry[512];
-    std::snprintf(entry, sizeof(entry),
-                  "%s    {\"family\": \"%.*s\", \"trials\": %zu, \"accuracy\": %.17g, "
-                  "\"tentative\": %llu, \"replay_rejects\": %llu, \"attacker_events\": %llu}",
-                  f == 0 ? "" : ",\n", static_cast<int>(kFamilies[f].size()),
-                  kFamilies[f].data(), completed, accuracy,
-                  static_cast<unsigned long long>(tentative),
-                  static_cast<unsigned long long>(rejects),
-                  static_cast<unsigned long long>(events));
-    families_json += entry;
-    std::snprintf(entry, sizeof(entry), "%s  \"%.*s_us_per_trial\": %.1f",
-                  f == 0 ? "" : ",\n", static_cast<int>(kFamilies[f].size()),
-                  kFamilies[f].data(), us_per_trial);
-    perf_json += entry;
-    table.add_row({std::string(kFamilies[f]), util::Table::num(accuracy, 3),
-                   std::to_string(tentative), std::to_string(rejects),
-                   std::to_string(events), util::Table::num(us_per_trial, 0)});
-  }
-  table.print(std::cout);
+    out.print(std::cout);
 
-  char head[256];
-  std::snprintf(head, sizeof(head),
-                "{\n  \"name\": \"adversary\",\n  \"nodes\": %zu,\n  \"seeds\": %zu,\n"
-                "  \"families\": [\n",
-                nodes, seeds);
-  const std::string json = std::string(head) + families_json + "\n  ]\n}\n";
-  const std::string path = bench_artifact_path("BENCH_adversary.json");
-  if (!util::write_file(path, json)) {
-    std::cerr << "cannot write " << path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << path << "\n";
+    const std::string perf_path = bench_artifact_path("BENCH_adversary_perf.json");
+    if (!util::write_file(perf_path, perf + "\n}\n")) {
+      return std::vector<std::string>{"cannot write " + perf_path};
+    }
+    std::cout << "\nwrote " << perf_path << "\n";
+    return std::vector<std::string>{};
+  };
 
-  const std::string perf =
-      "{\n  \"name\": \"adversary_perf\",\n" + perf_json + "\n}\n";
-  const std::string perf_path = bench_artifact_path("BENCH_adversary_perf.json");
-  if (!util::write_file(perf_path, perf)) {
-    std::cerr << "cannot write " << perf_path << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << perf_path << "\n";
-
-  return report.failed == 0 ? 0 : 1;
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

@@ -7,27 +7,29 @@
 // nodes re-issue its binding record, then a further replica moves another
 // hop out -- gaining roughly R of reach per permitted update. Sweeping the
 // cap m shows the measured impact radius growing with m but staying inside
-// the (m+1)R bound.
+// the (m+1)R bound. The driver exits 1 and names the row when a record
+// version passes m or a seed breaks the bound.
 #include <algorithm>
 #include <iostream>
 
 #include "adversary/attacker.h"
 #include "core/safety.h"
+#include "shard/sweep.h"
 #include "util/driver_spec.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace snd;
 
-struct Outcome {
-  double impact_radius = 0.0;
-  bool bound_violated = false;
-  std::uint32_t final_version = 0;
-};
+enum Metric : std::size_t { kImpactRadius, kBoundViolated, kFinalVersion };
 
-Outcome run_creeping_attack(std::uint32_t m, std::uint64_t seed) {
+/// Theorem 4's (m+1)R, floored at Theorem 3's 2R: the theorem's induction
+/// base (m = 1) coincides with Theorem 3, and with the extension disabled
+/// (m = 0) Theorem 3 applies directly.
+double bound_factor(std::uint32_t m) { return std::max(2.0, static_cast<double>(m) + 1.0); }
+
+shard::TrialOutput run_creeping_attack(std::uint32_t m, std::uint64_t seed) {
   // Corridor field: the attack creeps rightward from the origin pocket.
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {700.0, 120.0}};
@@ -63,63 +65,74 @@ Outcome run_creeping_attack(std::uint32_t m, std::uint64_t seed) {
     attacker.sync_replica_state(victim);  // pool this round's harvest
   }
 
-  // Theorem 4's (m+1)R, floored at Theorem 3's 2R: the theorem's induction
-  // base (m = 1) coincides with Theorem 3, and with the extension disabled
-  // (m = 0) Theorem 3 applies directly.
-  const double bound =
-      std::max(2.0, static_cast<double>(m) + 1.0) * config.radio_range;
-  const core::IdentitySafetyReport report = core::audit_identity(deployment, victim, bound);
-  Outcome outcome;
-  outcome.impact_radius = report.impact_radius();
-  outcome.bound_violated = report.violates;
+  const core::IdentitySafetyReport report =
+      core::audit_identity(deployment, victim, bound_factor(m) * config.radio_range);
+  std::uint32_t final_version = 0;
   for (const adversary::MaliciousAgent* agent : attacker.agents_for(victim)) {
-    if (agent->record()) {
-      outcome.final_version = std::max(outcome.final_version, agent->record()->version);
-    }
+    if (agent->record()) final_version = std::max(final_version, agent->record()->version);
   }
-  return outcome;
+  return {{report.impact_radius(), report.violates ? 1.0 : 0.0,
+           static_cast<double>(final_version)},
+          deployment.network().trace_summary()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  shard::SweepFlags flags;
   util::cli::DriverSpec driver_spec(
       "thm4_update_safety",
       "Theorem 4 check: after m rounds of incremental updates the maximum\n"
       "functional link stays within (m+1)R.");
   driver_spec.int_flag("seeds", 4, "N", "independent deployment seeds", 1)
       .int_flag("mmax", 4, "M", "maximum number of update rounds", 0);
+  shard::add_sweep_flags(driver_spec, &flags);
   const util::cli::Driver cli = driver_spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds"));
+  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
   const auto m_max = static_cast<std::uint32_t>(cli.get_int("mmax"));
 
+  // One flat (m, seed) trial space: cell m caps updates at m. Every row
+  // deploys seed index s as (s + 1) * 131, so the rows share their fields.
+  const shard::Sweep sweep{"thm4_update_safety", 131, std::size_t{m_max} + 1, seeds,
+                           {"impact_radius", "bound_violated", "final_version"}};
+  const std::string header =
+      "== Theorem 4: (m+1)R-safety under the update extension ==\n"
+      "creeping replica attack down a corridor, R = 50 m, t = 3, " +
+      std::to_string(seeds) + " seeds, " + std::to_string(flags.jobs) + " jobs\n\n";
 
-  std::cout << "== Theorem 4: (m+1)R-safety under the update extension ==\n"
-            << "creeping replica attack down a corridor, R = 50 m, t = 3, " << seeds
-            << " seeds\n\n";
+  const auto body = [&](std::size_t i, std::uint64_t) {
+    return run_creeping_attack(static_cast<std::uint32_t>(sweep.cell(i)),
+                               (sweep.seed_index(i) + 1) * 131);
+  };
 
-  util::Table table({"m (update cap)", "bound max(2,m+1)R", "measured impact radius (m)",
+  const auto table = [&](const shard::SweepRecords& records) {
+    std::vector<std::string> broken;
+    util::Table out({"m (update cap)", "bound max(2,m+1)R", "measured impact radius (m)",
                      "record version reached", "bound violations"});
-  for (std::uint32_t m = 0; m <= m_max; ++m) {
-    util::RunningStats radius;
-    util::RunningStats version;
-    std::size_t violations = 0;
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const Outcome outcome = run_creeping_attack(m, seed * 131);
-      radius.add(outcome.impact_radius);
-      version.add(static_cast<double>(outcome.final_version));
-      if (outcome.bound_violated) ++violations;
+    for (std::uint32_t m = 0; m <= m_max; ++m) {
+      const util::RunningStats version = records.stats(m, kFinalVersion);
+      const auto violations =
+          static_cast<long long>(records.stats(m, kBoundViolated).sum());
+      out.add_row({util::Table::integer(m), util::Table::num(bound_factor(m) * 50.0, 0),
+                   util::Table::num(records.stats(m, kImpactRadius).mean(), 1),
+                   util::Table::num(version.mean(), 1), util::Table::integer(violations)});
+      const std::string row = "claim broken at row m = " + std::to_string(m) + ": ";
+      if (version.max() > m) {
+        broken.push_back(row + "a record reached version " +
+                         util::Table::num(version.max(), 0) + ", past the update cap m");
+      }
+      if (violations > 0) {
+        broken.push_back(row + std::to_string(violations) +
+                         " seed(s) broke the max(2, m+1)R bound (Theorem 4)");
+      }
     }
-    table.add_row({util::Table::integer(m),
-                   util::Table::num(std::max(2.0, static_cast<double>(m) + 1.0) * 50.0, 0),
-                   util::Table::num(radius.mean(), 1), util::Table::num(version.mean(), 1),
-                   util::Table::integer(static_cast<long long>(violations))});
-  }
-  table.print(std::cout);
+    out.print(std::cout);
+    std::cout << "\nExpected shape: impact radius grows ~R per permitted update but never\n"
+              << "exceeds (m+1)R; with m = 0 the attack gains nothing beyond 2R... the\n"
+              << "Theorem 3 bound (the m = 0 row uses the extension disabled entirely).\n";
+    return broken;
+  };
 
-  std::cout << "\nExpected shape: impact radius grows ~R per permitted update but never\n"
-            << "exceeds (m+1)R; with m = 0 the attack gains nothing beyond 2R... the\n"
-            << "Theorem 3 bound (the m = 0 row uses the extension disabled entirely).\n";
-  return 0;
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

@@ -10,31 +10,26 @@
 //   ./incremental_deployment [--rounds 4] [--deaths 12] [--updates 3] [--seeds 1] [--jobs N]
 //
 // The with/without-updates arms (x --seeds deployments) are independent
-// trials sharded across workers by runner::TrialRunner; both arms of a seed
-// share the same deployment so the comparison stays paired.
+// trials run through shard::run_sweep; both arms of a seed share the same
+// deployment so the comparison stays paired.
 #include <iostream>
 
 #include "core/deployment_driver.h"
-#include "obs/config.h"
-#include "runner/trial_runner.h"
+#include "shard/sweep.h"
 #include "topology/stats.h"
 #include "util/driver_spec.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace snd;
 
-struct RoundStats {
-  std::size_t new_nodes = 0;
-  double new_to_old_links = 0.0;  // mean functional links from new to old nodes
-  double mean_record_version = 0.0;
-};
-
-std::vector<RoundStats> simulate(std::uint32_t max_updates, std::size_t rounds,
-                                 std::size_t deaths_per_round, std::uint64_t seed) {
+/// Per round r, metrics 2r and 2r + 1: the mean functional links from the
+/// round's new nodes to old ones, and the mean record version of the old
+/// nodes still alive.
+shard::TrialOutput simulate(std::uint32_t max_updates, std::size_t rounds,
+                            std::size_t deaths_values, std::uint64_t seed) {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {150.0, 150.0}};
   config.radio_range = 50.0;
@@ -47,11 +42,11 @@ std::vector<RoundStats> simulate(std::uint32_t max_updates, std::size_t rounds,
   deployment.run();
   for (NodeId id : old_nodes) deployment.agent(id)->set_auto_update(true);
 
-  std::vector<RoundStats> per_round;
+  std::vector<double> values;
   util::Rng death_rng(seed ^ 0xdead);
   for (std::size_t round = 0; round < rounds; ++round) {
     // Battery deaths thin the original population.
-    for (std::size_t d = 0; d < deaths_per_round; ++d) {
+    for (std::size_t d = 0; d < deaths_values; ++d) {
       const auto index = death_rng.uniform_int(old_nodes.size());
       if (const core::SndNode* agent = deployment.agent(old_nodes[index])) {
         deployment.kill_device(agent->device());
@@ -62,15 +57,13 @@ std::vector<RoundStats> simulate(std::uint32_t max_updates, std::size_t rounds,
     deployment.run();
     for (NodeId id : fresh) deployment.agent(id)->set_auto_update(true);
 
-    RoundStats stats;
-    stats.new_nodes = fresh.size();
     double links = 0.0;
     for (NodeId id : fresh) {
       for (NodeId v : deployment.agent(id)->functional_neighbors()) {
         if (v <= old_nodes.back()) links += 1.0;
       }
     }
-    stats.new_to_old_links = links / static_cast<double>(fresh.size());
+    values.push_back(links / static_cast<double>(fresh.size()));
     double versions = 0.0;
     std::size_t alive = 0;
     for (NodeId id : old_nodes) {
@@ -80,73 +73,68 @@ std::vector<RoundStats> simulate(std::uint32_t max_updates, std::size_t rounds,
       versions += agent->record_version();
       ++alive;
     }
-    stats.mean_record_version = alive > 0 ? versions / static_cast<double>(alive) : 0.0;
-    per_round.push_back(stats);
+    values.push_back(alive > 0 ? versions / static_cast<double>(alive) : 0.0);
   }
-  return per_round;
+  return {values, deployment.network().trace_summary()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t jobs = 1;
-  obs::ObsConfig obs_config;
+  shard::SweepFlags flags;
   util::cli::DriverSpec driver_spec(
       "incremental_deployment",
       "Incremental-deployment walkthrough (paper Theorem 4): deploy in\n"
       "rounds, kill batteries, update survivors, revalidate each round.");
   driver_spec.int_flag("rounds", 4, "N", "deployment rounds", 1)
       .int_flag("deaths", 12, "N", "battery deaths per round", 0)
-      .int_flag("updates", 3, "N", "position updates per round", 0)
-      .int_flag("seeds", 1, "N", "independent seeds", 1)
-      .group(util::cli::jobs_group(&jobs))
-      .group(obs::obs_flag_group(&obs_config));
+      .int_flag("updates", 3, "M", "record-update cap m of the updating arm", 0)
+      .int_flag("seeds", 1, "N", "independent seeds", 1);
+  shard::add_sweep_flags(driver_spec, &flags);
   const util::cli::Driver cli = driver_spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  if (!obs::apply_obs(obs_config, std::cerr)) return 2;
   const auto rounds = static_cast<std::size_t>(cli.get_int("rounds"));
   const auto deaths = static_cast<std::size_t>(cli.get_int("deaths"));
   const auto updates = static_cast<std::uint32_t>(cli.get_int("updates"));
   const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
-  runner::TrialRunner pool(jobs);
-
-  std::cout << "== Incremental deployment with battery deaths ==\n"
-            << "180 initial nodes, " << deaths << " deaths + 20 arrivals per round, t = 12, "
-            << seeds << " seed(s), " << pool.jobs() << " jobs\n\n";
 
   // One flat (arm, seed) trial space: arm 0 disables updates, arm 1 caps
   // them at --updates. Both arms of seed s reuse the same deployment seed so
   // the table stays a paired comparison.
-  const auto results = pool.run(
-      2 * seeds, /*base_seed=*/42, [&](std::size_t i, std::uint64_t) {
-        const std::uint32_t m = i / seeds == 0 ? 0 : updates;
-        return simulate(m, rounds, deaths, util::derive_seed(42, i % seeds));
-      });
+  shard::Sweep sweep{"incremental_deployment", 42, 2, seeds, {}};
+  for (std::size_t r = 1; r <= rounds; ++r) {
+    sweep.metrics.push_back("r" + std::to_string(r) + "_new_to_old_links");
+    sweep.metrics.push_back("r" + std::to_string(r) + "_mean_record_version");
+  }
+  const std::string header =
+      "== Incremental deployment with battery deaths ==\n"
+      "180 initial nodes, " + std::to_string(deaths) +
+      " deaths + 20 arrivals per round, t = 12, " + std::to_string(seeds) + " seed(s), " +
+      std::to_string(flags.jobs) + " jobs\n\n";
 
-  auto mean_over_seeds = [&](std::size_t arm, std::size_t round, auto field) {
-    util::RunningStats stats;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      if (const auto& per_round = results[arm * seeds + s]) stats.add(field((*per_round)[round]));
-    }
-    return stats.mean();
+  const auto body = [&](std::size_t i, std::uint64_t) {
+    const std::uint32_t m = sweep.cell(i) == 0 ? 0 : updates;
+    return simulate(m, rounds, deaths, util::derive_seed(sweep.base_seed, sweep.seed_index(i)));
   };
 
-  util::Table table({"round", "new-to-old links (no updates)",
+  const auto table = [&](const shard::SweepRecords& records) {
+    const auto mean = [&](std::size_t arm, std::size_t metric, int precision) {
+      return util::Table::num(records.stats(arm, metric).mean(), precision);
+    };
+    util::Table out({"round", "new-to-old links (no updates)",
                      "new-to-old links (m=" + std::to_string(updates) + ")",
                      "mean record version (m=" + std::to_string(updates) + ")"});
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const auto links = [](const RoundStats& s) { return s.new_to_old_links; };
-    const auto version = [](const RoundStats& s) { return s.mean_record_version; };
-    table.add_row({util::Table::integer(static_cast<long long>(r + 1)),
-                   util::Table::num(mean_over_seeds(0, r, links), 1),
-                   util::Table::num(mean_over_seeds(1, r, links), 1),
-                   util::Table::num(mean_over_seeds(1, r, version), 2)});
-  }
-  table.print(std::cout);
+    for (std::size_t r = 0; r < rounds; ++r) {
+      out.add_row({util::Table::integer(static_cast<long long>(r + 1)), mean(0, 2 * r, 1),
+                   mean(1, 2 * r, 1), mean(1, 2 * r + 1, 2)});
+    }
+    out.print(std::cout);
+    std::cout << "\nWith updates enabled, old nodes keep absorbing each round's arrivals\n"
+              << "into their binding records, so later rounds still validate them; with\n"
+              << "the extension off, new-to-old connectivity decays as the original\n"
+              << "cohort dies out (the §4.4 motivation).\n";
+    return std::vector<std::string>{};
+  };
 
-  std::cout << "\nWith updates enabled, old nodes keep absorbing each round's arrivals\n"
-            << "into their binding records, so later rounds still validate them; with\n"
-            << "the extension off, new-to-old connectivity decays as the original\n"
-            << "cohort dies out (the §4.4 motivation).\n";
-  return 0;
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

@@ -57,6 +57,11 @@ SessionOptions resolve_session(const util::Cli& cli) {
   if (options.resume && !options.enabled) {
     cli.record_error("--resume: requires --checkpoint PATH");
   }
+  options.canonical_path = cli.get("canonical-report", "");
+  if (!options.canonical_path.empty() && options.enabled) {
+    cli.record_error("--canonical-report: needs a plain run (merge the shard files with "
+                     "shard_merge to get the canonical report)");
+  }
   return options;
 }
 
@@ -82,6 +87,8 @@ util::cli::FlagGroup session_flag_group(SessionOptions* out) {
       "continue an interrupted checkpoint instead of truncating it");
   add("checkpoint-every", FlagType::kInt, "N", "flush the checkpoint every N trials");
   group.flags.back().def_int = 16;
+  add("canonical-report", FlagType::kString, "PATH",
+      "write the canonical sweep report JSON to PATH (plain runs only)");
   group.resolve = [out](const util::Cli& cli) { *out = resolve_session(cli); };
   return group;
 }

@@ -1,6 +1,6 @@
-// The one path every trial of a sharded sweep (fig3, fig4) takes: resolves
-// the shared --shard/--checkpoint/--resume flag surface, computes the
-// pending trial indices (owned by this shard, minus trials already
+// The one path every trial of a sweep takes: resolves the shared
+// --shard/--checkpoint/--resume/--canonical-report flag surface, computes
+// the pending trial indices (owned by this shard, minus trials already
 // checkpointed when resuming), runs them, and keeps every outcome as a
 // TrialRecord -- in memory for a plain run, in the .sndshard checkpoint
 // file when checkpointing.
@@ -14,7 +14,9 @@
 //   if (!session.finish(std::cerr)) return 1;
 //
 // A plain run's report is folded from its records by fold_records, the
-// function shard_merge folds shard files with. See docs/SHARDING.md.
+// function shard_merge folds shard files with. Table drivers do not use
+// this class directly: shard::run_sweep (shard/sweep.h) drives it for them.
+// See docs/SHARDING.md.
 #pragma once
 
 #include <chrono>
@@ -33,10 +35,11 @@
 namespace snd::shard {
 
 /// The shared flag surface:
-///   --shard i/N          run only shard i of N (requires --checkpoint)
-///   --checkpoint PATH    persist results to PATH (.sndshard), checkpointing
-///                        every --checkpoint-every trials (default 16)
-///   --resume             continue an interrupted PATH instead of truncating
+///   --shard i/N              run only shard i of N (requires --checkpoint)
+///   --checkpoint PATH        persist results to PATH (.sndshard), checkpointing
+///                            every --checkpoint-every trials (default 16)
+///   --resume                 continue an interrupted PATH instead of truncating
+///   --canonical-report PATH  (plain runs only) write the canonical report
 struct SessionOptions {
   bool enabled = false;  ///< --checkpoint given (sharded or whole-sweep)
   std::uint32_t shard_index = 0;
@@ -44,19 +47,18 @@ struct SessionOptions {
   std::string checkpoint_path;
   bool resume = false;
   std::size_t checkpoint_every = 16;
-
-  [[nodiscard]] bool sharded() const { return shard_count > 1; }
+  std::string canonical_path;  ///< empty: no canonical report
 };
 
 /// Reads the flags above; invalid combinations (bad "i/N", --shard without
-/// --checkpoint, --resume without --checkpoint, --checkpoint-every < 1) are
-/// recorded with cli.record_error() so the driver's cli.validate() call
-/// rejects them with a non-zero exit.
+/// --checkpoint, --resume without --checkpoint, --checkpoint-every < 1,
+/// --canonical-report with --checkpoint) are recorded with
+/// cli.record_error() so DriverSpec::parse rejects them with exit code 2.
 [[nodiscard]] SessionOptions resolve_session(const util::Cli& cli);
 
 /// The same surface as a DriverSpec flag group: declares --shard,
-/// --checkpoint, --resume, --checkpoint-every and resolves them into `*out`
-/// during parse().
+/// --checkpoint, --resume, --checkpoint-every and --canonical-report and
+/// resolves them into `*out` during parse().
 [[nodiscard]] util::cli::FlagGroup session_flag_group(SessionOptions* out);
 
 /// What a trial body returns. A trial that fails throws instead.
@@ -85,8 +87,6 @@ class Session {
   [[nodiscard]] bool open(std::ostream& err);
 
   [[nodiscard]] bool enabled() const { return options_.enabled; }
-  [[nodiscard]] bool sharded() const { return options_.sharded(); }
-  [[nodiscard]] const ShardSpec& spec() const { return spec_; }
   /// Trials this run still has to execute: the shard's owned indices minus
   /// the ones a resumed checkpoint already holds. Ascending. For a disabled
   /// session this is every trial of the sweep.

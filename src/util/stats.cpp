@@ -14,6 +14,7 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
+  sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
   m2_ += delta * (x - mean_);

@@ -22,7 +22,9 @@ class RunningStats {
   [[nodiscard]] double sem() const;
   [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return n_ > 0 ? mean_ * static_cast<double>(n_) : 0.0; }
+  /// The samples added up in insertion order (exact for integer samples
+  /// below 2^53).
+  [[nodiscard]] double sum() const { return sum_; }
 
   /// "mean ± stdev" with the given precision, for table cells.
   [[nodiscard]] std::string summary(int precision = 3) const;
@@ -31,6 +33,7 @@ class RunningStats {
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
+  double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
