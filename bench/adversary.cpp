@@ -10,7 +10,7 @@
 //                              --canonical-report writes, byte-identical at
 //                              any --jobs (asserted in CI).
 //   BENCH_adversary_perf.json  <family>_us_per_trial, the mean per-trial wall
-//                              time the pool measured for each family; the
+//                              time the session measured for each family; the
 //                              ci/bench_trend.py series (timing only, never
 //                              compared byte-wise).
 // The per-family values are in the table.

@@ -6,14 +6,15 @@
 // exchanges -- this bench measures what that costs the discovery accuracy,
 // alongside each scheme's per-node storage and capture resilience.
 #include <iostream>
+#include <iterator>
 #include <memory>
 
 #include "core/deployment_driver.h"
 #include "crypto/blundo.h"
 #include "crypto/eg_pool.h"
+#include "shard/sweep.h"
 #include "topology/stats.h"
 #include "util/driver_spec.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
@@ -26,19 +27,16 @@ struct SchemeCase {
   const char* resilience;
 };
 
-struct Accuracy {
-  /// Directed-edge recall over the whole field (one deployment round).
-  double same_round = 0.0;
-  /// Fraction of physically adjacent (new, old) pairs that ended up
-  /// MUTUALLY functional after a second round. Same-round validation works
-  /// from overheard (self-authenticating) record broadcasts, so keyless
-  /// pairs only surface here: the old node learns a new neighbor solely
-  /// through the pairwise-authenticated relation commitment.
-  double cross_round_mutual = 0.0;
-};
+/// kSameRound: directed-edge recall over the whole field (one deployment
+/// round). kCrossRoundMutual: fraction of physically adjacent (new, old)
+/// pairs that ended up MUTUALLY functional after a second round. Same-round
+/// validation works from overheard (self-authenticating) record broadcasts,
+/// so keyless pairs only surface in the second: the old node learns a new
+/// neighbor solely through the pairwise-authenticated relation commitment.
+enum Metric : std::size_t { kSameRound, kCrossRoundMutual };
 
-Accuracy run_accuracy(const std::shared_ptr<crypto::KeyPredistribution>& scheme,
-                      std::uint64_t seed) {
+shard::TrialOutput run_accuracy(const std::shared_ptr<crypto::KeyPredistribution>& scheme,
+                                std::uint64_t seed) {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {150.0, 150.0}};
   config.radio_range = 50.0;
@@ -49,9 +47,8 @@ Accuracy run_accuracy(const std::shared_ptr<crypto::KeyPredistribution>& scheme,
   const std::vector<NodeId> old_nodes = deployment.deploy_round(150);
   deployment.run();
 
-  Accuracy accuracy;
-  accuracy.same_round = topology::edge_recall(deployment.actual_benign_graph(),
-                                              deployment.functional_graph());
+  const double same_round = topology::edge_recall(deployment.actual_benign_graph(),
+                                                 deployment.functional_graph());
 
   const std::vector<NodeId> new_nodes = deployment.deploy_round(50);
   deployment.run();
@@ -68,26 +65,26 @@ Accuracy run_accuracy(const std::shared_ptr<crypto::KeyPredistribution>& scheme,
       if (functional.has_edge(fresh, old_id) && functional.has_edge(old_id, fresh)) ++mutual;
     }
   }
-  accuracy.cross_round_mutual =
-      adjacent_pairs == 0 ? 1.0
-                          : static_cast<double>(mutual) / static_cast<double>(adjacent_pairs);
-  return accuracy;
+  return {{same_round, adjacent_pairs == 0 ? 1.0
+                                           : static_cast<double>(mutual) /
+                                                 static_cast<double>(adjacent_pairs)},
+          deployment.network().trace_summary()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  shard::SweepFlags flags;
   util::cli::DriverSpec driver_spec(
       "key_scheme_ablation",
-      "Key-scheme ablation: master-key vs pairwise vs location-bound keys\n"
-      "under node compromise.");
+      "Key-predistribution ablation: discovery accuracy, storage and capture\n"
+      "resilience of the KDC-derived keys the paper assumes, Blundo\n"
+      "polynomials and Eschenauer-Gligor key pools.");
   driver_spec.int_flag("seeds", 4, "N", "independent deployment seeds", 1);
+  shard::add_sweep_flags(driver_spec, &flags);
   const util::cli::Driver cli = driver_spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds"));
-
-  std::cout << "== Key predistribution ablation ==\n"
-            << "200 nodes, 150x150 m, R = 50 m, t = 5, " << seeds << " seeds\n\n";
+  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
 
   const SchemeCase cases[] = {
       {"KDC-derived (paper's assumption)",
@@ -117,32 +114,45 @@ int main(int argc, char** argv) {
        "stronger small-capture resilience"},
   };
 
-  util::Table table({"scheme", "pairwise connectivity", "same-round accuracy",
-                     "new<->old mutual", "storage/node (B)", "capture resilience"});
-  for (const SchemeCase& scheme_case : cases) {
-    util::RunningStats same_round, cross_round;
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const Accuracy a = run_accuracy(scheme_case.make(seed * 41), seed * 41);
-      same_round.add(a.same_round);
-      cross_round.add(a.cross_round_mutual);
-    }
-    const auto probe = scheme_case.make(1);
-    std::string connectivity = "1.000 (deterministic)";
-    if (const auto* eg = dynamic_cast<const crypto::EschenauerGligorScheme*>(probe.get())) {
-      connectivity = util::Table::num(eg->analytical_share_probability(), 3);
-    }
-    table.add_row({scheme_case.label, connectivity, util::Table::num(same_round.mean(), 3),
-                   util::Table::num(cross_round.mean(), 3),
-                   util::Table::integer(static_cast<long long>(probe->storage_bytes_per_node())),
-                   scheme_case.resilience});
-  }
-  table.print(std::cout);
+  // One cell per scheme; seed index s keys and deploys (s + 1) * 41.
+  const shard::Sweep sweep{"key_scheme_ablation", 41, std::size(cases), seeds,
+                           {"same_round_accuracy", "cross_round_mutual"}};
+  const std::string header =
+      "== Key predistribution ablation ==\n"
+      "200 nodes, 150x150 m, R = 50 m, t = 5, " +
+      std::to_string(seeds) + " seeds, " + std::to_string(flags.jobs) + " jobs\n\n";
 
-  std::cout << "\nExpected shape: SAME-ROUND accuracy is key-scheme independent (records\n"
-            << "are overheard as self-authenticating broadcasts), so every row reads\n"
-            << "~1.0 there. The scheme bites in incremental deployment: an old node\n"
-            << "only learns a new neighbor through the pairwise-authenticated relation\n"
-            << "commitment, so EG-style pools lose roughly (1 - connectivity) of the\n"
-            << "new<->old mutual relations, more for q=2 at equal ring size.\n";
-  return 0;
+  const auto body = [&](std::size_t i, std::uint64_t) {
+    const std::uint64_t seed = (sweep.seed_index(i) + 1) * 41;
+    return run_accuracy(cases[sweep.cell(i)].make(seed), seed);
+  };
+
+  const auto table = [&](const shard::SweepRecords& records) {
+    util::Table out({"scheme", "pairwise connectivity", "same-round accuracy",
+                     "new<->old mutual", "storage/node (B)", "capture resilience"});
+    for (std::size_t cell = 0; cell < sweep.cells; ++cell) {
+      const SchemeCase& scheme_case = cases[cell];
+      const auto probe = scheme_case.make(1);
+      std::string connectivity = "1.000 (deterministic)";
+      if (const auto* eg = dynamic_cast<const crypto::EschenauerGligorScheme*>(probe.get())) {
+        connectivity = util::Table::num(eg->analytical_share_probability(), 3);
+      }
+      out.add_row(
+          {scheme_case.label, connectivity,
+           util::Table::num(records.stats(cell, kSameRound).mean(), 3),
+           util::Table::num(records.stats(cell, kCrossRoundMutual).mean(), 3),
+           util::Table::integer(static_cast<long long>(probe->storage_bytes_per_node())),
+           scheme_case.resilience});
+    }
+    out.print(std::cout);
+    std::cout << "\nExpected shape: SAME-ROUND accuracy is key-scheme independent (records\n"
+              << "are overheard as self-authenticating broadcasts), so every row reads\n"
+              << "~1.0 there. The scheme bites in incremental deployment: an old node\n"
+              << "only learns a new neighbor through the pairwise-authenticated relation\n"
+              << "commitment, so EG-style pools lose roughly (1 - connectivity) of the\n"
+              << "new<->old mutual relations, more for q=2 at equal ring size.\n";
+    return std::vector<std::string>{};
+  };
+
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

@@ -9,22 +9,18 @@
 #include <iostream>
 
 #include "core/deployment_driver.h"
+#include "shard/sweep.h"
 #include "topology/stats.h"
 #include "util/driver_spec.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace snd;
 
-struct Outcome {
-  double accuracy = 0.0;
-  double messages_per_node = 0.0;
-  double mean_energy_spent_j = 0.0;
-};
+enum Metric : std::size_t { kAccuracy, kMessagesPerNode, kEnergySpent };
 
-Outcome run(bool half_duplex, bool jitter, std::uint64_t seed) {
+shard::TrialOutput run(bool half_duplex, bool jitter, std::uint64_t seed) {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {150.0, 150.0}};
   config.radio_range = 50.0;
@@ -42,57 +38,65 @@ Outcome run(bool half_duplex, bool jitter, std::uint64_t seed) {
   deployment.deploy_round(n);
   deployment.run();
 
-  Outcome outcome;
-  outcome.accuracy =
-      topology::edge_recall(deployment.actual_benign_graph(), deployment.functional_graph());
-  outcome.messages_per_node =
-      static_cast<double>(deployment.network().metrics().total().messages) /
-      static_cast<double>(n);
   double spent = 0.0;
   for (const core::SndNode* agent : deployment.agents()) {
     spent += 50.0 - deployment.network().energy_j(agent->device());
   }
-  outcome.mean_energy_spent_j = spent / static_cast<double>(n);
-  return outcome;
+  return {{topology::edge_recall(deployment.actual_benign_graph(),
+                                 deployment.functional_graph()),
+           static_cast<double>(deployment.network().metrics().total().messages) /
+               static_cast<double>(n),
+           spent / static_cast<double>(n)},
+          deployment.network().trace_summary()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  shard::SweepFlags flags;
   util::cli::DriverSpec driver_spec(
       "mac_ablation",
-      "MAC ablation: what breaks when binding records drop their\n"
-      "authentication codes.");
+      "MAC ablation: discovery accuracy, traffic and energy with and without\n"
+      "per-message TX jitter, on the ideal full-duplex channel and on a\n"
+      "half-duplex MAC.");
   driver_spec.int_flag("seeds", 5, "N", "independent deployment seeds", 1);
+  shard::add_sweep_flags(driver_spec, &flags);
   const util::cli::Driver cli = driver_spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds"));
+  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
 
-  std::cout << "== MAC / jitter ablation ==\n"
-            << "200 nodes, 150x150 m, R = 50 m, t = 5, energy accounting on, " << seeds
-            << " seeds\n\n";
+  // Cell c: half-duplex when c >= 2, jitter on when c is even. Seed index s
+  // deploys (s + 1) * 23, so every cell sees the same fields.
+  const shard::Sweep sweep{"mac_ablation", 23, 4, seeds,
+                           {"accuracy", "messages_per_node", "energy_spent_j"}};
+  const auto half_duplex = [](std::size_t cell) { return cell >= 2; };
+  const auto jitter = [](std::size_t cell) { return cell % 2 == 0; };
+  const std::string header =
+      "== MAC / jitter ablation ==\n"
+      "200 nodes, 150x150 m, R = 50 m, t = 5, energy accounting on, " +
+      std::to_string(seeds) + " seeds, " + std::to_string(flags.jobs) + " jobs\n\n";
 
-  util::Table table({"channel", "tx jitter", "accuracy", "messages/node",
+  const auto body = [&](std::size_t i, std::uint64_t) {
+    const std::size_t cell = sweep.cell(i);
+    return run(half_duplex(cell), jitter(cell), (sweep.seed_index(i) + 1) * 23);
+  };
+
+  const auto table = [&](const shard::SweepRecords& records) {
+    util::Table out({"channel", "tx jitter", "accuracy", "messages/node",
                      "energy spent/node (J)"});
-  for (const bool half_duplex : {false, true}) {
-    for (const bool jitter : {true, false}) {
-      util::RunningStats accuracy, messages, energy;
-      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-        const Outcome o = run(half_duplex, jitter, seed * 23);
-        accuracy.add(o.accuracy);
-        messages.add(o.messages_per_node);
-        energy.add(o.mean_energy_spent_j);
-      }
-      table.add_row({half_duplex ? "half-duplex" : "full-duplex (ideal)",
-                     jitter ? "60 ms" : "off", util::Table::num(accuracy.mean(), 3),
-                     util::Table::num(messages.mean(), 1),
-                     util::Table::num(energy.mean(), 2)});
+    for (std::size_t cell = 0; cell < sweep.cells; ++cell) {
+      out.add_row({half_duplex(cell) ? "half-duplex" : "full-duplex (ideal)",
+                   jitter(cell) ? "60 ms" : "off",
+                   util::Table::num(records.stats(cell, kAccuracy).mean(), 3),
+                   util::Table::num(records.stats(cell, kMessagesPerNode).mean(), 1),
+                   util::Table::num(records.stats(cell, kEnergySpent).mean(), 2)});
     }
-  }
-  table.print(std::cout);
+    out.print(std::cout);
+    std::cout << "\nExpected shape: on the ideal channel jitter is cost-free; on the\n"
+              << "half-duplex channel dropping the jitter collapses the exchange (whole\n"
+              << "rounds transmit at the same window edges and deafen each other).\n";
+    return std::vector<std::string>{};
+  };
 
-  std::cout << "\nExpected shape: on the ideal channel jitter is cost-free; on the\n"
-            << "half-duplex channel dropping the jitter collapses the exchange (whole\n"
-            << "rounds transmit at the same window edges and deafen each other).\n";
-  return 0;
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

@@ -13,6 +13,8 @@
 //                                 public-key sign/verify.
 //   5. exposure window         -- detection acts only after claims travel;
 //                                 prevention blocks acceptance outright.
+// The driver exits 1 when a seed's SND network accepts a remote replica at
+// any fresh node.
 #include <iostream>
 
 #include "adversary/attacker.h"
@@ -20,19 +22,35 @@
 #include "baseline/parno.h"
 #include "core/safety.h"
 #include "crypto/sha256.h"
+#include "shard/sweep.h"
 #include "util/driver_spec.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace snd;
 
-struct SndOutcome {
-  double fooled_fraction = 0.0;  // fresh nodes near replicas accepting them
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t hash_ops = 0;
+/// One column per table cell: SND, randomized multicast (rm), the
+/// revocation flood estimate, line-selected multicast (ls).
+enum Metric : std::size_t {
+  kSndFooled,  // fraction of fresh nodes near replicas accepting them
+  kSndMessages,
+  kSndBytes,
+  kSndHashOps,
+  kRmRate,
+  kRmMessages,
+  kRmBytes,
+  kRmSigns,
+  kRmVerifies,
+  kRmStorage,
+  kRevocationBytes,
+  kLsRate,
+  kLsMessages,
+  kLsBytes,
+  kLsSigns,
+  kLsVerifies,
+  kLsStorage,
+  kMetricCount
 };
 
 struct Setup {
@@ -61,7 +79,9 @@ Setup build_attacked_network(std::uint64_t seed) {
   return setup;
 }
 
-SndOutcome run_snd(std::uint64_t seed) {
+/// Runs SND under the attack; writes the kSnd* columns of `values` and
+/// returns the deployment's trace summary.
+obs::TraceSummary run_snd(std::uint64_t seed, std::vector<double>& values) {
   Setup setup = build_attacked_network(seed);
   core::SndDeployment& deployment = *setup.deployment;
   deployment.network().metrics().reset();
@@ -84,7 +104,6 @@ SndOutcome run_snd(std::uint64_t seed) {
   }
   deployment.run();
 
-  SndOutcome outcome;
   std::size_t fooled = 0;
   for (NodeId x : fresh) {
     const core::SndNode* agent = deployment.agent(x);
@@ -95,12 +114,13 @@ SndOutcome run_snd(std::uint64_t seed) {
       }
     }
   }
-  outcome.fooled_fraction = static_cast<double>(fooled) / static_cast<double>(fresh.size());
+  values[kSndFooled] = static_cast<double>(fooled) / static_cast<double>(fresh.size());
   const auto total = deployment.network().metrics().total();
-  outcome.messages = total.messages;
-  outcome.bytes = total.bytes;
-  outcome.hash_ops = crypto::hash_op_count();
-  return outcome;
+  values[kSndMessages] = static_cast<double>(total.messages);
+  values[kSndBytes] = static_cast<double>(total.bytes);
+  // The counter is per thread, and a trial runs on one worker thread.
+  values[kSndHashOps] = static_cast<double>(crypto::hash_op_count());
+  return deployment.network().trace_summary();
 }
 
 baseline::DetectionResult run_parno(std::uint64_t seed, bool line_selected) {
@@ -124,93 +144,111 @@ baseline::DetectionResult run_parno(std::uint64_t seed, bool line_selected) {
                        : detector.randomized_multicast(config);
 }
 
+/// Writes one Parno variant's columns, starting at `rate` (kRmRate or
+/// kLsRate).
+void put_detection(const baseline::DetectionResult& result, std::size_t rate,
+                   std::vector<double>& values) {
+  values[rate] = result.detection_rate();
+  values[rate + 1] = static_cast<double>(result.messages);
+  values[rate + 2] = static_cast<double>(result.bytes);
+  values[rate + 3] = static_cast<double>(result.sign_ops);
+  values[rate + 4] = static_cast<double>(result.verify_ops);
+  values[rate + 5] = result.mean_stored_claims;
+}
+
+/// One seed of the comparison: SND, randomized multicast, the revocation
+/// flood estimate and line-selected multicast on the same attacked network.
+shard::TrialOutput run_comparison(std::uint64_t seed) {
+  std::vector<double> values(kMetricCount);
+  obs::TraceSummary trace = run_snd(seed, values);
+  put_detection(run_parno(seed, /*line_selected=*/false), kRmRate, values);
+  // Detection must be followed by a flooded revocation per caught identity
+  // (Parno et al.); estimate it on a fresh attacked network.
+  {
+    Setup setup = build_attacked_network(seed);
+    const apps::FloodCost flood =
+        apps::estimate_flood(setup.deployment->network(), 0, baseline::kClaimBytes);
+    values[kRevocationBytes] = static_cast<double>(flood.bytes);
+  }
+  put_detection(run_parno(seed, /*line_selected=*/true), kLsRate, values);
+  return {std::move(values), trace};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  shard::SweepFlags flags;
   util::cli::DriverSpec driver_spec(
       "parno_comparison",
       "Replica-detection comparison against Parno et al. line-selected\n"
       "multicast, under the paper's threat model.");
   driver_spec.int_flag("seeds", 6, "N", "independent deployment seeds", 1);
+  shard::add_sweep_flags(driver_spec, &flags);
   const util::cli::Driver cli = driver_spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds"));
+  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
 
-  std::cout << "== Comparison vs Parno et al. replica handling (paper section 4.5.3) ==\n"
-            << "350 nodes + 3 compromised identities replicated at 3 remote sites,\n"
-            << "300x300 m, R = 50 m, " << seeds << " seeds\n\n";
+  // One cell; seed index s deploys (s + 1) * 13 for all four mechanisms.
+  const shard::Sweep sweep{
+      "parno_comparison", 13, 1, seeds,
+      {"snd_fooled", "snd_messages", "snd_bytes", "snd_hash_ops", "rm_detection_rate",
+       "rm_messages", "rm_bytes", "rm_sign_ops", "rm_verify_ops", "rm_stored_claims",
+       "revocation_bytes", "ls_detection_rate", "ls_messages", "ls_bytes", "ls_sign_ops",
+       "ls_verify_ops", "ls_stored_claims"}};
+  const std::string header =
+      "== Comparison vs Parno et al. replica handling (paper section 4.5.3) ==\n"
+      "350 nodes + 3 compromised identities replicated at 3 remote sites,\n"
+      "300x300 m, R = 50 m, " +
+      std::to_string(seeds) + " seeds, " + std::to_string(flags.jobs) + " jobs\n\n";
 
-  util::RunningStats snd_fooled, snd_msgs, snd_bytes, snd_hashes;
-  util::RunningStats rm_rate, rm_msgs, rm_bytes, rm_signs, rm_verifies, rm_storage;
-  util::RunningStats ls_rate, ls_msgs, ls_bytes, ls_signs, ls_verifies, ls_storage;
-  util::RunningStats revocation_bytes;
+  const auto body = [&](std::size_t i, std::uint64_t) {
+    return run_comparison((sweep.seed_index(i) + 1) * 13);
+  };
 
-  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    const SndOutcome snd = run_snd(seed * 13);
-    snd_fooled.add(snd.fooled_fraction);
-    snd_msgs.add(static_cast<double>(snd.messages));
-    snd_bytes.add(static_cast<double>(snd.bytes));
-    snd_hashes.add(static_cast<double>(snd.hash_ops));
-
-    const auto rm = run_parno(seed * 13, /*line_selected=*/false);
-    rm_rate.add(rm.detection_rate());
-    rm_msgs.add(static_cast<double>(rm.messages));
-    rm_bytes.add(static_cast<double>(rm.bytes));
-    rm_signs.add(static_cast<double>(rm.sign_ops));
-    rm_verifies.add(static_cast<double>(rm.verify_ops));
-    rm_storage.add(rm.mean_stored_claims);
-
-    // Detection must be followed by a flooded revocation per caught
-    // identity (Parno et al.); estimate it on a fresh attacked network.
-    {
-      Setup setup = build_attacked_network(seed * 13);
-      const apps::FloodCost flood =
-          apps::estimate_flood(setup.deployment->network(), 0, baseline::kClaimBytes);
-      revocation_bytes.add(static_cast<double>(flood.bytes));
-    }
-
-    const auto ls = run_parno(seed * 13, /*line_selected=*/true);
-    ls_rate.add(ls.detection_rate());
-    ls_msgs.add(static_cast<double>(ls.messages));
-    ls_bytes.add(static_cast<double>(ls.bytes));
-    ls_signs.add(static_cast<double>(ls.sign_ops));
-    ls_verifies.add(static_cast<double>(ls.verify_ops));
-    ls_storage.add(ls.mean_stored_claims);
-  }
-
-  util::Table table({"metric", "SND (this paper)", "randomized multicast",
+  const auto table = [&](const shard::SweepRecords& records) {
+    const auto stats = [&](Metric metric) { return records.stats(0, metric); };
+    const auto num = [&](Metric metric, int precision) {
+      return util::Table::num(stats(metric).mean(), precision);
+    };
+    util::Table out({"metric", "SND (this paper)", "randomized multicast",
                      "line-selected multicast"});
-  table.add_row({"guarantee", "prevention (deterministic, <= t)", "detection (probabilistic)",
+    out.add_row({"guarantee", "prevention (deterministic, <= t)", "detection (probabilistic)",
                  "detection (probabilistic)"});
-  table.add_row({"remote acceptance / detection rate",
-                 util::Table::percent(snd_fooled.mean(), 1) + " fooled",
-                 util::Table::percent(rm_rate.mean(), 1) + " detected",
-                 util::Table::percent(ls_rate.mean(), 1) + " detected"});
-  table.add_row({"location information required", "no", "yes (signed claims)",
+    out.add_row({"remote acceptance / detection rate",
+                 util::Table::percent(stats(kSndFooled).mean(), 1) + " fooled",
+                 util::Table::percent(stats(kRmRate).mean(), 1) + " detected",
+                 util::Table::percent(stats(kLsRate).mean(), 1) + " detected"});
+    out.add_row({"location information required", "no", "yes (signed claims)",
                  "yes (signed claims)"});
-  table.add_row({"messages (whole protocol / round)", util::Table::num(snd_msgs.mean(), 0),
-                 util::Table::num(rm_msgs.mean(), 0), util::Table::num(ls_msgs.mean(), 0)});
-  table.add_row({"bytes", util::Table::num(snd_bytes.mean(), 0),
-                 util::Table::num(rm_bytes.mean(), 0), util::Table::num(ls_bytes.mean(), 0)});
-  table.add_row({"symmetric hash ops", util::Table::num(snd_hashes.mean(), 0), "-", "-"});
-  table.add_row({"public-key sign ops", "0", util::Table::num(rm_signs.mean(), 0),
-                 util::Table::num(ls_signs.mean(), 0)});
-  table.add_row({"public-key verify ops", "0", util::Table::num(rm_verifies.mean(), 0),
-                 util::Table::num(ls_verifies.mean(), 0)});
-  table.add_row({"claims stored / node", "0", util::Table::num(rm_storage.mean(), 1),
-                 util::Table::num(ls_storage.mean(), 1)});
-  table.add_row({"revocation flood per detection (bytes)", "n/a (never accepted)",
-                 util::Table::num(revocation_bytes.mean(), 0),
-                 util::Table::num(revocation_bytes.mean(), 0)});
-  table.add_row({"scope of traffic", "single hop (neighbors only)", "network-wide routing",
+    out.add_row({"messages (whole protocol / round)", num(kSndMessages, 0),
+                 num(kRmMessages, 0), num(kLsMessages, 0)});
+    out.add_row({"bytes", num(kSndBytes, 0), num(kRmBytes, 0), num(kLsBytes, 0)});
+    out.add_row({"symmetric hash ops", num(kSndHashOps, 0), "-", "-"});
+    out.add_row({"public-key sign ops", "0", num(kRmSigns, 0), num(kLsSigns, 0)});
+    out.add_row({"public-key verify ops", "0", num(kRmVerifies, 0), num(kLsVerifies, 0)});
+    out.add_row({"claims stored / node", "0", num(kRmStorage, 1), num(kLsStorage, 1)});
+    out.add_row({"revocation flood per detection (bytes)", "n/a (never accepted)",
+                 num(kRevocationBytes, 0), num(kRevocationBytes, 0)});
+    out.add_row({"scope of traffic", "single hop (neighbors only)", "network-wide routing",
                  "network-wide routing"});
-  table.add_row({"exposure window", "none (never accepted)", "until claims meet + revocation",
+    out.add_row({"exposure window", "none (never accepted)", "until claims meet + revocation",
                  "until lines intersect + revocation"});
-  table.print(std::cout);
+    out.print(std::cout);
 
-  std::cout << "\nExpected shape (paper's five claims): SND fools 0% of fresh nodes with\n"
-            << "zero public-key operations and neighborhood-local traffic; both Parno\n"
-            << "variants detect only probabilistically and spend network-wide messages\n"
-            << "plus per-claim signatures.\n";
-  return 0;
+    std::cout << "\nExpected shape (paper's five claims): SND fools 0% of fresh nodes with\n"
+              << "zero public-key operations and neighborhood-local traffic; both Parno\n"
+              << "variants detect only probabilistically and spend network-wide messages\n"
+              << "plus per-claim signatures.\n";
+
+    std::vector<std::string> broken;
+    if (stats(kSndFooled).max() > 0.0) {
+      broken.push_back("claim broken at row \"remote acceptance / detection rate\": a seed "
+                       "fooled " + util::Table::percent(stats(kSndFooled).max(), 1) +
+                       " of the fresh nodes, but SND never lets a remote replica of <= t "
+                       "compromised nodes be accepted");
+    }
+    return broken;
+  };
+
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

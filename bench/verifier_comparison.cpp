@@ -4,14 +4,15 @@
 // per-verification message cost. Complements verifier_sensitivity (which
 // sweeps *error rates* of a single mechanism).
 #include <iostream>
+#include <iterator>
 #include <memory>
 
 #include "adversary/chaff.h"
 #include "adversary/wormhole.h"
 #include "core/deployment_driver.h"
+#include "shard/sweep.h"
 #include "topology/stats.h"
 #include "util/driver_spec.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
@@ -23,13 +24,11 @@ struct VerifierCase {
   std::function<std::shared_ptr<verify::DirectVerifier>()> make;
 };
 
-struct Outcome {
-  double benign_accuracy = 0.0;
-  double wormhole_cross_edges = 0.0;  // tentative edges bridging the tunnel
-  double chaff_pollution = 0.0;       // fake ids per node's tentative list
-};
+/// kCrossEdges: tentative edges bridging the tunnel; kChaffPollution: fake
+/// ids per node's tentative list.
+enum Metric : std::size_t { kBenignAccuracy, kCrossEdges, kChaffPollution };
 
-Outcome run(const VerifierCase& verifier_case, std::uint64_t seed) {
+shard::TrialOutput run(const VerifierCase& verifier_case, std::uint64_t seed) {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {400.0, 100.0}};
   config.radio_range = 50.0;
@@ -50,8 +49,7 @@ Outcome run(const VerifierCase& verifier_case, std::uint64_t seed) {
   deployment.deploy_round(250);
   deployment.run();
 
-  Outcome outcome;
-  outcome.benign_accuracy =
+  const double benign_accuracy =
       topology::edge_recall(deployment.actual_benign_graph(), deployment.functional_graph());
 
   // Cross-tunnel tentative edges: pairs > 2R apart that list each other.
@@ -71,27 +69,26 @@ Outcome run(const VerifierCase& verifier_case, std::uint64_t seed) {
       if (util::distance(from, to) > 2.0 * config.radio_range) ++cross;
     }
   }
-  outcome.wormhole_cross_edges = static_cast<double>(cross);
-  outcome.chaff_pollution =
-      static_cast<double>(chaff_entries) / static_cast<double>(deployment.agents().size());
-  return outcome;
+  return {{benign_accuracy, static_cast<double>(cross),
+           static_cast<double>(chaff_entries) /
+               static_cast<double>(deployment.agents().size())},
+          deployment.network().trace_summary()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  shard::SweepFlags flags;
   util::cli::DriverSpec driver_spec(
       "verifier_comparison",
-      "Verifier-selection policy comparison: accuracy and message cost of\n"
-      "alternative common-neighbor verifier choices.");
+      "Direct-verification mechanisms (none, oracle, RTT distance bounding,\n"
+      "location claims) under a wormhole plus chaff: benign accuracy, tunnel\n"
+      "edges and fake identities admitted, and messages per verification.");
   driver_spec.int_flag("seeds", 3, "N", "independent deployment seeds", 1);
+  shard::add_sweep_flags(driver_spec, &flags);
   const util::cli::Driver cli = driver_spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds"));
-
-  std::cout << "== Direct-verification mechanisms under wormhole + chaff ==\n"
-            << "250 nodes in a 400x100 m corridor, tunnel across it, chaff mid-field,\n"
-            << seeds << " seeds\n\n";
+  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
 
   const VerifierCase cases[] = {
       {"none (naive)", [] { return std::make_shared<verify::NaiveVerifier>(); }},
@@ -101,25 +98,35 @@ int main(int argc, char** argv) {
       {"location claims", [] { return std::make_shared<verify::LocationVerifier>(); }},
   };
 
-  util::Table table({"mechanism", "benign accuracy", "wormhole edges admitted",
-                     "chaff ids/node", "msgs per verification"});
-  for (const VerifierCase& verifier_case : cases) {
-    util::RunningStats accuracy, cross, pollution;
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const Outcome o = run(verifier_case, seed * 53);
-      accuracy.add(o.benign_accuracy);
-      cross.add(o.wormhole_cross_edges);
-      pollution.add(o.chaff_pollution);
-    }
-    table.add_row({verifier_case.label, util::Table::num(accuracy.mean(), 3),
-                   util::Table::num(cross.mean(), 1), util::Table::num(pollution.mean(), 1),
-                   util::Table::integer(static_cast<long long>(
-                       verifier_case.make()->messages_per_verification()))});
-  }
-  table.print(std::cout);
+  // One cell per mechanism; seed index s deploys (s + 1) * 53.
+  const shard::Sweep sweep{"verifier_comparison", 53, std::size(cases), seeds,
+                           {"benign_accuracy", "wormhole_cross_edges", "chaff_ids_per_node"}};
+  const std::string header =
+      "== Direct-verification mechanisms under wormhole + chaff ==\n"
+      "250 nodes in a 400x100 m corridor, tunnel across it, chaff mid-field,\n" +
+      std::to_string(seeds) + " seeds, " + std::to_string(flags.jobs) + " jobs\n\n";
 
-  std::cout << "\nExpected shape: with no verification the tunnel bridges the corridor\n"
-            << "and chaff floods every list; every authenticated mechanism zeroes both\n"
-            << "at slightly differing benign accuracy (RTT pays jitter false-rejects).\n";
-  return 0;
+  const auto body = [&](std::size_t i, std::uint64_t) {
+    return run(cases[sweep.cell(i)], (sweep.seed_index(i) + 1) * 53);
+  };
+
+  const auto table = [&](const shard::SweepRecords& records) {
+    util::Table out({"mechanism", "benign accuracy", "wormhole edges admitted",
+                     "chaff ids/node", "msgs per verification"});
+    for (std::size_t cell = 0; cell < sweep.cells; ++cell) {
+      out.add_row({cases[cell].label,
+                   util::Table::num(records.stats(cell, kBenignAccuracy).mean(), 3),
+                   util::Table::num(records.stats(cell, kCrossEdges).mean(), 1),
+                   util::Table::num(records.stats(cell, kChaffPollution).mean(), 1),
+                   util::Table::integer(static_cast<long long>(
+                       cases[cell].make()->messages_per_verification()))});
+    }
+    out.print(std::cout);
+    std::cout << "\nExpected shape: with no verification the tunnel bridges the corridor\n"
+              << "and chaff floods every list; every authenticated mechanism zeroes both\n"
+              << "at slightly differing benign accuracy (RTT pays jitter false-rejects).\n";
+    return std::vector<std::string>{};
+  };
+
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

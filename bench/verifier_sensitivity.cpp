@@ -9,25 +9,29 @@
 // records within the window, so they cost little accuracy but pollute
 // binding records (storage/bytes). Both trends quantified here.
 #include <iostream>
+#include <iterator>
 
 #include "adversary/wormhole.h"
 #include "core/deployment_driver.h"
+#include "shard/sweep.h"
 #include "topology/stats.h"
 #include "util/driver_spec.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace snd;
 
-struct Outcome {
-  double accuracy = 0.0;
-  double precision = 0.0;
-  double mean_record_entries = 0.0;
-};
+enum Metric : std::size_t { kAccuracy, kPrecision, kRecordEntries };
 
-Outcome run(double false_reject, double false_accept, std::size_t t, std::uint64_t seed) {
+/// The 6 false-reject rows come first (cells 0..5), then the 5 false-accept
+/// rows (cells 6..10).
+constexpr double kRejectRates[] = {0.0, 0.02, 0.05, 0.1, 0.2, 0.4};
+constexpr double kAcceptRates[] = {0.0, 0.02, 0.05, 0.1, 0.2};
+constexpr std::size_t kRejectRows = std::size(kRejectRates);
+
+shard::TrialOutput run(double false_reject, double false_accept, std::size_t t,
+                       std::uint64_t seed) {
   core::DeploymentConfig config;
   config.field = {{0.0, 0.0}, {200.0, 200.0}};
   config.radio_range = 50.0;
@@ -45,74 +49,83 @@ Outcome run(double false_reject, double false_accept, std::size_t t, std::uint64
   deployment.deploy_round(400);
   deployment.run();
 
-  Outcome outcome;
-  outcome.accuracy =
-      topology::edge_recall(deployment.actual_benign_graph(), deployment.functional_graph());
-  outcome.precision =
-      topology::edge_precision(deployment.actual_benign_graph(), deployment.functional_graph());
   double entries = 0.0;
   for (const core::SndNode* agent : deployment.agents()) {
     entries += static_cast<double>(agent->record().neighbors.size());
   }
-  outcome.mean_record_entries = entries / static_cast<double>(deployment.agents().size());
-  return outcome;
+  return {{topology::edge_recall(deployment.actual_benign_graph(),
+                                 deployment.functional_graph()),
+           topology::edge_precision(deployment.actual_benign_graph(),
+                                    deployment.functional_graph()),
+           entries / static_cast<double>(deployment.agents().size())},
+          deployment.network().trace_summary()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  shard::SweepFlags flags;
   util::cli::DriverSpec driver_spec(
       "verifier_sensitivity",
-      "Sensitivity of validation accuracy to the number of reachable\n"
-      "verifiers around the threshold t.");
+      "Imperfect direct verification: validation accuracy, precision and\n"
+      "record size as the verifier's false-reject rate, then its\n"
+      "false-accept rate, grows.");
   driver_spec.int_flag("seeds", 5, "N", "independent deployment seeds", 1)
       .int_flag("threshold", 8, "T", "security threshold t", 0);
+  shard::add_sweep_flags(driver_spec, &flags);
   const util::cli::Driver cli = driver_spec.parse(argc, argv);
   if (!cli.ok()) return cli.exit_code();
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds"));
+  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
   const auto t = static_cast<std::size_t>(cli.get_int("threshold"));
 
-  std::cout << "== Sensitivity to imperfect direct verification (paper section 6) ==\n"
-            << "400 nodes, 200x200 m, R = 50 m, t = " << t << ", " << seeds << " seeds\n\n";
+  // Seed index s deploys (s + 1) * 11 on the false-reject rows and
+  // (s + 1) * 13 on the false-accept rows.
+  const shard::Sweep sweep{"verifier_sensitivity", 11,
+                           kRejectRows + std::size(kAcceptRates), seeds,
+                           {"accuracy", "precision", "record_entries"}};
+  const std::string header =
+      "== Sensitivity to imperfect direct verification (paper section 6) ==\n"
+      "400 nodes, 200x200 m, R = 50 m, t = " +
+      std::to_string(t) + ", " + std::to_string(seeds) + " seeds, " +
+      std::to_string(flags.jobs) + " jobs\n\n";
 
-  std::cout << "-- sweep false-REJECT rate (genuine neighbors dropped) --\n";
-  util::Table rejects({"false-reject rate", "accuracy", "precision", "record entries/node"});
-  for (double rate : {0.0, 0.02, 0.05, 0.1, 0.2, 0.4}) {
-    util::RunningStats accuracy, precision, entries;
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const Outcome o = run(rate, 0.0, t, seed * 11);
-      accuracy.add(o.accuracy);
-      precision.add(o.precision);
-      entries.add(o.mean_record_entries);
+  const auto body = [&](std::size_t i, std::uint64_t) {
+    const std::size_t cell = sweep.cell(i);
+    const std::uint64_t s = sweep.seed_index(i) + 1;
+    if (cell < kRejectRows) return run(kRejectRates[cell], 0.0, t, s * 11);
+    return run(0.0, kAcceptRates[cell - kRejectRows], t, s * 13);
+  };
+
+  const auto table = [&](const shard::SweepRecords& records) {
+    const auto row = [&](util::Table& out, double rate, std::size_t cell) {
+      out.add_row({util::Table::percent(rate, 0),
+                   util::Table::num(records.stats(cell, kAccuracy).mean(), 3),
+                   util::Table::num(records.stats(cell, kPrecision).mean(), 3),
+                   util::Table::num(records.stats(cell, kRecordEntries).mean(), 1)});
+    };
+    std::cout << "-- sweep false-REJECT rate (genuine neighbors dropped) --\n";
+    util::Table rejects({"false-reject rate", "accuracy", "precision", "record entries/node"});
+    for (std::size_t r = 0; r < kRejectRows; ++r) row(rejects, kRejectRates[r], r);
+    rejects.print(std::cout);
+
+    std::cout << "\n-- sweep false-ACCEPT rate (non-neighbors admitted) --\n";
+    util::Table accepts({"false-accept rate", "accuracy", "precision", "record entries/node"});
+    for (std::size_t r = 0; r < std::size(kAcceptRates); ++r) {
+      row(accepts, kAcceptRates[r], kRejectRows + r);
     }
-    rejects.add_row({util::Table::percent(rate, 0), util::Table::num(accuracy.mean(), 3),
-                     util::Table::num(precision.mean(), 3), util::Table::num(entries.mean(), 1)});
-  }
-  rejects.print(std::cout);
+    accepts.print(std::cout);
 
-  std::cout << "\n-- sweep false-ACCEPT rate (non-neighbors admitted) --\n";
-  util::Table accepts({"false-accept rate", "accuracy", "precision", "record entries/node"});
-  for (double rate : {0.0, 0.02, 0.05, 0.1, 0.2}) {
-    util::RunningStats accuracy, precision, entries;
-    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      const Outcome o = run(0.0, rate, t, seed * 13);
-      accuracy.add(o.accuracy);
-      precision.add(o.precision);
-      entries.add(o.mean_record_entries);
-    }
-    accepts.add_row({util::Table::percent(rate, 0), util::Table::num(accuracy.mean(), 3),
-                     util::Table::num(precision.mean(), 3), util::Table::num(entries.mean(), 1)});
-  }
-  accepts.print(std::cout);
+    std::cout << "\nExpected shape: accuracy degrades with the false-reject rate r (an edge\n"
+              << "needs at least one endpoint's verification draw plus enough surviving\n"
+              << "witnesses, ~1-r^2 before threshold losses). False accepts admit\n"
+              << "wormhole-relayed identities into tentative lists; SND's threshold\n"
+              << "check holds the line -- precision stays ~1 -- until r times the\n"
+              << "relayed neighborhood size reaches t+1, at which point the falsely\n"
+              << "accepted identities start serving as each other's witnesses and\n"
+              << "cross-tunnel relations form. The protocol's tolerance of a leaky\n"
+              << "verifier is therefore quantifiable: keep r < (t+1)/degree.\n";
+    return std::vector<std::string>{};
+  };
 
-  std::cout << "\nExpected shape: accuracy degrades with the false-reject rate r (an edge\n"
-            << "needs at least one endpoint's verification draw plus enough surviving\n"
-            << "witnesses, ~1-r^2 before threshold losses). False accepts admit\n"
-            << "wormhole-relayed identities into tentative lists; SND's threshold\n"
-            << "check holds the line -- precision stays ~1 -- until r times the\n"
-            << "relayed neighborhood size reaches t+1, at which point the falsely\n"
-            << "accepted identities start serving as each other's witnesses and\n"
-            << "cross-tunnel relations form. The protocol's tolerance of a leaky\n"
-            << "verifier is therefore quantifiable: keep r < (t+1)/degree.\n";
-  return 0;
+  return shard::run_sweep(cli, flags, sweep, header, body, table);
 }

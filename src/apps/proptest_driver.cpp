@@ -99,6 +99,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\npassed " << report.passed << "/" << report.trials << ", failed "
             << report.failed << ", errored " << report.errored << "\n";
+  for (const std::string& error : report.errors) std::cout << "  " << error << "\n";
   for (const proptest::FailCase& failcase : report.failcases) {
     std::cout << "\nFAILCASE " << failcase.kind << " trial=" << failcase.trial
               << " seed=" << failcase.trial_seed << " plan " << failcase.plan.actions.size()

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/sink.h"
-#include "util/runtime_config.h"
 
 namespace snd::obs {
 
@@ -17,22 +16,6 @@ namespace {
 struct StderrSink final : Sink {
   void on_event(const Event&) override {}
 };
-
-/// Flag value if given, else the RuntimeConfig environment fallback, else
-/// nullopt. `origin` is set to a human-readable source name for messages.
-std::optional<std::string> flag_or_env(const util::Cli& cli, std::string_view flag,
-                                       const std::optional<std::string>& env_value,
-                                       const char* env_name, std::string& origin) {
-  if (cli.has(flag)) {
-    origin = "--" + std::string(flag);
-    return cli.get(flag, "");
-  }
-  if (env_value) {
-    origin = env_name;
-    return env_value;
-  }
-  return std::nullopt;
-}
 
 }  // namespace
 
@@ -60,49 +43,36 @@ std::optional<TraceLevel> trace_level_from_name(std::string_view name) {
 
 ObsConfig resolve_obs(const util::Cli& cli) {
   ObsConfig config;
-  const RuntimeConfig& env = runtime_config();
-  std::string origin;
 
-  if (auto value = flag_or_env(cli, "log", env.log_level, "SND_LOG_LEVEL", origin)) {
-    if (auto level = util::log_level_from_name(*value)) {
+  if (cli.has("log")) {
+    const std::string value = cli.get("log", "");
+    if (auto level = util::log_level_from_name(value)) {
       config.log_level = *level;
     } else {
-      cli.record_error(origin + ": unknown log level '" + *value +
+      cli.record_error("--log: unknown log level '" + value +
                        "' (expected debug|info|warn|error|off)");
     }
   }
 
   bool trace_explicit = false;
-  if (auto value = flag_or_env(cli, "trace", env.trace_level, "SND_TRACE_LEVEL", origin)) {
-    if (auto level = trace_level_from_name(*value)) {
+  if (cli.has("trace")) {
+    const std::string value = cli.get("trace", "");
+    if (auto level = trace_level_from_name(value)) {
       config.trace_level = *level;
       trace_explicit = true;
     } else {
-      cli.record_error(origin + ": unknown trace level '" + *value +
+      cli.record_error("--trace: unknown trace level '" + value +
                        "' (expected off|counters|events)");
     }
   }
 
-  if (auto value = flag_or_env(cli, "trace-json", env.trace_json, "SND_TRACE_JSON", origin)) {
-    config.trace_json_path = *value;
+  if (cli.has("trace-json")) {
+    config.trace_json_path = cli.get("trace-json", "");
     if (config.trace_level == TraceLevel::kOff && trace_explicit) {
-      cli.record_error(origin + ": conflicts with --trace off (JSON-lines output needs events)");
+      cli.record_error("--trace-json: conflicts with --trace off (JSON-lines output needs "
+                       "events)");
     } else {
       // Writing the event stream only makes sense at full verbosity.
-      config.trace_level = TraceLevel::kEvents;
-    }
-  }
-
-  if (auto value = flag_or_env(cli, "trace-bin", env.trace_bin, "SND_TRACE_BIN", origin)) {
-    config.trace_bin_path = *value;
-    if (!config.trace_json_path.empty()) {
-      cli.record_error(origin +
-                       ": conflicts with --trace-json (pick one trace output format)");
-    } else if (*value == "-") {
-      cli.record_error(origin + ": binary trace output cannot go to stdout");
-    } else if (config.trace_level == TraceLevel::kOff && trace_explicit) {
-      cli.record_error(origin + ": conflicts with --trace off (binary output needs events)");
-    } else {
       config.trace_level = TraceLevel::kEvents;
     }
   }
@@ -123,12 +93,9 @@ util::cli::FlagGroup obs_flag_group(ObsConfig* out) {
     def.help = help;
     group.flags.push_back(std::move(def));
   };
-  add("log", "LEVEL", "log verbosity: debug|info|warn|error|off (env: SND_LOG_LEVEL)");
-  add("trace", "LEVEL", "event tracing: off|counters|events (env: SND_TRACE_LEVEL)");
-  add("trace-json", "PATH", "write JSON-lines event trace to PATH, '-' for stdout "
-                            "(env: SND_TRACE_JSON)");
-  add("trace-bin", "PATH", "write binary .sndtrace event trace to PATH "
-                           "(env: SND_TRACE_BIN)");
+  add("log", "LEVEL", "log verbosity: debug|info|warn|error|off");
+  add("trace", "LEVEL", "event tracing: off|counters|events");
+  add("trace-json", "PATH", "write JSON-lines event trace to PATH, '-' for stdout");
   group.resolve = [out](const util::Cli& cli) { *out = resolve_obs(cli); };
   return group;
 }
@@ -144,13 +111,6 @@ bool apply_obs(const ObsConfig& config, std::ostream& err) {
       return false;
     }
     sink = std::move(json);
-  } else if (!config.trace_bin_path.empty()) {
-    auto bin = std::make_shared<BinaryEventSink>(config.trace_bin_path);
-    if (!bin->ok()) {
-      err << "error: cannot open trace output '" << config.trace_bin_path << "'\n";
-      return false;
-    }
-    sink = std::move(bin);
   } else {
     sink = std::make_shared<StderrSink>();
   }

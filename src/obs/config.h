@@ -1,14 +1,13 @@
 // One configuration surface for harness logging, event tracing, and JSON
 // output, shared by every bench and example binary:
 //
-//   --log   <debug|info|warn|error|off>     (env: SND_LOG_LEVEL)
-//   --trace <off|counters|events>           (env: SND_TRACE_LEVEL)
-//   --trace-json <path|->                   (env: SND_TRACE_JSON)
-//   --trace-bin  <path>                     (env: SND_TRACE_BIN)
+//   --log   <debug|info|warn|error|off>
+//   --trace <off|counters|events>
+//   --trace-json <path|->
 //
-// Flags beat environment variables. A driver declares the four flags by
-// adding obs_flag_group() to its util::cli::DriverSpec; bad values are
-// recorded on the Cli, so DriverSpec::parse rejects them (exit non-zero).
+// A driver declares the three flags by adding obs_flag_group() to its
+// util::cli::DriverSpec; bad values are recorded on the Cli, so
+// DriverSpec::parse rejects them (exit non-zero).
 #pragma once
 
 #include <iosfwd>
@@ -27,20 +26,17 @@ struct ObsConfig {
   /// JSON-lines destination for events + routed log lines; empty = none,
   /// "-" = stdout. A non-empty path raises trace_level to kEvents.
   std::string trace_json_path;
-  /// Binary .sndtrace destination (obs::BinaryEventSink); empty = none.
-  /// Mutually exclusive with trace_json_path; also raises trace_level.
-  std::string trace_bin_path;
 };
 
 /// "off" / "counters" / "events" (numeric "0".."2" accepted too).
 [[nodiscard]] std::string_view trace_level_name(TraceLevel level);
 [[nodiscard]] std::optional<TraceLevel> trace_level_from_name(std::string_view name);
 
-/// Reads the flags/environment above. Unknown values are recorded with
+/// Reads the flags above. Unknown values are recorded with
 /// cli.record_error(), so the Cli's validate() fails.
 [[nodiscard]] ObsConfig resolve_obs(const util::Cli& cli);
 
-/// The same surface as a DriverSpec flag group: declares the four flags and
+/// The same surface as a DriverSpec flag group: declares the three flags and
 /// resolves them into `*out` during parse().
 [[nodiscard]] util::cli::FlagGroup obs_flag_group(ObsConfig* out);
 

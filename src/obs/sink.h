@@ -4,16 +4,11 @@
 // share one configuration surface (see obs/config.h).
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/event.h"
 #include "util/log.h"
@@ -68,48 +63,6 @@ class JsonLinesSink final : public Sink {
   std::mutex mutex_;
   std::FILE* file_ = nullptr;
   bool owns_file_ = false;
-};
-
-/// Writes events and routed log lines as compact varint-packed binary
-/// records ("SNDTRACE" magic, see docs/SHARDING.md). One record per event:
-/// tag byte (EventKind + 1), then code / node / peer / bytes as unsigned
-/// varints and t_ns as a ZigZag-signed varint; tag 0 carries a log line
-/// (level varint + length-prefixed message). Roughly 6-10 bytes per event
-/// against ~70 for the JSON-lines form, for wide sweeps that keep full
-/// event streams. Records are appended atomically under a mutex.
-class BinaryEventSink final : public Sink {
- public:
-  /// Opens `path` for writing (binary; "-" is rejected -- the stream is not
-  /// terminal-safe). Check ok() before use.
-  explicit BinaryEventSink(const std::string& path);
-  ~BinaryEventSink() override;
-
-  [[nodiscard]] bool ok() const { return file_ != nullptr; }
-
-  void on_event(const Event& event) override;
-  void on_log(util::LogLevel level, std::string_view message) override;
-  void flush() override;
-
-  /// Everything a .sndtrace stream carries, in file order.
-  struct Decoded {
-    std::vector<Event> events;
-    std::vector<std::pair<util::LogLevel, std::string>> logs;
-  };
-
-  /// Serializes one event to its record form (tag + varint fields).
-  /// Exposed, with decode(), for tests and schema documentation.
-  [[nodiscard]] static std::vector<std::uint8_t> encode(const Event& event);
-
-  /// Parses a whole stream (magic included); nullopt (message in *error) on
-  /// a bad magic, an unknown tag, or a truncated record.
-  [[nodiscard]] static std::optional<Decoded> decode(
-      std::span<const std::uint8_t> data, std::string* error = nullptr);
-
- private:
-  void write_record(const std::vector<std::uint8_t>& record);
-
-  std::mutex mutex_;
-  std::FILE* file_ = nullptr;
 };
 
 }  // namespace snd::obs

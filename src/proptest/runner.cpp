@@ -1,7 +1,9 @@
 #include "proptest/runner.h"
 
+#include <exception>
 #include <optional>
 
+#include "runner/trial_runner.h"
 #include "util/file.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -51,20 +53,32 @@ std::string FailCase::to_json() const {
 PropReport run_property_suite(const PropConfig& config) {
   PropReport report;
   report.trials = config.trials;
-  report.sweep.name = "proptest";
 
   // Phase 1: the parallel sweep. Each trial is self-contained (seed ->
-  // scenario -> run -> oracle check) and lands in its own result slot, so
-  // the outcome set is bit-identical for any --jobs.
-  runner::TrialRunner pool(config.jobs);
-  auto results = pool.run(
-      config.trials, config.base_seed,
-      [](std::size_t, std::uint64_t seed) { return run_trial(seed); }, &report.sweep);
-  report.errored = report.sweep.failed;
+  // scenario -> run -> oracle check) and lands in its own result slot, or
+  // leaves the message of what it threw in its own error slot, so the
+  // outcome set is bit-identical for any --jobs.
+  std::vector<std::optional<TrialOutcome>> results(config.trials);
+  std::vector<std::string> thrown(config.trials);
+  runner::TrialRunner(config.jobs).for_each(config.trials, [&](std::size_t i) {
+    try {
+      results[i] = run_trial(util::derive_seed(config.base_seed, i));
+    } catch (const std::exception& e) {
+      thrown[i] = e.what();
+    } catch (...) {
+      thrown[i] = "non-standard exception";
+    }
+  });
 
   std::vector<std::size_t> failing;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].has_value()) continue;  // threw; already counted
+    if (!results[i].has_value()) {
+      ++report.errored;
+      if (report.errors.size() < PropReport::kMaxReportedErrors) {
+        report.errors.push_back("trial " + std::to_string(i) + ": " + thrown[i]);
+      }
+      continue;
+    }
     if (results[i]->passed()) {
       ++report.passed;
     } else {

@@ -8,7 +8,6 @@
 
 #include "proptest/scenario.h"
 #include "proptest/shrink.h"
-#include "runner/trial_runner.h"
 
 namespace snd::proptest {
 
@@ -53,9 +52,12 @@ struct PropReport {
   std::size_t trials = 0;
   std::size_t passed = 0;
   std::size_t failed = 0;   ///< trials with oracle violations
-  std::size_t errored = 0;  ///< trials that threw (counted by TrialRunner)
+  std::size_t errored = 0;  ///< trials that threw
+  /// "trial N: message" for the first kMaxReportedErrors trials that threw,
+  /// in trial order.
+  std::vector<std::string> errors;
+  static constexpr std::size_t kMaxReportedErrors = 8;
   std::vector<FailCase> failcases;
-  runner::SweepReport sweep;
 
   [[nodiscard]] bool all_green() const {
     return failed == 0 && errored == 0;
@@ -64,8 +66,7 @@ struct PropReport {
 
 /// Runs the full suite: parallel sweep over `trials` seeds derived from
 /// `base_seed`, then serial shrinking of every failure (up to
-/// max_failures). Deterministic for fixed config (modulo SweepReport
-/// timing fields).
+/// max_failures). Deterministic for fixed config.
 [[nodiscard]] PropReport run_property_suite(const PropConfig& config);
 
 /// Outcome of replaying a FAILCASE artifact.

@@ -3,10 +3,116 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/file.h"
+#include "util/json.h"
+#include "util/runtime_config.h"
+
 namespace snd::shard {
 
+void SweepReport::note_failure(std::uint64_t trial, std::string_view message) {
+  ++failed;
+  if (errors.size() < kMaxReportedErrors) {
+    errors.push_back("trial " + std::to_string(trial) + ": " + std::string(message));
+  }
+}
+
+util::Series& SweepReport::metric(std::string_view name) {
+  for (auto& [key, series] : metrics) {
+    if (key == name) return series;
+  }
+  metrics.emplace_back(std::string(name), util::Series{});
+  return metrics.back().second;
+}
+
+double SweepReport::trials_per_second() const {
+  return wall_seconds > 0.0 ? static_cast<double>(trials) / wall_seconds : 0.0;
+}
+
+namespace {
+
+std::string json_num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+/// mean/stdev/ci95 block for one metric column. The normal-approximation
+/// 95% interval (mean +/- 1.96 * sem) is computed from the series in its
+/// stored (trial) order, so it is byte-identical however the trials were
+/// sharded.
+std::string metric_block(const util::Series& series) {
+  const double mean = series.mean();
+  const double stdev = series.stdev();
+  const double sem = series.count() > 1
+                         ? stdev / std::sqrt(static_cast<double>(series.count()))
+                         : 0.0;
+  std::string out = "{\"count\": " + std::to_string(series.count());
+  out += ", \"mean\": " + json_num(mean);
+  out += ", \"stdev\": " + json_num(stdev);
+  out += ", \"ci95\": [" + json_num(mean - 1.96 * sem) + ", " +
+         json_num(mean + 1.96 * sem) + "]}";
+  return out;
+}
+
+/// The report body; `timing` adds the wall-clock fields that
+/// to_canonical_json() leaves out.
+std::string report_json(const SweepReport& report, bool timing) {
+  std::string out = "{\n  \"name\": " + util::json_quote(report.name);
+  out += ",\n  \"trials\": " + std::to_string(report.trials);
+  out += ",\n  \"failed\": " + std::to_string(report.failed);
+  if (timing) {
+    const util::Series& micros = report.trial_micros;
+    out += ",\n  \"jobs\": " + std::to_string(report.jobs);
+    out += ",\n  \"wall_seconds\": " + json_num(report.wall_seconds);
+    out += ",\n  \"trials_per_second\": " + json_num(report.trials_per_second());
+    out += ",\n  \"trial_us\": {";
+    if (micros.count() > 0) {
+      out += "\"mean\": " + json_num(micros.mean());
+      out += ", \"p50\": " + json_num(micros.percentile(50.0));
+      out += ", \"p95\": " + json_num(micros.percentile(95.0));
+      out += ", \"max\": " + json_num(micros.percentile(100.0));
+    }
+    out += "}";
+  }
+  if (!report.metrics.empty()) {
+    out += ",\n  \"metrics\": {";
+    for (std::size_t i = 0; i < report.metrics.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += util::json_quote(report.metrics[i].first);
+      out += ": " + metric_block(report.metrics[i].second);
+    }
+    out += "}";
+  }
+  out += ",\n  \"errors\": [";
+  for (std::size_t i = 0; i < report.errors.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += util::json_quote(report.errors[i]);
+  }
+  out += "]";
+  if (report.has_trace) out += ",\n  \"trace\": " + report.trace.to_json();
+  out += "\n}\n";
+  return out;
+}
+
+}  // namespace
+
+std::string SweepReport::to_json() const { return report_json(*this, /*timing=*/true); }
+
+std::string SweepReport::to_canonical_json() const {
+  return report_json(*this, /*timing=*/false);
+}
+
+std::string SweepReport::write_json() const {
+  const std::string path = bench_artifact_path("BENCH_" + name + ".json");
+  return util::write_file(path, to_json()) ? path : std::string{};
+}
+
+bool SweepReport::write_canonical(const std::string& path) const {
+  return util::write_file(path, to_canonical_json());
+}
+
 void fold_records(const ShardSpec& spec, std::span<const TrialRecord> records,
-                  runner::SweepReport& report) {
+                  SweepReport& report) {
   report.name = spec.sweep_id;
   report.trials = records.size();
   for (const std::string& name : spec.metric_names) report.metric(name);
@@ -117,7 +223,7 @@ std::string num(double v, int precision) {
 }  // namespace
 
 std::string summary_markdown(const MergeResult& result) {
-  const runner::SweepReport& report = result.report;
+  const SweepReport& report = result.report;
   std::string md = "### Sharded sweep: `" + report.name + "`\n\n";
   md += std::to_string(report.trials) + " trials across " +
         std::to_string(result.shards.size()) + " shards, " +

@@ -3,7 +3,7 @@
 #include <exception>
 #include <ostream>
 
-#include "shard/merge.h"
+#include "util/rng.h"
 
 namespace snd::shard {
 
@@ -125,20 +125,33 @@ bool Session::open(std::ostream& err) {
   return true;
 }
 
-void Session::run(runner::TrialRunner& pool, const TrialBody& body,
-                  runner::SweepReport* report) {
+void Session::run(const runner::TrialRunner& pool, const TrialBody& body,
+                  SweepReport* report) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point sweep_start = Clock::now();
   if (!options_.enabled) records_.resize(pending_.size());
-  (void)pool.run_subset(
-      pending_, spec_.base_seed,
-      [&](std::size_t trial, std::uint64_t seed) {
-        keep(run_trial(body, trial, seed), report);
-        return 0;  // the outcome lives in the record
-      },
-      report);
-  if (!options_.enabled) fold_records(spec_, records_, *report);
+  // Slot k runs pending_[k] and owns micros[k]; the seed depends on the
+  // global trial index alone, so any shard split and any --jobs agree.
+  std::vector<double> micros(pending_.size(), 0.0);
+  pool.for_each(pending_.size(), [&](std::size_t slot) {
+    const std::uint32_t trial = pending_[slot];
+    const Clock::time_point t0 = Clock::now();
+    TrialRecord record = run_trial(body, trial, util::derive_seed(spec_.base_seed, trial));
+    micros[slot] = std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    keep(std::move(record), report);
+  });
+
+  report->jobs = pool.jobs();
+  report->wall_seconds = std::chrono::duration<double>(Clock::now() - sweep_start).count();
+  for (const double us : micros) report->trial_micros.add(us);
+  if (options_.enabled) {
+    report->trials = pending_.size();
+  } else {
+    fold_records(spec_, records_, *report);
+  }
 }
 
-void Session::keep(TrialRecord record, runner::SweepReport* report) {
+void Session::keep(TrialRecord record, SweepReport* report) {
   if (!options_.enabled) {
     // A plain run's pending() is every trial, so trial i owns records_[i].
     records_[record.trial] = std::move(record);

@@ -29,6 +29,7 @@
 
 #include "runner/trial_runner.h"
 #include "shard/format.h"
+#include "shard/merge.h"
 #include "util/cli.h"
 #include "util/driver_spec.h"
 
@@ -69,7 +70,7 @@ struct TrialOutput {
 
 /// body(trial, seed): one trial of the sweep, seeded with
 /// util::derive_seed(base_seed, trial). Called from the pool's worker
-/// threads.
+/// threads; a throw fails the trial, not the sweep.
 using TrialBody = std::function<TrialOutput(std::size_t trial, std::uint64_t seed)>;
 
 /// One shard run of one sweep. When checkpointing, every checkpoint_every
@@ -94,13 +95,16 @@ class Session {
   /// Trials restored from the checkpoint by open() when resuming.
   [[nodiscard]] std::size_t resumed() const { return resumed_; }
 
-  /// Runs every pending trial on `pool` and keeps its outcome as a
+  /// Runs every pending trial on `pool`, seeded with
+  /// util::derive_seed(base_seed, trial), and keeps its outcome as a
   /// TrialRecord; a body that throws yields a failed record carrying the
-  /// exception's message. `report` (not null) gets the pool's timing
-  /// fields. A plain run then sets its canonical fields with fold_records
-  /// over records(); a checkpointing run writes its records to the file and
-  /// only counts their failures in `*report` (shard_merge folds the files).
-  void run(runner::TrialRunner& pool, const TrialBody& body, runner::SweepReport* report);
+  /// exception's message. `report` (not null) gets the timing fields: jobs,
+  /// wall_seconds and each trial's wall time in pending() order. A plain
+  /// run then sets its canonical fields with fold_records over records(); a
+  /// checkpointing run writes its records to the file and only counts the
+  /// trials it ran and their failures in `*report` (shard_merge folds the
+  /// files).
+  void run(const runner::TrialRunner& pool, const TrialBody& body, SweepReport* report);
 
   /// A plain run's records after run(): one per trial, in trial order.
   /// Empty when checkpointing.
@@ -110,7 +114,7 @@ class Session {
   [[nodiscard]] bool finish(std::ostream& err);
 
  private:
-  void keep(TrialRecord record, runner::SweepReport* report);
+  void keep(TrialRecord record, SweepReport* report);
   [[nodiscard]] double wall_seconds() const;
 
   SessionOptions options_;

@@ -2,7 +2,7 @@
 //
 // A sweep of `total_trials` trials seeded with `base_seed` is split across
 // `shard_count` shards by striding the flat trial index space: shard k owns
-// every trial i with i % shard_count == k. Because runner::TrialRunner seeds
+// every trial i with i % shard_count == k. Because shard::Session seeds
 // trial i with util::derive_seed(base_seed, i) -- a function of the global
 // index alone -- running the shards on different machines, in any order, at
 // any --jobs count, and merging the results (shard::merge_shards) is

@@ -47,7 +47,7 @@ int run_sweep(const util::cli::Driver& cli, const SweepFlags& flags, const Sweep
 
   std::cout << header;
   runner::TrialRunner pool(flags.jobs);
-  runner::SweepReport report;
+  SweepReport report;
   session.run(pool, body, &report);
 
   if (session.enabled()) {

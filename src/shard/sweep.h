@@ -62,7 +62,7 @@ class SweepRecords {
   /// Metric `metric` (an index into Sweep::metrics) over the cell's trials,
   /// added in seed order.
   [[nodiscard]] util::RunningStats stats(std::size_t cell, std::size_t metric) const;
-  /// Wall time of the cell's trials in microseconds, as the pool measured
+  /// Wall time of the cell's trials in microseconds, as the session measured
   /// it. Timing only: it never enters the canonical report.
   [[nodiscard]] util::RunningStats micros(std::size_t cell) const;
 

@@ -74,12 +74,6 @@ void put_varint(Bytes& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-void put_varint_signed(Bytes& out, std::int64_t v) {
-  // ZigZag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
-  put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
-                      static_cast<std::uint64_t>(v >> 63));
-}
-
 std::optional<std::uint64_t> ByteReader::varint() {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
@@ -96,12 +90,6 @@ std::optional<std::uint64_t> ByteReader::varint() {
   }
   ok_ = false;
   return std::nullopt;
-}
-
-std::optional<std::int64_t> ByteReader::varint_signed() {
-  const auto zz = varint();
-  if (!zz) return std::nullopt;
-  return static_cast<std::int64_t>((*zz >> 1) ^ (~(*zz & 1) + 1));
 }
 
 std::optional<Bytes> ByteReader::bytes(std::size_t n) {

@@ -33,8 +33,6 @@ void put_var_bytes(Bytes& out, std::span<const std::uint8_t> data);
 /// bytes for a full 64-bit value. The columnar shard format stores all its
 /// event counts this way (docs/SHARDING.md).
 void put_varint(Bytes& out, std::uint64_t v);
-/// ZigZag-folded signed varint (small magnitudes stay small either sign).
-void put_varint_signed(Bytes& out, std::int64_t v);
 
 /// Sequential bounds-checked reader over an immutable byte span.
 /// All getters return std::nullopt once the buffer is exhausted; after a
@@ -75,8 +73,6 @@ class ByteReader {
   /// 10-byte encodings whose final group overflows 64 bits, so every value
   /// has exactly one accepted encoding length bound.
   std::optional<std::uint64_t> varint();
-  /// ZigZag-folded signed varint (inverse of put_varint_signed).
-  std::optional<std::int64_t> varint_signed();
   /// Read exactly n raw bytes.
   std::optional<Bytes> bytes(std::size_t n);
   /// Read a u16 length prefix followed by that many bytes.

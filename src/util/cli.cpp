@@ -5,8 +5,6 @@
 #include <ostream>
 #include <thread>
 
-#include "util/runtime_config.h"
-
 namespace snd::util {
 
 Cli::Cli(int argc, const char* const* argv) {
@@ -105,14 +103,9 @@ bool Cli::validate(std::ostream& err, const std::vector<std::string_view>& allow
 }
 
 std::size_t resolve_jobs(const Cli& cli) {
-  std::int64_t jobs = 0;
-  if (cli.has("jobs")) {
-    jobs = cli.get_int("jobs", 0);
-  } else if (const auto env_jobs = runtime_config().jobs) {
-    jobs = *env_jobs;
-  } else {
-    jobs = static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  }
+  const std::int64_t jobs =
+      cli.has("jobs") ? cli.get_int("jobs", 0)
+                      : static_cast<std::int64_t>(std::thread::hardware_concurrency());
   return jobs < 1 ? 1 : static_cast<std::size_t>(jobs);
 }
 

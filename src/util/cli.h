@@ -63,9 +63,8 @@ class Cli {
   mutable std::vector<std::string> errors_;
 };
 
-/// Worker count for Monte-Carlo sweeps: the --jobs flag if present, else the
-/// SND_JOBS environment variable, else std::thread::hardware_concurrency()
-/// (at least 1). Values < 1 are clamped to 1.
+/// Worker count for Monte-Carlo sweeps: the --jobs flag if present, else
+/// std::thread::hardware_concurrency(). Values < 1 are clamped to 1.
 [[nodiscard]] std::size_t resolve_jobs(const Cli& cli);
 
 }  // namespace snd::util

@@ -65,7 +65,7 @@ FlagGroup jobs_group(std::size_t* out) {
   jobs.name = "jobs";
   jobs.type = FlagType::kInt;
   jobs.value_name = "N";
-  jobs.help = "worker threads (default: SND_JOBS, then hardware concurrency)";
+  jobs.help = "worker threads (default: hardware concurrency)";
   jobs.min = 1.0;
   group.flags.push_back(std::move(jobs));
   group.resolve = [out](const Cli& cli) { *out = resolve_jobs(cli); };

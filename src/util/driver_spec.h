@@ -82,7 +82,7 @@ struct FlagGroup {
 };
 
 /// The shared --jobs surface: worker count for Monte-Carlo sweeps, resolved
-/// through resolve_jobs (flag, then SND_JOBS, then hardware concurrency).
+/// through resolve_jobs (the flag, else hardware concurrency).
 [[nodiscard]] FlagGroup jobs_group(std::size_t* out);
 
 class Driver;

@@ -15,8 +15,9 @@ namespace snd::util {
 
 /// Deterministically derives the seed for trial `trial_index` of a sweep
 /// seeded with `base_seed` (SplitMix64-based mixing, bit-identical on every
-/// platform). runner::TrialRunner seeds every trial through this function,
-/// so sharding trials across workers can never change their random streams.
+/// platform). shard::Session and the property suite seed every trial
+/// through this function, so spreading trials across workers or shards can
+/// never change their random streams.
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t trial_index);
 
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64.

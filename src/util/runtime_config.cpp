@@ -21,13 +21,6 @@ RuntimeConfig& mutable_config() {
 
 RuntimeConfig load_runtime_config_from_env() {
   RuntimeConfig config;
-  if (auto jobs = env_string("SND_JOBS")) {
-    config.jobs = std::strtoll(jobs->c_str(), nullptr, 10);
-  }
-  config.log_level = env_string("SND_LOG_LEVEL");
-  config.trace_level = env_string("SND_TRACE_LEVEL");
-  config.trace_json = env_string("SND_TRACE_JSON");
-  config.trace_bin = env_string("SND_TRACE_BIN");
   config.bench_dir = env_string("SND_BENCH_DIR");
   return config;
 }

@@ -3,10 +3,7 @@
 // surface, and the determinism of a sweep's trace fold across worker counts.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <iostream>
-#include <iterator>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -228,87 +225,6 @@ TEST(JsonLinesSinkTest, EventSerializationMatchesDocumentedSchema) {
   EXPECT_EQ(obs::JsonLinesSink::to_json(bare), R"({"kind":"tx","t_ns":0,"code":"snd.ack"})");
 }
 
-TEST(BinaryEventSinkTest, StreamRoundTripsEventsAndLogs) {
-  const std::string path = ::testing::TempDir() + "events.sndtrace";
-  std::vector<obs::Event> events;
-  events.push_back({.kind = obs::EventKind::kDrop,
-                    .code = static_cast<std::uint8_t>(obs::DropCause::kHalfDuplex),
-                    .node = 3,
-                    .peer = 9,
-                    .bytes = 42,
-                    .t_ns = 1234});
-  events.push_back({.kind = obs::EventKind::kTx,
-                    .code = static_cast<std::uint8_t>(obs::Phase::kAck),
-                    .node = kNoNode,
-                    .peer = kNoNode,
-                    .bytes = 0,
-                    .t_ns = -7});  // negative times survive (ZigZag varint)
-  events.push_back({.kind = obs::EventKind::kAccept,
-                    .code = static_cast<std::uint8_t>(obs::AcceptVia::kCommitment),
-                    .node = 0xfffffffeu,
-                    .peer = 1,
-                    .bytes = 0xffffffffu,
-                    .t_ns = std::numeric_limits<std::int64_t>::max()});
-  {
-    obs::BinaryEventSink sink(path);
-    ASSERT_TRUE(sink.ok());
-    for (const obs::Event& event : events) sink.on_event(event);
-    sink.on_log(util::LogLevel::kWarn, "something \"odd\"\nhappened");
-    sink.flush();
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  const std::vector<std::uint8_t> data((std::istreambuf_iterator<char>(in)),
-                                       std::istreambuf_iterator<char>());
-  std::string error;
-  const auto decoded = obs::BinaryEventSink::decode(data, &error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  ASSERT_EQ(decoded->events.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(decoded->events[i].kind, events[i].kind);
-    EXPECT_EQ(decoded->events[i].code, events[i].code);
-    EXPECT_EQ(decoded->events[i].node, events[i].node);
-    EXPECT_EQ(decoded->events[i].peer, events[i].peer);
-    EXPECT_EQ(decoded->events[i].bytes, events[i].bytes);
-    EXPECT_EQ(decoded->events[i].t_ns, events[i].t_ns);
-  }
-  ASSERT_EQ(decoded->logs.size(), 1u);
-  EXPECT_EQ(decoded->logs[0].first, util::LogLevel::kWarn);
-  EXPECT_EQ(decoded->logs[0].second, "something \"odd\"\nhappened");
-
-  // A typical event is far smaller than its ~70-byte JSON line.
-  EXPECT_LT(obs::BinaryEventSink::encode(events[0]).size(), 16u);
-}
-
-TEST(BinaryEventSinkTest, DecodeRejectsDamage) {
-  std::vector<std::uint8_t> ok = {'S', 'N', 'D', 'T', 'R', 'A', 'C', 'E'};
-  const auto record = obs::BinaryEventSink::encode(
-      {.kind = obs::EventKind::kTx, .code = 1, .node = 2, .peer = 3, .bytes = 4, .t_ns = 5});
-  ok.insert(ok.end(), record.begin(), record.end());
-  ASSERT_TRUE(obs::BinaryEventSink::decode(ok).has_value());
-
-  std::string error;
-  // Bad magic.
-  auto bad = ok;
-  bad[0] = 'X';
-  EXPECT_FALSE(obs::BinaryEventSink::decode(bad, &error).has_value());
-  EXPECT_NE(error.find("magic"), std::string::npos);
-  // Unknown tag.
-  bad = ok;
-  bad[8] = 0x77;
-  EXPECT_FALSE(obs::BinaryEventSink::decode(bad, &error).has_value());
-  EXPECT_NE(error.find("tag"), std::string::npos);
-  // Truncated mid-record.
-  bad = ok;
-  bad.pop_back();
-  EXPECT_FALSE(obs::BinaryEventSink::decode(bad, &error).has_value());
-}
-
-TEST(BinaryEventSinkTest, RefusesStdout) {
-  obs::BinaryEventSink sink("-");
-  EXPECT_FALSE(sink.ok());
-}
-
 // -- Config surface ---------------------------------------------------------
 
 util::Cli make_cli(std::vector<const char*> args) {
@@ -333,25 +249,13 @@ TEST(ObsConfigTest, ValidateRejectsBadValues) {
   for (const auto& args : std::vector<std::vector<const char*>>{
            {"--trace", "verbose"},
            {"--log", "loud"},
-           {"--trace", "off", "--trace-json", "x"},
-           {"--trace", "off", "--trace-bin", "x"},
-           {"--trace-json", "a", "--trace-bin", "b"},  // one format at a time
-           {"--trace-bin", "-"}}) {                    // binary stream vs terminal
+           {"--trace", "off", "--trace-json", "x"}}) {
     const util::Cli cli = make_cli(args);
     (void)obs::resolve_obs(cli);
     std::ostringstream err;
-    EXPECT_FALSE(cli.validate(err, {"trace", "log", "trace-json", "trace-bin"}))
-        << err.str();
+    EXPECT_FALSE(cli.validate(err, {"trace", "log", "trace-json"})) << err.str();
     EXPECT_FALSE(err.str().empty());
   }
-}
-
-TEST(ObsConfigTest, TraceBinImpliesEvents) {
-  const util::Cli cli = make_cli({"--trace-bin", "/tmp/t.sndtrace"});
-  const obs::ObsConfig config = obs::resolve_obs(cli);
-  EXPECT_TRUE(cli.errors().empty());
-  EXPECT_EQ(config.trace_level, obs::TraceLevel::kEvents);
-  EXPECT_EQ(config.trace_bin_path, "/tmp/t.sndtrace");
 }
 
 TEST(ObsConfigTest, TraceLevelNamesRoundTrip) {
@@ -403,7 +307,7 @@ TEST(TraceFoldDeterminismTest, FoldIsByteIdenticalAcrossJobCounts) {
   std::string baseline;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     runner::TrialRunner pool(jobs);
-    runner::SweepReport report;
+    shard::SweepReport report;
     shard::Session session(shard::SessionOptions{}, spec);
     ASSERT_TRUE(session.open(std::cerr));
     session.run(

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -51,189 +50,71 @@ TEST(SeedDerivationTest, IndependentOfEvaluationOrder) {
   EXPECT_EQ(util::derive_seed(7, 100), direct);
 }
 
+/// Runs noisy_trial for every slot of a `trials`-trial sweep on `jobs`
+/// workers, each slot seeded derive_seed(base_seed, slot) and writing its own
+/// result.
+std::vector<double> run_noisy(std::size_t jobs, std::size_t trials, std::uint64_t base_seed) {
+  std::vector<double> results(trials, 0.0);
+  TrialRunner(jobs).for_each(trials, [&](std::size_t i) {
+    results[i] = noisy_trial(i, util::derive_seed(base_seed, i));
+  });
+  return results;
+}
+
 TEST(TrialRunnerTest, ResultsBitIdenticalAcrossJobCounts) {
   const std::size_t trials = 64;
-  TrialRunner serial(1);
-  const auto baseline = serial.run(trials, 123, noisy_trial);
-
+  const std::vector<double> baseline = run_noisy(1, trials, 123);
   for (std::size_t jobs : {2, 3, 8}) {
-    TrialRunner pool(jobs);
-    const auto results = pool.run(trials, 123, noisy_trial);
-    ASSERT_EQ(results.size(), baseline.size());
-    for (std::size_t i = 0; i < trials; ++i) {
-      ASSERT_TRUE(results[i].has_value());
-      // Exact bit equality, not EXPECT_DOUBLE_EQ: sharding must not change
-      // a single trial's stream.
-      EXPECT_EQ(*results[i], *baseline[i]) << "trial " << i << " jobs " << jobs;
-    }
+    // Exact bit equality, not EXPECT_DOUBLE_EQ: scheduling must not change
+    // a single trial's stream.
+    EXPECT_EQ(run_noisy(jobs, trials, 123), baseline) << "jobs " << jobs;
   }
 }
 
 TEST(TrialRunnerTest, EveryTrialRunsExactlyOnce) {
   std::vector<std::atomic<int>> hits(503);
-  TrialRunner pool(8);
-  pool.run(hits.size(), 1, [&](std::size_t i, std::uint64_t) {
+  TrialRunner(8).for_each(hits.size(), [&](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
-    return 0;
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "trial " << i;
   }
 }
 
-TEST(TrialRunnerTest, ThrowingTrialDoesNotKillTheSweep) {
-  TrialRunner pool(4);
-  SweepReport report;
-  report.name = "throwing";
-  const auto results = pool.run(
-      50, 9,
-      [](std::size_t i, std::uint64_t) -> int {
-        if (i % 5 == 3) throw std::runtime_error("trial exploded");
-        return static_cast<int>(i);
-      },
-      &report);
-
-  EXPECT_EQ(report.trials, 50u);
-  EXPECT_EQ(report.failed, 10u);
-  ASSERT_FALSE(report.errors.empty());
-  EXPECT_NE(report.errors.front().find("trial exploded"), std::string::npos);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i % 5 == 3) {
-      EXPECT_FALSE(results[i].has_value());
-    } else {
-      ASSERT_TRUE(results[i].has_value());
-      EXPECT_EQ(*results[i], static_cast<int>(i));
-    }
-  }
-}
-
-TEST(TrialRunnerTest, ReportCapturesTimingAndThroughput) {
-  TrialRunner pool(2);
-  SweepReport report;
-  report.name = "timing";
-  pool.run(16, 3, noisy_trial, &report);
-  EXPECT_EQ(report.trials, 16u);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.trial_micros.count(), 16u);
-  EXPECT_GT(report.wall_seconds, 0.0);
-  EXPECT_GT(report.trials_per_second(), 0.0);
-  EXPECT_GE(report.trial_micros.percentile(95.0), report.trial_micros.percentile(50.0));
-}
-
 TEST(TrialRunnerTest, MoreJobsThanTrials) {
-  TrialRunner pool(16);
-  const auto results = pool.run(3, 5, noisy_trial);
-  ASSERT_EQ(results.size(), 3u);
-  TrialRunner serial(1);
-  const auto expected = serial.run(3, 5, noisy_trial);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(*results[i], *expected[i]);
+  EXPECT_EQ(run_noisy(16, 3, 5), run_noisy(1, 3, 5));
 }
 
 TEST(TrialRunnerTest, ZeroTrials) {
-  TrialRunner pool(4);
-  SweepReport report;
-  EXPECT_TRUE(pool.run(0, 1, noisy_trial, &report).empty());
-  EXPECT_EQ(report.trials, 0u);
-  EXPECT_EQ(report.trials_per_second(), 0.0);
+  bool called = false;
+  TrialRunner(4).for_each(0, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
 }
 
-TEST(SweepReportTest, JsonContainsTheHeadlineFields) {
-  SweepReport report;
-  report.name = "demo \"quoted\"";
-  report.trials = 5;
-  report.failed = 1;
-  report.jobs = 4;
-  report.wall_seconds = 2.0;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) report.trial_micros.add(v);
-  report.errors.push_back("trial 3: boom");
-  const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"name\": \"demo \\\"quoted\\\"\""), std::string::npos);
-  EXPECT_NE(json.find("\"trials\": 5"), std::string::npos);
-  EXPECT_NE(json.find("\"failed\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"jobs\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"trials_per_second\": 2.5"), std::string::npos);
-  EXPECT_NE(json.find("\"p50\": 3"), std::string::npos);
-  EXPECT_NE(json.find("trial 3: boom"), std::string::npos);
-}
-
-TEST(RunSubsetTest, UnionOfDisjointShardsIsBitIdenticalToFullRun) {
-  const std::size_t trials = 61;
-  TrialRunner pool(3);
-  const auto full = pool.run(trials, 987, noisy_trial);
-
-  // Strided 4-way split, shards run independently (even at other job counts).
-  std::vector<std::optional<double>> stitched(trials);
-  for (std::uint32_t shard = 0; shard < 4; ++shard) {
-    std::vector<std::uint32_t> indices;
-    for (std::size_t i = shard; i < trials; i += 4) {
-      indices.push_back(static_cast<std::uint32_t>(i));
-    }
-    TrialRunner shard_pool(1 + shard % 3);
-    const auto part = shard_pool.run_subset(indices, 987, noisy_trial);
-    ASSERT_EQ(part.size(), indices.size());
-    for (std::size_t k = 0; k < indices.size(); ++k) stitched[indices[k]] = part[k];
-  }
-  for (std::size_t i = 0; i < trials; ++i) {
-    ASSERT_TRUE(stitched[i].has_value()) << i;
-    EXPECT_EQ(*stitched[i], *full[i]) << i;  // bit-identical, not just close
+TEST(TrialRunnerTest, ExceptionReachesTheCallerAfterTheJoin) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(TrialRunner(jobs).for_each(64,
+                                            [&](std::size_t i) {
+                                              ran.fetch_add(1);
+                                              if (i == 37) throw std::runtime_error("boom");
+                                            }),
+                 std::runtime_error)
+        << "jobs " << jobs;
+    EXPECT_GE(ran.load(), 1);
   }
 }
 
-TEST(RunSubsetTest, ReportsGlobalTrialIndicesForFailures) {
-  TrialRunner pool(2);
-  SweepReport report;
-  report.name = "subset";
-  const std::vector<std::uint32_t> indices = {3, 10, 17};
-  const auto results = pool.run_subset(
-      indices, 5,
-      [](std::size_t i, std::uint64_t) -> double {
-        if (i == 10) throw std::runtime_error("bad trial");
-        return static_cast<double>(i);
-      },
-      &report);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].has_value());
-  EXPECT_FALSE(results[1].has_value());
-  EXPECT_EQ(report.failed, 1u);
-  ASSERT_EQ(report.errors.size(), 1u);
-  // The message names the global trial index, not the subset slot.
-  EXPECT_NE(report.errors[0].find("trial 10"), std::string::npos) << report.errors[0];
+TEST(TrialRunnerTest, ZeroJobsMeansHardwareConcurrency) {
+  EXPECT_GE(TrialRunner(0).jobs(), 1u);
+  EXPECT_EQ(TrialRunner(3).jobs(), 3u);
 }
 
-TEST(SweepReportTest, CanonicalJsonOmitsTimingAndKeepsMetrics) {
-  SweepReport report;
-  report.name = "canon";
-  report.trials = 3;
-  report.jobs = 8;
-  report.wall_seconds = 1.25;
-  report.trial_micros.add(10.0);
-  report.metric("accuracy").add(0.5);
-  report.metric("accuracy").add(0.7);
-  const std::string canonical = report.to_canonical_json();
-  EXPECT_EQ(canonical.find("wall_seconds"), std::string::npos);
-  EXPECT_EQ(canonical.find("trial_us"), std::string::npos);
-  EXPECT_EQ(canonical.find("jobs"), std::string::npos);
-  EXPECT_NE(canonical.find("\"accuracy\""), std::string::npos);
-  EXPECT_NE(canonical.find("\"ci95\""), std::string::npos);
-
-  // Same logical sweep, different timing: canonical form is identical.
-  SweepReport other = report;
-  other.wall_seconds = 99.0;
-  other.jobs = 1;
-  other.trial_micros.add(5555.0);
-  EXPECT_EQ(other.to_canonical_json(), canonical);
-  EXPECT_NE(other.to_json(), report.to_json());  // full form does keep timing
-}
-
-TEST(JobsKnobTest, FlagBeatsEnvBeatsHardware) {
+TEST(JobsKnobTest, FlagBeatsHardware) {
   const char* argv_flag[] = {"prog", "--jobs", "6"};
-  setenv("SND_JOBS", "3", 1);
   EXPECT_EQ(util::resolve_jobs(util::Cli(3, argv_flag)), 6u);
 
   const char* argv_plain[] = {"prog"};
-  EXPECT_EQ(util::resolve_jobs(util::Cli(1, argv_plain)), 3u);
-
-  unsetenv("SND_JOBS");
   EXPECT_GE(util::resolve_jobs(util::Cli(1, argv_plain)), 1u);
 
   const char* argv_zero[] = {"prog", "--jobs", "0"};

@@ -5,7 +5,6 @@
 // wrong data.
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,26 +33,6 @@ TEST(Varint, RoundTripsRepresentativeValues) {
     EXPECT_EQ(*got, v);
     EXPECT_TRUE(reader.exhausted());
   }
-}
-
-TEST(Varint, SignedZigZagRoundTrips) {
-  const std::int64_t values[] = {0, -1, 1, -64, 64, -65, 1'000'000, -1'000'000,
-                                 std::numeric_limits<std::int64_t>::min(),
-                                 std::numeric_limits<std::int64_t>::max()};
-  for (std::int64_t v : values) {
-    util::Bytes buf;
-    util::put_varint_signed(buf, v);
-    util::ByteReader reader(buf);
-    const auto got = reader.varint_signed();
-    ASSERT_TRUE(got.has_value()) << v;
-    EXPECT_EQ(*got, v);
-  }
-}
-
-TEST(Varint, SmallMagnitudesStaySmallEitherSign) {
-  util::Bytes buf;
-  util::put_varint_signed(buf, -3);
-  EXPECT_EQ(buf.size(), 1u);
 }
 
 TEST(Varint, RejectsOverlongAndOverflowingEncodings) {

@@ -1,8 +1,9 @@
-// shard::merge_shards validation and byte-identity, and shard::Session: a
-// sweep run as N shards (with failures, checkpoints, and a simulated crash +
-// resume) must merge into a canonical report byte-identical to the one a
-// plain Session run of the same sweep produces, and that report must hold
-// the trials' own scores and failures.
+// shard::merge_shards validation and byte-identity, shard::SweepReport's
+// JSON forms, and shard::Session: a sweep run as N shards (with failures,
+// checkpoints, and a simulated crash + resume) must merge into a canonical
+// report byte-identical to the one a plain Session run of the same sweep
+// produces, and that report must hold the trials' own scores, failures and
+// timings.
 #include <filesystem>
 #include <iostream>
 #include <stdexcept>
@@ -59,9 +60,9 @@ SessionOptions options_for(const std::string& path, std::uint32_t index,
 
 /// Runs the sweep through a Session (the same path the fig3 / fig4 drivers
 /// take), returning its report.
-runner::SweepReport run_session(const SessionOptions& options, std::size_t jobs = 2) {
+SweepReport run_session(const SessionOptions& options, std::size_t jobs = 2) {
   runner::TrialRunner pool(jobs);
-  runner::SweepReport report;
+  SweepReport report;
   report.name = "merge_sweep";
   Session session(options, sweep_spec());
   EXPECT_TRUE(session.open(std::cerr));
@@ -86,14 +87,29 @@ TEST(ShardMerge, PlainRunReportHoldsTheTrialsOwnResults) {
                                            "trial 13: synthetic failure 13",
                                            "trial 22: synthetic failure 22"};
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    const runner::SweepReport report = run_session(SessionOptions{}, jobs);
+    const SweepReport report = run_session(SessionOptions{}, jobs);
     EXPECT_EQ(report.trials, kTrials) << "jobs=" << jobs;
     EXPECT_EQ(report.failed, 3u) << "jobs=" << jobs;
     EXPECT_EQ(report.errors, errors) << "jobs=" << jobs;
     ASSERT_EQ(report.metrics.size(), 1u);
     EXPECT_EQ(report.metrics[0].first, "score");
     EXPECT_EQ(report.metrics[0].second.values(), scores) << "jobs=" << jobs;
+    // The session times every trial, failed ones included.
+    EXPECT_EQ(report.jobs, jobs);
+    EXPECT_EQ(report.trial_micros.count(), kTrials);
+    EXPECT_GT(report.wall_seconds, 0.0);
+    EXPECT_GT(report.trials_per_second(), 0.0);
   }
+}
+
+TEST(ShardMerge, ShardFailureLinesNameTheGlobalTrial) {
+  // Shard 1 of 4 runs trials 1, 5, ..., 25 as its slots 0..6; trial 13 (its
+  // slot 3) throws.
+  const SweepReport report =
+      run_session(options_for(temp_path("global_index.sndshard"), 1, 4));
+  EXPECT_EQ(report.trials, 7u);
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.errors, std::vector<std::string>{"trial 13: synthetic failure 13"});
 }
 
 TEST(ShardMerge, ShardedRunMergesByteIdenticalToUnsharded) {
@@ -202,6 +218,56 @@ TEST(ShardMerge, SummaryMarkdownListsMetricsAndShards) {
   EXPECT_NE(md.find("merge_sweep"), std::string::npos);
   EXPECT_NE(md.find("| score |"), std::string::npos);
   EXPECT_NE(md.find("| shard | trials | wall seconds |"), std::string::npos);
+}
+
+TEST(SweepReportTest, JsonContainsTheHeadlineFields) {
+  SweepReport report;
+  report.name = "demo \"quoted\"";
+  report.trials = 5;
+  report.failed = 1;
+  report.jobs = 4;
+  report.wall_seconds = 2.0;
+  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) report.trial_micros.add(v);
+  report.errors.push_back("trial 3: boom");
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"name\": \"demo \\\"quoted\\\"\""), std::string::npos);
+  EXPECT_NE(json.find("\"trials\": 5"), std::string::npos);
+  EXPECT_NE(json.find("\"failed\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"jobs\": 4"), std::string::npos);
+  EXPECT_NE(json.find("\"trials_per_second\": 2.5"), std::string::npos);
+  EXPECT_NE(json.find("\"p50\": 3"), std::string::npos);
+  EXPECT_NE(json.find("trial 3: boom"), std::string::npos);
+}
+
+TEST(SweepReportTest, EmptyReportHasNoThroughput) {
+  const SweepReport report;
+  EXPECT_EQ(report.trials, 0u);
+  EXPECT_EQ(report.trials_per_second(), 0.0);
+}
+
+TEST(SweepReportTest, CanonicalJsonOmitsTimingAndKeepsMetrics) {
+  SweepReport report;
+  report.name = "canon";
+  report.trials = 3;
+  report.jobs = 8;
+  report.wall_seconds = 1.25;
+  report.trial_micros.add(10.0);
+  report.metric("accuracy").add(0.5);
+  report.metric("accuracy").add(0.7);
+  const std::string canonical = report.to_canonical_json();
+  EXPECT_EQ(canonical.find("wall_seconds"), std::string::npos);
+  EXPECT_EQ(canonical.find("trial_us"), std::string::npos);
+  EXPECT_EQ(canonical.find("jobs"), std::string::npos);
+  EXPECT_NE(canonical.find("\"accuracy\""), std::string::npos);
+  EXPECT_NE(canonical.find("\"ci95\""), std::string::npos);
+
+  // Same logical sweep, different timing: canonical form is identical.
+  SweepReport other = report;
+  other.wall_seconds = 99.0;
+  other.jobs = 1;
+  other.trial_micros.add(5555.0);
+  EXPECT_EQ(other.to_canonical_json(), canonical);
+  EXPECT_NE(other.to_json(), report.to_json());  // full form does keep timing
 }
 
 TEST(Session, ResolveSessionRejectsBadCombinations) {

@@ -194,22 +194,16 @@ namespace snd {
 namespace {
 
 TEST(RuntimeConfigTest, LoadsFromEnvironment) {
-  ::setenv("SND_JOBS", "5", 1);
   ::setenv("SND_BENCH_DIR", "/tmp/artifacts", 1);
   const RuntimeConfig config = load_runtime_config_from_env();
-  ASSERT_TRUE(config.jobs.has_value());
-  EXPECT_EQ(*config.jobs, 5);
   ASSERT_TRUE(config.bench_dir.has_value());
   EXPECT_EQ(*config.bench_dir, "/tmp/artifacts");
-  ::unsetenv("SND_JOBS");
   ::unsetenv("SND_BENCH_DIR");
 }
 
 TEST(RuntimeConfigTest, UnsetVariablesStayDefault) {
-  ::unsetenv("SND_JOBS");
   ::unsetenv("SND_BENCH_DIR");
   const RuntimeConfig config = load_runtime_config_from_env();
-  EXPECT_FALSE(config.jobs.has_value());
   EXPECT_FALSE(config.bench_dir.has_value());
 }
 

@@ -18,7 +18,7 @@
 #include "fault/plan.h"
 #include "obs/summary.h"
 #include "proptest/runner.h"
-#include "runner/trial_runner.h"
+#include "shard/merge.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -193,7 +193,7 @@ std::vector<std::string> writer_seeds() {
   failcase.path = "failcases/FAILCASE_invariant_17.json";
   seeds.push_back(failcase.to_json());
 
-  runner::SweepReport report;
+  shard::SweepReport report;
   report.name = "json_fuzz";
   report.trials = 3;
   report.failed = 1;
