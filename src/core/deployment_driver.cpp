@@ -100,11 +100,10 @@ std::vector<const SndNode*> SndDeployment::agents() const {
   return out;
 }
 
-std::unique_ptr<SndNode> SndDeployment::detach_agent(sim::DeviceId device) {
-  if (device >= agents_.size() || agents_[device] == nullptr) return nullptr;
-  std::unique_ptr<SndNode> agent = std::move(agents_[device]);
-  agent->stop();
-  return agent;
+bool SndDeployment::detach_agent(sim::DeviceId device) {
+  if (device >= agents_.size() || agents_[device] == nullptr) return false;
+  agents_[device].reset();  // ~SndNode stops it
+  return true;
 }
 
 void SndDeployment::kill_device(sim::DeviceId device) {

@@ -74,9 +74,9 @@ class SndDeployment {
   [[nodiscard]] const SndNode* agent(NodeId identity) const;
   [[nodiscard]] std::vector<const SndNode*> agents() const;
 
-  /// Removes and returns the agent (used when the adversary takes over a
-  /// device); the caller owns the returned agent.
-  std::unique_ptr<SndNode> detach_agent(sim::DeviceId device);
+  /// Destroys the device's agent (used when the adversary takes over a
+  /// device); returns whether there was one.
+  bool detach_agent(sim::DeviceId device);
 
   /// Marks a device dead (battery exhaustion): the agent stops receiving.
   void kill_device(sim::DeviceId device);

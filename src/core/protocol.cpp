@@ -34,6 +34,7 @@ SndNode::SndNode(sim::Network& network, sim::DeviceId device, NodeId identity,
     : network_(network),
       device_(device),
       identity_(identity),
+      owner_(network.scheduler().new_owner()),
       master_(master_key),
       verification_key_(verification_key(master_key, identity)),
       verifier_(std::move(verifier)),
@@ -46,7 +47,7 @@ SndNode::SndNode(sim::Network& network, sim::DeviceId device, NodeId identity,
 SndNode::~SndNode() { stop(); }
 
 void SndNode::schedule(sim::Time at, sim::EventAction action) {
-  pending_events_.push_back(network_.scheduler().schedule_at(at, std::move(action)));
+  network_.scheduler().schedule_at(at, owner_, std::move(action));
 }
 
 sim::Time SndNode::skewed(sim::Time delay) const {
@@ -85,8 +86,7 @@ void SndNode::start() {
 
 void SndNode::stop() {
   network_.set_receiver(device_, nullptr);
-  for (sim::EventId id : pending_events_) network_.scheduler().cancel(id);
-  pending_events_.clear();
+  network_.scheduler().retire(owner_);
 }
 
 void SndNode::send_hellos(std::size_t remaining) {
@@ -394,8 +394,7 @@ std::size_t SndNode::footprint_bytes() const {
                       list_bytes(functional_) + evidence_buffer_.footprint_bytes() +
                       acked_identities_.footprint_bytes() +
                       verdicts_.footprint_bytes() +
-                      neighbor_records_.footprint_bytes() +
-                      pending_events_.capacity() * sizeof(sim::EventId);
+                      neighbor_records_.footprint_bytes();
   if (record_) bytes += list_bytes(record_->neighbors);
   for (const auto& [id, record] : neighbor_records_) bytes += list_bytes(record.neighbors);
   return bytes;

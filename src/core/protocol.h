@@ -60,7 +60,7 @@ class SndNode {
   SndNode(const SndNode&) = delete;
   SndNode& operator=(const SndNode&) = delete;
   /// Detaches from the network: scheduled protocol events capture `this`
-  /// and must not outlive the agent.
+  /// and must not outlive the agent (stop() retires them).
   ~SndNode();
 
   /// Registers the radio receiver and schedules the discovery sequence
@@ -68,7 +68,8 @@ class SndNode {
   void start();
 
   /// Stops participating (battery death or compromise): deregisters the
-  /// receiver and cancels every pending scheduled event.
+  /// receiver and retires this agent's scheduler owner, so none of its
+  /// queued or later events fire.
   void stop();
 
   // -- State queries ----------------------------------------------------
@@ -126,7 +127,7 @@ class SndNode {
   [[nodiscard]] Secrets steal_secrets() const;
 
  private:
-  /// Schedules `action` and remembers the event so stop() can cancel it.
+  /// Schedules `action` under this agent's owner, so stop() retires it.
   void schedule(sim::Time at, sim::EventAction action);
   /// A relative delay as measured by this node's local clock: scaled by the
   /// fault layer's per-node timer drift when a skew fault is armed,
@@ -156,6 +157,8 @@ class SndNode {
   sim::Network& network_;
   sim::DeviceId device_;
   NodeId identity_;
+  /// Owns every event this agent schedules; retired by stop().
+  sim::Owner owner_;
   crypto::SymmetricKey master_;
   crypto::SymmetricKey verification_key_;
   std::shared_ptr<verify::DirectVerifier> verifier_;
@@ -188,8 +191,6 @@ class SndNode {
   util::PeerTable<NodeId, bool> verdicts_;
   /// Update requests this node has issued (diagnostics).
   std::size_t updates_requested_ = 0;
-  /// Events scheduled by this agent (cancelled on stop/destruction).
-  std::vector<sim::EventId> pending_events_;
   sim::Time deployed_at_;
   std::optional<sim::Time> erased_at_;
 };

@@ -7,8 +7,16 @@
 
 namespace snd::sim {
 
-EventId Scheduler::schedule_at(Time at, EventAction action) {
-  const EventId id = next_id_++;
+Owner Scheduler::new_owner() {
+  owners_.emplace_back();
+  return static_cast<Owner>(owners_.size() - 1);
+}
+
+void Scheduler::schedule_at(Time at, Owner owner, EventAction action) {
+  assert(owner < owners_.size());
+  OwnerState& state = owners_[owner];
+  if (state.retired) return;
+  ++state.queued;
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(actions_.size());
@@ -19,88 +27,22 @@ EventId Scheduler::schedule_at(Time at, EventAction action) {
     actions_[slot] = std::move(action);
   }
   heap_.emplace_back();
-  sift_up(heap_.size() - 1, Key{at < now_ ? now_ : at, id, slot});
-  return id;
+  sift_up(heap_.size() - 1, Key{at < now_ ? now_ : at, next_seq_++, slot, owner});
 }
 
-void Scheduler::cancel(EventId id) {
-  // Only remember cancellations that can still matter.
-  if (id >= next_id_) return;
-  if (id < bits_base_) return;  // below the window: provably already fired
-  const std::size_t index = static_cast<std::size_t>(id - bits_base_);
-  if (index >= cancelled_bits_.capacity()) {
-    // Geometric growth keeps repeated worst-case cancels amortized O(1).
-    cancelled_bits_.resize(std::max(index + 1, cancelled_bits_.capacity() * 2));
-  }
-  if (!cancelled_bits_.test(index)) {
-    cancelled_bits_.set(index);
-    ++cancelled_count_;
-    cancels_unswept_ = true;
-  }
-  // Ids of already-fired events are indistinguishable from pending ones
-  // here, but once the set clearly outnumbers the heap the excess must be
-  // stale -- sweep it so cancel-after-fire can't grow the set unboundedly.
-  if (cancelled_backlog() > heap_.size() + kCancelSweepSlack) sweep_cancelled();
-}
-
-bool Scheduler::cancelled_contains(EventId id) const {
-  if (id < bits_base_) return false;
-  const std::size_t index = static_cast<std::size_t>(id - bits_base_);
-  return index < cancelled_bits_.capacity() && cancelled_bits_.test(index);
-}
-
-void Scheduler::cancelled_erase(EventId id) {
-  // Callers check cancelled_contains first, so the bit exists.
-  cancelled_bits_.reset(static_cast<std::size_t>(id - bits_base_));
-  --cancelled_count_;
-}
-
-void Scheduler::sweep_cancelled() const {
-  // Rebase the window on the oldest pending id: every bit below it is a
-  // stale cancel-after-fire record, and rebuilding from the heap keeps only
-  // cancels that can still suppress an event.
-  EventId base = next_id_;
-  for (const Key& key : heap_) base = std::min(base, key.id);
-  util::BitSet live;
-  std::uint64_t count = 0;
-  for (const Key& key : heap_) {
-    if (!cancelled_contains(key.id)) continue;
-    const std::size_t index = static_cast<std::size_t>(key.id - base);
-    if (index >= live.capacity()) live.resize(index + 1);
-    live.set(index);
-    ++count;
-  }
-  cancelled_bits_ = std::move(live);
-  bits_base_ = base;
-  cancelled_count_ = count;
-  cancels_unswept_ = false;
-}
-
-void Scheduler::reset_cancelled() {
-  cancelled_bits_.resize(0);
-  bits_base_ = next_id_;
-  cancelled_count_ = 0;
-  cancels_unswept_ = false;
-}
-
-std::uint64_t Scheduler::pending() const {
-  // The window cannot tell a cancel-after-fire from a live cancel, so a
-  // cancel since the last sweep may have set a stale bit. Sweeping keeps
-  // exactly the cancelled keys still in the heap.
-  if (cancels_unswept_) sweep_cancelled();
-  return static_cast<std::uint64_t>(heap_.size()) - cancelled_backlog();
-}
-
-void Scheduler::set_next_event_id(EventId id) {
-  assert(heap_.empty() && "set_next_event_id requires an empty queue");
-  next_id_ = std::max(next_id_, id);
-  reset_cancelled();
+void Scheduler::retire(Owner owner) {
+  assert(owner != kNoOwner && owner < owners_.size());
+  OwnerState& state = owners_[owner];
+  if (state.retired) return;
+  state.retired = true;
+  retired_keys_ += state.queued;
 }
 
 // A 4-ary heap is half as deep as a binary one; its four children sit in
 // adjacent keys, so the extra comparisons per level hit the cache lines
-// the first child already brought in. Keys are unique (ids are), so the
-// firing order is the total (time, id) order whatever the heap's shape.
+// the first child already brought in. Keys are unique (sequence numbers
+// are), so the firing order is the total (time, seq) order whatever the
+// heap's shape.
 
 void Scheduler::sift_up(std::size_t index, Key moving) {
   while (index > 0) {
@@ -136,24 +78,18 @@ Scheduler::Key Scheduler::pop_root() {
   const Key last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
+  --owners_[root.owner].queued;
   return root;
 }
 
-void Scheduler::free_slot(std::uint32_t slot) {
-  actions_[slot] = nullptr;
-  free_slots_.push_back(slot);
-}
-
-void Scheduler::drop_cancelled_head() {
-  if (heap_.empty()) {
-    // Nothing can be pending: any recorded cancellations are stale
-    // (cancel-after-fire) and can be forgotten.
-    reset_cancelled();
-    return;
-  }
-  while (!heap_.empty() && cancelled_backlog() != 0 && cancelled_contains(heap_.front().id)) {
-    cancelled_erase(heap_.front().id);
-    free_slot(pop_root().slot);
+void Scheduler::drop_retired_head() {
+  // retired_keys_ counts keys still in the heap, so the heap is non-empty
+  // while it is nonzero.
+  while (retired_keys_ != 0 && owners_[heap_.front().owner].retired) {
+    const Key key = pop_root();
+    --retired_keys_;
+    actions_[key.slot] = nullptr;
+    free_slots_.push_back(key.slot);
   }
 }
 
@@ -169,7 +105,7 @@ void Scheduler::fire_root() {
 }
 
 bool Scheduler::step() {
-  drop_cancelled_head();
+  drop_retired_head();
   if (heap_.empty()) return false;
   fire_root();
   return true;
@@ -177,7 +113,7 @@ bool Scheduler::step() {
 
 Time Scheduler::run_until(Time deadline) {
   for (;;) {
-    drop_cancelled_head();
+    drop_retired_head();
     if (heap_.empty() || heap_.front().at > deadline) return now_;
     fire_root();
   }

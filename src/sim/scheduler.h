@@ -3,27 +3,34 @@
 // scheduling order, which keeps every run deterministic.
 //
 // Events are split into a key and a payload. The queue is a 4-ary min-heap
-// of plain (time, id, slot) keys; each key names a slot in a slab of
+// of plain (time, seq, slot, owner) keys; each key names a slot in a slab of
 // actions, and a free list recycles the slots of fired or dropped events.
 // Sifts move 24-byte keys only, so an action is moved twice in its life:
 // into its slot when scheduled, and out of it when it fires. Simulations
 // push tens of millions of events, so the hot path makes no per-event
 // allocation. Actions are small-buffer-optimized (util::InplaceFunction)
 // for the same reason -- std::function would heap-allocate most closures.
-// Cancellation is the rare case: a bitset window over event ids, consulted
-// lazily when a cancelled key reaches the heap root.
+// Every event belongs to an owner. Retiring an owner (a node that crashed
+// or was captured) is the rare case: its keys stay queued and are dropped
+// lazily when they reach the heap root.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
-#include "util/bitset.h"
 #include "util/inplace_function.h"
 
 namespace snd::sim {
 
-using EventId = std::uint64_t;
+/// Who scheduled an event, so a stopped node's timers can be retired in one
+/// call. Owners come from Scheduler::new_owner().
+using Owner = std::uint32_t;
+/// The owner of events nobody retires (deliveries, adversary steps, fault
+/// plans).
+inline constexpr Owner kNoOwner = 0;
 
 /// Scheduled-event callable. The inline capacity covers every closure the
 /// simulator queues (protocol timers, adversary steps, and Network's
@@ -33,28 +40,31 @@ using EventAction = util::InplaceFunction<void(), 88>;
 
 class Scheduler {
  public:
-  /// Schedules `action` at absolute time `at`. Events in the past of the
-  /// current clock are clamped to "now" (fire next).
-  EventId schedule_at(Time at, EventAction action);
+  /// A fresh owner with no events queued.
+  Owner new_owner();
 
-  /// Cancels a pending event; no-op if it already fired or was cancelled.
-  /// Stale ids (cancel-after-fire) are swept out whenever they could
-  /// otherwise accumulate, so the side set stays O(pending events) even in
-  /// long-running simulations that cancel freely.
-  void cancel(EventId id);
+  /// Schedules `action` at absolute time `at`. Events in the past of the
+  /// current clock are clamped to "now" (fire next). A retired owner's
+  /// action is dropped at once.
+  void schedule_at(Time at, Owner owner, EventAction action);
+  void schedule_at(Time at, EventAction action) {
+    schedule_at(at, kNoOwner, std::move(action));
+  }
+
+  /// Drops every event `owner` still has queued, and every event it
+  /// schedules from now on. Idempotent. The keys leave the heap lazily, as
+  /// they reach its root; they never fire, advance the clock or count in
+  /// executed() or pending().
+  void retire(Owner owner);
 
   [[nodiscard]] bool empty() const { return pending() == 0; }
   [[nodiscard]] Time now() const { return now_; }
-  /// Live (non-cancelled) events still waiting to fire, exactly. The cancel
-  /// set may hold ids of events that already fired (cancel-after-fire is a
-  /// no-op, swept lazily), so the first call after a cancel sweeps it
-  /// against the heap first. uint64_t (not size_t) so the count cannot wrap
-  /// on 32-bit hosts in simulations pushing past 2^32 events.
-  [[nodiscard]] std::uint64_t pending() const;
-  /// Size of the lazy-cancellation side set; bounded by
-  /// pending() + kCancelSweepSlack however many cancel-after-fire calls a
-  /// long-running simulation makes (exposed so tests can pin the bound).
-  [[nodiscard]] std::uint64_t cancelled_backlog() const { return cancelled_count_; }
+  /// Events still waiting to fire, exactly: queued keys less those of
+  /// retired owners. uint64_t (not size_t) so the count cannot wrap on
+  /// 32-bit hosts in simulations pushing past 2^32 events.
+  [[nodiscard]] std::uint64_t pending() const {
+    return static_cast<std::uint64_t>(heap_.size()) - retired_keys_;
+  }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
   /// Keys moved by heap sifts so far: a deterministic work counter (the
   /// same event sequence always costs the same moves), reported by
@@ -64,17 +74,12 @@ class Scheduler {
   /// this never exceeds the most keys the heap held at once.
   [[nodiscard]] std::size_t slab_slots() const { return actions_.size(); }
   /// Heap bytes held by the key heap, the action slab and its free list
-  /// (capacity × element size).
+  /// (capacity × element size), and by the owner table's entries.
   [[nodiscard]] std::size_t footprint_bytes() const {
     return heap_.capacity() * sizeof(Key) + actions_.capacity() * sizeof(EventAction) +
-           free_slots_.capacity() * sizeof(std::uint32_t);
+           free_slots_.capacity() * sizeof(std::uint32_t) +
+           owners_.size() * sizeof(OwnerState);
   }
-
-  /// Test hook: fast-forwards the event-id counter (e.g. to just below
-  /// 2^32) so overflow behavior at >= 10^8 events is testable without
-  /// scheduling billions of real events. Only moves forward, and requires
-  /// an empty queue so the cancel-window invariants stay trivially true.
-  void set_next_event_id(EventId id);
 
   /// Executes the next event, advancing the clock. Returns false when the
   /// queue is empty.
@@ -90,47 +95,41 @@ class Scheduler {
  private:
   struct Key {
     Time at;
-    EventId id;
+    std::uint64_t seq;
     std::uint32_t slot;
+    Owner owner;
+  };
+  // The owner fills what would be padding: sifts move as many bytes as they
+  // did before owners existed.
+  static_assert(sizeof(Key) == 24);
+
+  struct OwnerState {
+    /// Keys in the heap that name this owner.
+    std::uint32_t queued = 0;
+    bool retired = false;
   };
 
   static bool earlier(const Key& a, const Key& b) {
     if (a.at != b.at) return a.at < b.at;
-    return a.id < b.id;
+    return a.seq < b.seq;
   }
 
   static constexpr std::size_t kArity = 4;
-
-  /// Stale-cancellation tolerance: a sweep triggers once the backlog exceeds
-  /// the heap size by this much (amortizes the O(heap) sweep cost).
-  static constexpr std::size_t kCancelSweepSlack = 64;
 
   /// Both sifts percolate a hole at `index` and store `moving` where it
   /// settles: one key move per level.
   void sift_up(std::size_t index, Key moving);
   void sift_down(std::size_t index, Key moving);
-  /// Removes the root key and returns it; the heap must be non-empty.
+  /// Removes the root key, uncounting it from its owner, and returns it;
+  /// the heap must be non-empty.
   Key pop_root();
+  /// Pops retired owners' keys off the heap root, freeing their slots.
+  void drop_retired_head();
   /// Pops the root (a live event), advances the clock and runs its action.
   void fire_root();
-  /// Returns a slot to the free list, destroying whatever action it holds.
-  void free_slot(std::uint32_t slot);
-  /// Drops cancelled ids whose events are no longer in the heap (i.e.
-  /// already fired); afterwards the backlog <= heap_.size(). Const because
-  /// it only compacts bookkeeping -- observable state is unchanged.
-  void sweep_cancelled() const;
-  /// Forgets every cancellation and starts the window at next_id_ (only
-  /// valid while no event is pending).
-  void reset_cancelled();
-  /// Removes cancelled keys sitting at the heap root, freeing their slots.
-  void drop_cancelled_head();
-
-  /// Membership/removal against the cancel window.
-  [[nodiscard]] bool cancelled_contains(EventId id) const;
-  void cancelled_erase(EventId id);
 
   Time now_ = Time::zero();
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t sift_steps_ = 0;
   std::vector<Key> heap_;
@@ -138,17 +137,12 @@ class Scheduler {
   /// no key names.
   std::vector<EventAction> actions_;
   std::vector<std::uint32_t> free_slots_;
-  /// One bit per cancelled event id in the window [bits_base_, next_id_).
-  /// bits_base_ never exceeds the oldest pending id, so any id below it
-  /// provably fired already and its cancel is a no-op. The window is grown
-  /// lazily on cancel and rebased (shrunk to the live range) by
-  /// sweep_cancelled().
-  mutable util::BitSet cancelled_bits_;
-  mutable EventId bits_base_ = 1;
-  mutable std::uint64_t cancelled_count_ = 0;
-  /// Set by a cancel that added a bit, cleared by a sweep: only then can
-  /// the backlog hold a stale id.
-  mutable bool cancels_unswept_ = false;
+  /// Indexed by Owner; entry kNoOwner is never retired. A deque, so a new
+  /// owner never moves or frees the table: a vector regrown once per node
+  /// built fragmented the heap enough to raise a run's peak RSS.
+  std::deque<OwnerState> owners_{OwnerState{}};
+  /// Keys in the heap whose owner is retired.
+  std::uint64_t retired_keys_ = 0;
 };
 
 }  // namespace snd::sim

@@ -1,10 +1,12 @@
 #include "util/driver_spec.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
+#include <thread>
 #include <utility>
 
 namespace snd::util::cli {
@@ -65,7 +67,9 @@ FlagGroup jobs_group(std::size_t* out) {
   jobs.name = "jobs";
   jobs.type = FlagType::kInt;
   jobs.value_name = "N";
-  jobs.help = "worker threads (default: hardware concurrency)";
+  jobs.help = "worker threads";
+  // The default resolve_jobs falls back to, so --help shows what runs.
+  jobs.def_int = std::max(1u, std::thread::hardware_concurrency());
   jobs.min = 1.0;
   group.flags.push_back(std::move(jobs));
   group.resolve = [out](const Cli& cli) { *out = resolve_jobs(cli); };

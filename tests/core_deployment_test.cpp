@@ -47,11 +47,10 @@ TEST(DeploymentDriverTest, DetachRemovesAgent) {
   SndDeployment deployment(small_config());
   deployment.deploy_round(10);
   const sim::DeviceId device = deployment.agent(5)->device();
-  auto detached = deployment.detach_agent(device);
-  ASSERT_NE(detached, nullptr);
+  EXPECT_TRUE(deployment.detach_agent(device));
   EXPECT_EQ(deployment.agent(5), nullptr);
   EXPECT_EQ(deployment.agent_for_device(device), nullptr);
-  EXPECT_EQ(deployment.detach_agent(device), nullptr);
+  EXPECT_FALSE(deployment.detach_agent(device));
 }
 
 TEST(DeploymentDriverTest, KillDeviceStopsParticipation) {

@@ -6,9 +6,10 @@
 #include <array>
 #include <cstdint>
 #include <iterator>
-#include <map>
+#include <functional>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -79,22 +80,74 @@ TEST(SchedulerTest, PastEventsClampToNow) {
   EXPECT_EQ(scheduler.executed(), 2u);
 }
 
-TEST(SchedulerTest, CancelPreventsExecution) {
+TEST(SchedulerTest, RetiredOwnerEventsDoNotRun) {
   Scheduler scheduler;
+  const Owner a = scheduler.new_owner();
+  const Owner b = scheduler.new_owner();
+  std::vector<int> order;
+  scheduler.schedule_at(Time::milliseconds(1), a, [&] { order.push_back(1); });
+  scheduler.schedule_at(Time::milliseconds(2), b, [&] { order.push_back(2); });
+  scheduler.schedule_at(Time::milliseconds(3), a, [&] { order.push_back(3); });
+  scheduler.schedule_at(Time::milliseconds(4), [&] { order.push_back(4); });
+  scheduler.retire(a);
+  EXPECT_EQ(scheduler.pending(), 2u);
+  scheduler.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 4}));
+  EXPECT_EQ(scheduler.executed(), 2u);
+  EXPECT_TRUE(scheduler.empty());
+}
+
+TEST(SchedulerTest, RetireIsIdempotentAndNoopAfterFire) {
+  Scheduler scheduler;
+  const Owner fired = scheduler.new_owner();
+  scheduler.schedule_at(Time::zero(), fired, [] {});
+  scheduler.run();
+  scheduler.retire(fired);  // nothing queued: must not corrupt the count
+  EXPECT_TRUE(scheduler.empty());
+  EXPECT_EQ(scheduler.executed(), 1u);
+
+  const Owner twice = scheduler.new_owner();
+  scheduler.schedule_at(Time::milliseconds(1), twice, [] {});
+  scheduler.schedule_at(Time::milliseconds(2), twice, [] {});
+  scheduler.schedule_at(Time::milliseconds(3), [] {});
+  scheduler.retire(twice);
+  scheduler.retire(twice);  // counts once
+  EXPECT_EQ(scheduler.pending(), 1u);
+  scheduler.run();
+  EXPECT_EQ(scheduler.executed(), 2u);
+  EXPECT_TRUE(scheduler.empty());
+}
+
+TEST(SchedulerTest, RetiredOwnerLaterScheduleDropsTheAction) {
+  Scheduler scheduler;
+  const Owner owner = scheduler.new_owner();
+  scheduler.retire(owner);
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
   bool ran = false;
-  const EventId id = scheduler.schedule_at(Time::milliseconds(1), [&] { ran = true; });
-  scheduler.cancel(id);
+  scheduler.schedule_at(Time::milliseconds(1), owner,
+                        [token = std::move(token), &ran] { ran = *token == 1; });
+  EXPECT_FALSE(watch.lock());  // destroyed at once, not queued
+  EXPECT_TRUE(scheduler.empty());
+  EXPECT_EQ(scheduler.slab_slots(), 0u);
   scheduler.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(scheduler.executed(), 0u);
 }
 
-TEST(SchedulerTest, CancelAfterExecutionIsNoop) {
+TEST(SchedulerTest, RunLeavesClockAtLastLiveEvent) {
+  // A retired event must not advance the clock: a liveness check inside
+  // the closure would still fire it and leave now() at 9 ms.
   Scheduler scheduler;
-  const EventId id = scheduler.schedule_at(Time::zero(), [] {});
+  const Owner owner = scheduler.new_owner();
+  scheduler.schedule_at(Time::milliseconds(5), [] {});
+  scheduler.schedule_at(Time::milliseconds(9), owner, [] {});
+  scheduler.retire(owner);
   scheduler.run();
-  scheduler.cancel(id);  // must not crash or corrupt
-  EXPECT_TRUE(scheduler.empty());
+  EXPECT_EQ(scheduler.now(), Time::milliseconds(5));
+  EXPECT_EQ(scheduler.executed(), 1u);
+  EXPECT_FALSE(scheduler.step());
+  EXPECT_EQ(scheduler.now(), Time::milliseconds(5));
 }
 
 TEST(SchedulerTest, RunUntilStopsAtDeadline) {
@@ -135,35 +188,12 @@ TEST(SchedulerTest, StepReturnsFalseWhenEmpty) {
 TEST(SchedulerTest, PendingCountsUnexecuted) {
   Scheduler scheduler;
   EXPECT_TRUE(scheduler.empty());
-  const EventId a = scheduler.schedule_at(Time::milliseconds(1), [] {});
+  const Owner owner = scheduler.new_owner();
+  scheduler.schedule_at(Time::milliseconds(1), owner, [] {});
   scheduler.schedule_at(Time::milliseconds(2), [] {});
   EXPECT_EQ(scheduler.pending(), 2u);
-  scheduler.cancel(a);
+  scheduler.retire(owner);
   EXPECT_EQ(scheduler.pending(), 1u);
-}
-
-TEST(SchedulerTest, CancelAfterFireStaysBounded) {
-  Scheduler scheduler;
-  std::vector<EventId> fired;
-  for (int i = 0; i < 512; ++i) fired.push_back(scheduler.schedule_at(Time::zero(), [] {}));
-  scheduler.run();
-
-  const EventId live = scheduler.schedule_at(Time::milliseconds(1), [] {});
-  scheduler.schedule_at(Time::milliseconds(2), [] {});
-  scheduler.schedule_at(Time::milliseconds(3), [] {});
-
-  // Cancelling ids that already fired must not accumulate: before the
-  // sweep existed, 512 stale ids sat in the side set forever and pending()
-  // saturated to zero despite three live events.
-  for (const EventId id : fired) scheduler.cancel(id);
-  EXPECT_LE(scheduler.cancelled_backlog(), 3u + 65u);
-  EXPECT_EQ(scheduler.pending(), 3u);
-
-  // Live cancellation still works with the sweep interleaved.
-  scheduler.cancel(live);
-  EXPECT_EQ(scheduler.pending(), 2u);
-  scheduler.run();
-  EXPECT_EQ(scheduler.executed(), 514u);
 }
 
 TEST(SchedulerTest, TypicalEventActionStaysInline) {
@@ -192,38 +222,52 @@ TEST(SchedulerTest, OversizedCaptureFallsBackToHeapAndStillRuns) {
   EXPECT_EQ(seen, 7);
 }
 
-TEST(SchedulerTest, CancelReleasesActionResources) {
-  // A cancelled event's capture must be destroyed, not leaked in the queue.
+TEST(SchedulerTest, RetiredCapturesReleasedWhenTheirKeysSurface) {
+  // A retired event's capture must be destroyed, not leaked in the queue,
+  // inline and heap-fallback alike.
   Scheduler scheduler;
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> watch = token;
-  const EventId id =
-      scheduler.schedule_at(Time::milliseconds(1), [token = std::move(token)] { (void)token; });
-  scheduler.cancel(id);
-  scheduler.run();
-  EXPECT_FALSE(watch.lock());
-  EXPECT_EQ(scheduler.executed(), 0u);
-}
-
-TEST(SchedulerTest, DestructionReleasesUnrunActions) {
-  // run_until() can leave events queued forever; destroying the scheduler
-  // must release their captures (inline and heap-fallback alike).
+  const Owner owner = scheduler.new_owner();
   auto small = std::make_shared<int>(1);
   auto large = std::make_shared<int>(2);
   std::weak_ptr<int> watch_small = small;
   std::weak_ptr<int> watch_large = large;
-  {
-    Scheduler scheduler;
-    scheduler.schedule_at(Time::milliseconds(1), [small = std::move(small)] { (void)small; });
-    std::array<std::uint8_t, 256> pad{};
-    scheduler.schedule_at(Time::milliseconds(2),
-                          [large = std::move(large), pad] { (void)pad; });
-    scheduler.run_until(Time::zero());
-    EXPECT_TRUE(watch_small.lock());
-    EXPECT_TRUE(watch_large.lock());
-  }
+  scheduler.schedule_at(Time::milliseconds(1), owner, [small = std::move(small)] { (void)small; });
+  std::array<std::uint8_t, 256> pad{};
+  scheduler.schedule_at(Time::milliseconds(2), owner,
+                        [large = std::move(large), pad] { (void)pad; });
+  scheduler.retire(owner);
+  EXPECT_TRUE(watch_small.lock());  // dropped lazily, at the heap root
+  EXPECT_TRUE(watch_large.lock());
+  scheduler.run();
   EXPECT_FALSE(watch_small.lock());
   EXPECT_FALSE(watch_large.lock());
+  EXPECT_EQ(scheduler.executed(), 0u);
+}
+
+TEST(SchedulerTest, DestructionReleasesUnrunActions) {
+  // run_until() can leave events queued forever, live or retired;
+  // destroying the scheduler must release their captures (inline and
+  // heap-fallback alike).
+  std::vector<std::weak_ptr<int>> watches;
+  {
+    Scheduler scheduler;
+    const Owner retired = scheduler.new_owner();
+    std::array<std::uint8_t, 256> pad{};
+    for (const Owner owner : {kNoOwner, retired}) {
+      auto small = std::make_shared<int>(1);
+      auto large = std::make_shared<int>(2);
+      watches.push_back(small);
+      watches.push_back(large);
+      scheduler.schedule_at(Time::milliseconds(1), owner,
+                            [small = std::move(small)] { (void)small; });
+      scheduler.schedule_at(Time::milliseconds(2), owner,
+                            [large = std::move(large), pad] { (void)pad; });
+    }
+    scheduler.retire(retired);
+    scheduler.run_until(Time::zero());
+    for (const auto& watch : watches) EXPECT_TRUE(watch.lock());
+  }
+  for (const auto& watch : watches) EXPECT_FALSE(watch.lock());
 }
 
 TEST(SchedulerTest, MoveOnlyCapturesSchedulable) {
@@ -236,97 +280,24 @@ TEST(SchedulerTest, MoveOnlyCapturesSchedulable) {
   EXPECT_EQ(seen, 11);
 }
 
-TEST(SchedulerTest, SameTimeOrderSurvivesCancelSweeps) {
-  // Regression pin: the lazy-cancel sweep compacts the heap, and a sweep
-  // that rebuilt it without the (time, id) tie-break would reorder
-  // same-timestamp events. Interleave a same-timestamp batch with enough
-  // stale cancels to force several sweeps (slack is 64) and check FIFO
-  // order survives, including a live cancellation in the middle.
+TEST(SchedulerTest, SameTimeFifoWithRetiredKeysInterleaved) {
+  // A same-timestamp batch spread over three owners, one retired midway:
+  // the survivors keep scheduling order, and the retired owner's later
+  // events never enter the queue.
   Scheduler scheduler;
-  std::vector<EventId> stale;
-  for (int i = 0; i < 200; ++i) stale.push_back(scheduler.schedule_at(Time::zero(), [] {}));
-  scheduler.run();
-
+  const std::array<Owner, 3> owners{kNoOwner, scheduler.new_owner(), scheduler.new_owner()};
+  const Owner doomed = owners[2];
   std::vector<int> order;
-  std::vector<EventId> batch;
-  for (int i = 0; i < 16; ++i) {
-    batch.push_back(
-        scheduler.schedule_at(Time::milliseconds(7), [&order, i] { order.push_back(i); }));
-  }
-  for (const EventId id : stale) scheduler.cancel(id);  // triggers the sweeps
-  for (int i = 16; i < 32; ++i) {
-    scheduler.schedule_at(Time::milliseconds(7), [&order, i] { order.push_back(i); });
-  }
-  scheduler.cancel(batch[5]);
-  scheduler.run();
-
   std::vector<int> expected;
-  for (int i = 0; i < 32; ++i) {
-    if (i != 5) expected.push_back(i);
+  for (int i = 0; i < 48; ++i) {
+    const Owner owner = owners[static_cast<std::size_t>(i % 3)];
+    if (i == 24) scheduler.retire(doomed);
+    scheduler.schedule_at(Time::milliseconds(7), owner, [&order, i] { order.push_back(i); });
+    if (owner != doomed) expected.push_back(i);
   }
+  EXPECT_EQ(scheduler.pending(), expected.size());
+  scheduler.run();
   EXPECT_EQ(order, expected);
-}
-
-TEST(SchedulerTest, EventIdsSurviveCrossingThirtyTwoBits) {
-  // Regression pin for the >= 10^8-event overflow audit: ids, ordering,
-  // cancellation, and the pending count must all behave identically when
-  // the id counter crosses 2^32 -- a million-node run gets there. The hook
-  // fast-forwards the counter so the test doesn't schedule 4 billion
-  // events for real.
-  Scheduler scheduler;
-  scheduler.set_next_event_id((std::uint64_t{1} << 32) - 2);
-
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 6; ++i) {
-    // Same timestamp: execution order is the id tie-break, which must be
-    // monotone across the 2^32 boundary (no truncation anywhere).
-    ids.push_back(
-        scheduler.schedule_at(Time::milliseconds(5), [&order, i] { order.push_back(i); }));
-  }
-  EXPECT_LT(ids[0], std::uint64_t{1} << 32);
-  EXPECT_GT(ids.back(), std::uint64_t{1} << 32);
-  for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_EQ(ids[i], ids[i - 1] + 1);
-
-  // Cancel one id on each side of the boundary.
-  scheduler.cancel(ids[1]);
-  scheduler.cancel(ids[4]);
-  EXPECT_EQ(scheduler.pending(), 4u);
-  scheduler.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5}));
-}
-
-TEST(SchedulerTest, SetNextEventIdOnlyMovesForward) {
-  Scheduler scheduler;
-  scheduler.set_next_event_id(1000);
-  scheduler.set_next_event_id(10);  // ignored: ids must stay unique
-  const EventId id = scheduler.schedule_at(Time::zero(), [] {});
-  EXPECT_GE(id, 1000u);
-}
-
-TEST(SchedulerTest, CancelWindowSemantics) {
-  // The bitset cancel window decides which events fire, keeps pending
-  // counts exact, and bounds the cancel-after-fire backlog.
-  Scheduler scheduler;
-  std::vector<EventId> fired;
-  for (int i = 0; i < 300; ++i) fired.push_back(scheduler.schedule_at(Time::zero(), [] {}));
-  scheduler.run();
-
-  std::vector<int> order;
-  std::vector<EventId> live;
-  for (int i = 0; i < 8; ++i) {
-    live.push_back(
-        scheduler.schedule_at(Time::milliseconds(1), [&order, i] { order.push_back(i); }));
-  }
-  for (const EventId id : fired) scheduler.cancel(id);  // stale: must sweep, not leak
-  EXPECT_LE(scheduler.cancelled_backlog(), 8u + 65u);
-  scheduler.cancel(live[2]);
-  scheduler.cancel(live[2]);  // double-cancel counts once
-  scheduler.cancel(live[6]);
-  EXPECT_EQ(scheduler.pending(), 6u);
-  scheduler.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 5, 7}));
-  EXPECT_TRUE(scheduler.empty());
 }
 
 TEST(SchedulerTest, ManyEventsStressOrdering) {
@@ -345,31 +316,34 @@ TEST(SchedulerTest, ManyEventsStressOrdering) {
 // -- Differential test against a reference ordered set ------------------------
 
 /// Drives a Scheduler and a reference model through the same random
-/// interleaving of schedule, cancel, step and run_until calls, including
-/// actions that schedule and cancel from inside themselves.
+/// interleaving of new_owner, schedule, retire, step and run_until calls,
+/// including actions that schedule and retire (their own owner too) from
+/// inside themselves.
 ///
-/// The reference keeps every queued event as (time, id) in an ordered set.
-/// A cancelled event stays there until it reaches the front, because the
-/// queue drops a cancelled key lazily, when it becomes the heap root, and
-/// frees its slot then. The set's size is therefore the number of keys the
-/// queue holds, and its peak bounds the action slab.
+/// The reference keeps every queued event as (time, seq, owner) in an
+/// ordered set. A retired owner's event stays there until it reaches the
+/// front, because the queue drops a retired key lazily, when it becomes the
+/// heap root, and frees its slot then. The set's size is therefore the
+/// number of keys the queue holds, and its peak bounds the action slab.
 class Differential {
  public:
-  explicit Differential(std::uint64_t seed) : rng_(seed) {}
+  explicit Differential(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < 4; ++i) owners_.push_back(scheduler_.new_owner());
+  }
 
   void run(int operations) {
     for (int op = 0; op < operations; ++op) {
       const std::uint64_t pick = rng_.uniform_int(std::uint64_t{20});
-      if (pick < 8) {
-        schedule(random_time());
+      if (pick < 9) {
+        schedule(random_time(), random_owner());
+      } else if (pick < 10) {
+        retire(random_owner());
       } else if (pick < 11) {
-        cancel(random_id());
-      } else if (pick < 12 && !cancelled_ids_.empty()) {
-        cancel(cancelled_ids_[rng_.uniform_int(cancelled_ids_.size())]);  // cancel twice
-      } else if (pick < 16) {
+        owners_.push_back(scheduler_.new_owner());
+      } else if (pick < 15) {
         const bool ran = scheduler_.step();
         if (!ran) {
-          drop_cancelled_front();
+          drop_retired_front();
           EXPECT_TRUE(queued_.empty());
         }
         EXPECT_EQ(ran, stepped_);
@@ -377,27 +351,32 @@ class Differential {
       } else if (pick < 19) {
         const Time deadline = Time::nanoseconds(now_ + rng_.uniform_int(std::int64_t{0}, 400));
         const Time stopped = scheduler_.run_until(deadline);
-        drop_cancelled_front();
-        EXPECT_TRUE(queued_.empty() || queued_.begin()->first > deadline.ns());
+        drop_retired_front();
+        EXPECT_TRUE(queued_.empty() || std::get<0>(*queued_.begin()) > deadline.ns());
         EXPECT_EQ(stopped.ns(), now_);
         stepped_ = false;
       } else {
         // A burst on an empty free list grows the slab while it runs.
-        schedule(Time::nanoseconds(now_), /*burst=*/true);
+        schedule(Time::nanoseconds(now_), random_owner(), /*burst=*/true);
       }
       check();
+      // An action counts in executed() once it returns.
+      EXPECT_EQ(scheduler_.executed(), fired_);
     }
     scheduler_.run();
-    drop_cancelled_front();
+    drop_retired_front();
     EXPECT_TRUE(queued_.empty());
     check();
-    EXPECT_EQ(fired_, expected_);
   }
 
-  [[nodiscard]] std::size_t fired() const { return fired_.size(); }
+  [[nodiscard]] std::size_t fired() const { return fired_; }
+  /// Retired keys that reached the front and were dropped.
+  [[nodiscard]] std::size_t dropped() const { return dropped_; }
   [[nodiscard]] std::size_t peak() const { return peak_; }
 
  private:
+  using Entry = std::tuple<std::int64_t, std::uint64_t, Owner>;
+
   Time random_time() {
     switch (rng_.uniform_int(std::uint64_t{4})) {
       case 0:  // in the past: clamped to now
@@ -408,7 +387,7 @@ class Differential {
         if (!queued_.empty()) {
           auto it = queued_.begin();
           std::advance(it, static_cast<std::ptrdiff_t>(rng_.uniform_int(queued_.size())));
-          return Time::nanoseconds(it->first);
+          return Time::nanoseconds(std::get<0>(*it));
         }
         return Time::nanoseconds(now_);
       default:
@@ -416,73 +395,75 @@ class Differential {
     }
   }
 
-  /// Any id issued so far (pending, fired or cancelled), or one not yet
-  /// issued.
-  EventId random_id() { return 1 + rng_.uniform_int(next_id_ + 1); }
+  /// kNoOwner a quarter of the time, else any owner issued so far, retired
+  /// or not.
+  Owner random_owner() {
+    if (rng_.uniform_int(std::uint64_t{4}) == 0) return kNoOwner;
+    return owners_[rng_.uniform_int(owners_.size())];
+  }
 
-  void schedule(Time at, bool burst = false) {
-    const EventId id = scheduler_.schedule_at(at, [this, burst] { fire(burst); });
-    EXPECT_EQ(id, next_id_);
-    const std::int64_t t = std::max(at.ns(), now_);
-    queued_.emplace(t, id);
-    time_of_[id] = t;
-    ++next_id_;
+  void schedule(Time at, Owner owner, bool burst = false) {
+    const std::uint64_t seq = next_seq_;
+    scheduler_.schedule_at(at, owner, [this, seq, burst] { fire(seq, burst); });
+    if (retired_.count(owner) != 0) return;  // dropped at once
+    ++next_seq_;
+    queued_.emplace(std::max(at.ns(), now_), seq, owner);
     peak_ = std::max(peak_, queued_.size());
   }
 
-  void cancel(EventId id) {
-    scheduler_.cancel(id);
-    if (time_of_.count(id) != 0 && cancelled_.insert(id).second) cancelled_ids_.push_back(id);
+  void retire(Owner owner) {
+    if (owner == kNoOwner) return;
+    scheduler_.retire(owner);
+    retired_.insert(owner);
   }
 
-  void drop_cancelled_front() {
-    while (!queued_.empty() && cancelled_.count(queued_.begin()->second) != 0) {
-      const EventId id = queued_.begin()->second;
+  void drop_retired_front() {
+    while (!queued_.empty() && retired_.count(std::get<2>(*queued_.begin())) != 0) {
       queued_.erase(queued_.begin());
-      time_of_.erase(id);
-      cancelled_.erase(id);
+      ++dropped_;
     }
   }
 
   /// The action of every event: the reference pops its own front, which
   /// must be the event the scheduler is running, then the action may
-  /// schedule and cancel more.
-  void fire(bool burst) {
-    drop_cancelled_front();
+  /// schedule and retire more.
+  void fire(std::uint64_t seq, bool burst) {
+    drop_retired_front();
     EXPECT_FALSE(queued_.empty());
     if (queued_.empty()) return;
-    const auto [t, id] = *queued_.begin();
+    const auto [t, front_seq, owner] = *queued_.begin();
     queued_.erase(queued_.begin());
-    time_of_.erase(id);
+    EXPECT_EQ(seq, front_seq);
     now_ = t;
     EXPECT_EQ(scheduler_.now().ns(), t);
-    expected_.push_back(id);
-    fired_.push_back(id);
+    ++fired_;
     stepped_ = true;
     // Fewer than one nested event per firing on average (0.6), so the
     // final run() drains.
     const std::uint64_t nested =
         burst ? 40 : (rng_.chance(0.3) ? 1 + rng_.uniform_int(std::uint64_t{2}) : 0);
-    for (std::uint64_t i = 0; i < nested; ++i) schedule(random_time());
-    if (rng_.chance(0.3)) cancel(random_id());
+    if (rng_.chance(0.02)) retire(owner);  // a node stopping itself mid-action
+    for (std::uint64_t i = 0; i < nested; ++i) schedule(random_time(), random_owner());
+    if (rng_.chance(0.02)) retire(random_owner());
     check();
   }
 
   void check() {
-    EXPECT_EQ(scheduler_.pending(), queued_.size() - cancelled_.size());
+    std::uint64_t live = 0;
+    for (const Entry& entry : queued_) live += retired_.count(std::get<2>(entry)) == 0 ? 1 : 0;
+    EXPECT_EQ(scheduler_.pending(), live);
     EXPECT_LE(scheduler_.slab_slots(), peak_);
   }
 
   Scheduler scheduler_;
   util::Rng rng_;
-  EventId next_id_ = 1;
+  std::vector<Owner> owners_;
+  std::set<Owner> retired_;
+  std::uint64_t next_seq_ = 0;
   std::int64_t now_ = 0;
-  std::set<std::pair<std::int64_t, EventId>> queued_;
-  std::map<EventId, std::int64_t> time_of_;
-  std::set<EventId> cancelled_;
-  std::vector<EventId> cancelled_ids_;
-  std::vector<EventId> fired_;
-  std::vector<EventId> expected_;
+  std::set<Entry> queued_;
+  std::size_t fired_ = 0;
+  std::size_t dropped_ = 0;
   std::size_t peak_ = 0;
   bool stepped_ = false;
 };
@@ -492,6 +473,7 @@ TEST(SchedulerDifferentialTest, MatchesReferenceOrderedSet) {
     Differential run(seed);
     run.run(3000);
     EXPECT_GT(run.fired(), 1000u) << "seed " << seed;
+    EXPECT_GT(run.dropped(), 15u) << "seed " << seed;
     EXPECT_GT(run.peak(), 40u) << "seed " << seed;
     if (HasFailure()) {
       ADD_FAILURE() << "first failing seed " << seed;

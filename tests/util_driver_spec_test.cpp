@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/cli.h"
@@ -136,6 +139,10 @@ TEST(DriverSpecTest, GroupResolverRunsAndHelpShowsGroupTitle) {
   spec.print_help(help);
   EXPECT_NE(help.str().find("Parallelism:"), std::string::npos);
   EXPECT_NE(help.str().find("--jobs=N"), std::string::npos);
+  // One default, and the one resolve_jobs falls back to.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_NE(help.str().find("worker threads [default: " + std::to_string(hardware) + "]\n"),
+            std::string::npos);
 }
 
 TEST(DriverSpecTest, PositionalArityEnforced) {
