@@ -63,7 +63,7 @@ shard::TrialOutput run_chaff(std::uint64_t seed,
                                util::Vec2{150, 150}, util::Vec2{100, 100}}) {
     const sim::DeviceId device = deployment.network().add_device(
         90000 + static_cast<NodeId>(chaff.size()), pos);
-    deployment.network().device(device).compromised = true;
+    deployment.network().mark_compromised(device);
     chaff.push_back(std::make_unique<adversary::ChaffAttacker>(
         deployment.network(), device, 100000 + 1000 * static_cast<NodeId>(chaff.size()), 8));
     chaff.back()->start();

@@ -9,7 +9,6 @@
 // the per-PR perf artifact CI uploads.
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -45,25 +44,24 @@ void BM_SchedulerPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerPushPop)->Arg(1000)->Arg(100000);
 
-/// Same push/pop loop but with a delivery-sized capture (~72 bytes): the
-/// shape that used to heap-allocate on every event under std::function and
-/// now stays in EventAction's 88-byte inline buffer.
+/// Same push/pop loop with the delivery event's capture, Network's
+/// `[this, slot]`, which stays inline in EventAction's 24-byte buffer.
 void BM_SchedulerPushPopDeliverySizedCapture(benchmark::State& state) {
-  struct DeliveryCapture {  // stand-in for the Network delivery closure
-    std::array<std::uint8_t, 56> packet_fields;
-    void* network;
-    std::uint64_t device;
-  };
-  const DeliveryCapture capture{{}, nullptr, 0};
+  struct Slab {
+    std::uint64_t fired = 0;
+  } slab;
+  Slab* network = &slab;
   for (auto _ : state) {
     sim::Scheduler scheduler;
     const auto n = static_cast<std::size_t>(state.range(0));
     for (std::size_t i = 0; i < n; ++i) {
+      const auto slot = static_cast<std::uint32_t>(i);
       scheduler.schedule_at(sim::Time::microseconds(static_cast<std::int64_t>((i * 7) % n)),
-                            [capture] { benchmark::DoNotOptimize(&capture); });
+                            [network, slot] { network->fired += slot; });
     }
     scheduler.run();
     benchmark::DoNotOptimize(scheduler.executed());
+    benchmark::DoNotOptimize(slab.fired);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -109,9 +107,16 @@ sim::Network make_resolution_field(std::size_t nodes, bool use_index,
   return network;
 }
 
+/// Drops every cached audience (a device set to its own position counts as
+/// a move), so the next broadcast_all resolves each sender afresh.
+void invalidate_audiences(sim::Network& network) {
+  network.set_position(0, network.device(0).position);
+}
+
 /// Puts one broadcast per device on the air: this is the receiver
-/// *resolution* phase -- the linear scan vs the 3x3 grid query -- plus
-/// delivery-event scheduling. The queue is left full; callers drain it.
+/// *resolution* phase -- the linear scan vs the 3x3 grid query, after an
+/// invalidate_audiences -- plus delivery-event scheduling. The queue is left
+/// full; callers drain it.
 void broadcast_all(sim::Network& network) {
   for (sim::DeviceId d = 0; d < network.device_count(); ++d) {
     network.transmit(d, sim::Packet{.src = network.device(d).identity,
@@ -141,6 +146,7 @@ void BM_BroadcastResolution(benchmark::State& state) {
     state.PauseTiming();  // delivery processing is identical in both modes
     network.scheduler().run();
     benchmark::DoNotOptimize(network.metrics().deliveries());
+    invalidate_audiences(network);
     state.ResumeTiming();
   }
   const std::string mode = trace_mode == 0 ? "off" : trace_mode == 1 ? "counters" : "events+null";
@@ -181,16 +187,19 @@ struct RoundTimings {
 
 /// Wall-clock of `rounds` broadcast rounds on a fresh field, with the
 /// resolution phase (transmit loop) timed separately from the delivery
-/// drain, which costs the same in both modes.
+/// drain, which costs the same in both modes. Every round resolves each
+/// sender afresh unless `cached`, which times rounds that reuse the
+/// audiences the warm-up resolved.
 RoundTimings measure(std::size_t nodes, bool use_index, int rounds,
                      obs::TraceLevel level = obs::TraceLevel::kOff,
-                     std::shared_ptr<obs::Sink> sink = nullptr) {
+                     std::shared_ptr<obs::Sink> sink = nullptr, bool cached = false) {
   sim::Network network = make_resolution_field(nodes, use_index, level, std::move(sink));
   broadcast_all(network);  // warm-up: faults pages, fills the grid map
   network.scheduler().run();
   RoundTimings timings;
   const auto begin = std::chrono::steady_clock::now();
   for (int i = 0; i < rounds; ++i) {
+    if (!cached) invalidate_audiences(network);
     const auto round_begin = std::chrono::steady_clock::now();
     broadcast_all(network);
     const auto resolved = std::chrono::steady_clock::now();
@@ -208,6 +217,10 @@ int write_resolution_artifact() {
   constexpr int kRounds = 10;
   const RoundTimings linear = measure(kNodes, /*use_index=*/false, kRounds);
   const RoundTimings grid = measure(kNodes, /*use_index=*/true, kRounds);
+  // Steady state: the same grid rounds reading each sender's cached
+  // audience instead of resolving it.
+  const RoundTimings cached = measure(kNodes, /*use_index=*/true, kRounds,
+                                      obs::TraceLevel::kOff, nullptr, /*cached=*/true);
 
   // Strip-filter series: the same field with the candidate classifier
   // pinned to the portable scalar tier vs the detected (vector) tier, in
@@ -256,6 +269,7 @@ int write_resolution_artifact() {
                 "  \"broadcasts\": %.0f,\n"
                 "  \"linear_us_per_tx\": %.3f,\n"
                 "  \"grid_us_per_tx\": %.3f,\n"
+                "  \"cached_us_per_tx\": %.3f,\n"
                 "  \"resolution_speedup\": %.2f,\n"
                 "  \"round_speedup\": %.2f,\n"
                 "  \"trace\": {\n"
@@ -275,7 +289,8 @@ int write_resolution_artifact() {
                 "  }\n"
                 "}\n",
                 kNodes, per_tx, linear.resolution_s / per_tx * 1e6,
-                grid.resolution_s / per_tx * 1e6, resolution_speedup, round_speedup,
+                grid.resolution_s / per_tx * 1e6, cached.resolution_s / per_tx * 1e6,
+                resolution_speedup, round_speedup,
                 trace_off.total_s / per_tx * 1e6, trace_counters.total_s / per_tx * 1e6,
                 trace_events.total_s / per_tx * 1e6, counters_overhead, events_null_overhead,
                 scalar_tier_grid.resolution_s / per_tx * 1e6,
@@ -289,9 +304,11 @@ int write_resolution_artifact() {
     return 1;
   }
   std::printf("broadcast resolution, %zu nodes: linear %.2f us/tx, grid %.2f us/tx, "
-              "resolution speedup %.2fx (full round incl. deliveries: %.2fx) -> %s\n",
+              "resolution speedup %.2fx (full round incl. deliveries: %.2fx), "
+              "cached audience %.2f us/tx -> %s\n",
               kNodes, linear.resolution_s / per_tx * 1e6, grid.resolution_s / per_tx * 1e6,
-              resolution_speedup, round_speedup, path.c_str());
+              resolution_speedup, round_speedup, cached.resolution_s / per_tx * 1e6,
+              path.c_str());
   std::printf("trace overhead per round (grid): off %.2f us/tx, counters %.2fx, "
               "events+nullsink %.2fx\n",
               trace_off.total_s / per_tx * 1e6, counters_overhead, events_null_overhead);

@@ -42,7 +42,7 @@ shard::TrialOutput run(const VerifierCase& verifier_case, std::uint64_t seed) {
   adversary::Wormhole wormhole(deployment.network(), {40.0, 50.0}, {360.0, 50.0});
   wormhole.start();
   const sim::DeviceId chaff_device = deployment.network().add_device(90000, {200.0, 50.0});
-  deployment.network().device(chaff_device).compromised = true;
+  deployment.network().mark_compromised(chaff_device);
   adversary::ChaffAttacker chaff(deployment.network(), chaff_device, 100000, 4);
   chaff.start();
 

@@ -25,7 +25,7 @@ bool Attacker::compromise(NodeId identity) {
 
   const sim::DeviceId device = agent->device();
   stolen_.emplace(identity, agent->steal_secrets());
-  deployment_.network().device(device).compromised = true;
+  deployment_.network().mark_compromised(device);
   deployment_.detach_agent(device);  // the benign stack is gone
 
   auto malicious = std::make_unique<MaliciousAgent>(
@@ -47,13 +47,6 @@ sim::DeviceId Attacker::place_replica(NodeId identity, util::Vec2 position) {
   malicious->start();
   agents_.push_back(std::move(malicious));
   return device;
-}
-
-std::vector<NodeId> Attacker::compromised_identities() const {
-  std::vector<NodeId> out;
-  out.reserve(stolen_.size());
-  for (const auto& [identity, secrets] : stolen_) out.push_back(identity);
-  return out;
 }
 
 const core::SndNode::Secrets* Attacker::stolen_secrets(NodeId identity) const {

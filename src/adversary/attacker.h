@@ -26,7 +26,6 @@ class Attacker {
   /// The replica carries a copy of the stolen secrets.
   sim::DeviceId place_replica(NodeId identity, util::Vec2 position);
 
-  [[nodiscard]] std::vector<NodeId> compromised_identities() const;
   [[nodiscard]] const core::SndNode::Secrets* stolen_secrets(NodeId identity) const;
   [[nodiscard]] const std::vector<std::unique_ptr<MaliciousAgent>>& agents() const {
     return agents_;

@@ -15,7 +15,7 @@ ReplayAttacker::ReplayAttacker(sim::Network& network, util::Vec2 position, sim::
       device_(network.add_device(kReplayerIdentity, position)),
       delay_(delay),
       max_captures_(max_captures) {
-  network_.device(device_).compromised = true;
+  network_.mark_compromised(device_);
 }
 
 ReplayAttacker::~ReplayAttacker() { network_.set_receiver(device_, nullptr); }

@@ -10,7 +10,7 @@ SybilAttacker::SybilAttacker(sim::Network& network, util::Vec2 position, NodeId 
       device_(network.add_device(base, position)),
       base_(base),
       identities_(identities) {
-  network_.device(device_).compromised = true;
+  network_.mark_compromised(device_);
 }
 
 SybilAttacker::~SybilAttacker() { network_.set_receiver(device_, nullptr); }

@@ -13,8 +13,8 @@ Wormhole::Wormhole(sim::Network& network, util::Vec2 end_a, util::Vec2 end_b,
       end_a_(network.add_device(kWormholeIdentity, end_a)),
       end_b_(network.add_device(kWormholeIdentity, end_b)),
       tunnel_latency_(tunnel_latency) {
-  network_.device(end_a_).compromised = true;
-  network_.device(end_b_).compromised = true;
+  network_.mark_compromised(end_a_);
+  network_.mark_compromised(end_b_);
 }
 
 Wormhole::~Wormhole() {

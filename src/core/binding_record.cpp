@@ -30,23 +30,23 @@ util::Bytes BindingRecord::serialize() const {
 }
 
 std::optional<BindingRecord> BindingRecord::parse(std::span<const std::uint8_t> data) {
-  util::ByteReader reader(data);
-  BindingRecord record;
-  const auto node = reader.u32();
-  const auto version = reader.u32();
-  const auto count = reader.u16();
-  if (!node || !version || !count) return std::nullopt;
-  record.node = *node;
-  record.version = *version;
-  record.neighbors.reserve(*count);
-  for (std::uint16_t i = 0; i < *count; ++i) {
-    const auto n = reader.u32();
-    if (!n) return std::nullopt;
-    record.neighbors.push_back(*n);
-  }
-  const auto digest = reader.bytes_view(crypto::kDigestSize);
-  if (!digest || !reader.exhausted()) return std::nullopt;
-  std::copy(digest->begin(), digest->end(), record.commitment.bytes.begin());
+  // node u32 | version u32 | count u16 | count x u32 | commitment, all
+  // big-endian: the count fixes the exact length, so one check bounds
+  // every read below.
+  constexpr std::size_t kHeader = 10;
+  if (data.size() < kHeader) return std::nullopt;
+  const std::size_t count = static_cast<std::size_t>(data[8]) << 8 | data[9];
+  if (data.size() != kHeader + 4 * count + crypto::kDigestSize) return std::nullopt;
+  const auto u32_at = [&data](std::size_t at) {
+    return static_cast<std::uint32_t>(data[at]) << 24 |
+           static_cast<std::uint32_t>(data[at + 1]) << 16 |
+           static_cast<std::uint32_t>(data[at + 2]) << 8 | static_cast<std::uint32_t>(data[at + 3]);
+  };
+  BindingRecord record{.node = u32_at(0), .version = u32_at(4), .neighbors = {}, .commitment = {}};
+  record.neighbors.resize(count);
+  for (std::size_t i = 0; i < count; ++i) record.neighbors[i] = u32_at(kHeader + 4 * i);
+  std::copy(data.end() - static_cast<std::ptrdiff_t>(crypto::kDigestSize), data.end(),
+            record.commitment.bytes.begin());
   return record;
 }
 

@@ -107,7 +107,7 @@ bool SndDeployment::detach_agent(sim::DeviceId device) {
 }
 
 void SndDeployment::kill_device(sim::DeviceId device) {
-  network_->device(device).alive = false;
+  network_->set_alive(device, false);
   if (SndNode* agent = agent_for_device(device)) agent->stop();
 }
 
@@ -157,7 +157,7 @@ bool SndDeployment::crash_node(NodeId identity) {
 bool SndDeployment::reboot_node(NodeId identity) {
   const sim::DeviceId device = original_device(identity);
   if (device == sim::kNoDevice) return false;
-  network_->device(device).alive = true;
+  network_->set_alive(device, true);
   if (config_.energy.enabled) network_->set_energy_j(device, config_.energy.initial_j);
   // Destroy the old incarnation first: its stop() deregisters the radio
   // receiver, which must not clobber the fresh agent's registration.

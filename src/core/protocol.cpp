@@ -74,7 +74,15 @@ void SndNode::start() {
   deployed_at_ = network_.now();
   trace_event(network_, identity_, obs::EventKind::kPhase, obs::NodePhase::kDeployed);
 
-  network_.set_receiver(device_, [this](const sim::Packet& packet) { on_packet(packet); });
+  // Of a unicast addressed to another identity, on_packet acts only on the
+  // types it handles before the messenger's destination check; open()
+  // drops the rest unread. In clean runs only HelloAcks are unicast among
+  // these three.
+  network_.set_receiver(
+      device_, [this](const sim::Packet& packet) { on_packet(packet); },
+      {static_cast<std::uint8_t>(MessageType::kHello),
+       static_cast<std::uint8_t>(MessageType::kHelloAck),
+       static_cast<std::uint8_t>(MessageType::kRecordReply)});
 
   const sim::Time jitter = sim::Time::nanoseconds(static_cast<std::int64_t>(
       network_.rng().uniform(0.0, static_cast<double>(config_.hello_jitter.ns()))));

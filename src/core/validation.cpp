@@ -54,20 +54,4 @@ std::string CommonNeighborValidator::name() const {
   return "common-neighbor(t=" + std::to_string(t_) + ")";
 }
 
-bool LinkThresholdValidator::validate(NodeId u, NodeId v, const topology::Digraph& B) const {
-  return B.has_edge(u, v) &&
-         meets_threshold(B.successor_list(u), B.successor_list(v), t_);
-}
-
-ValidationFunction::MinimumDeployment LinkThresholdValidator::minimum_deployment(
-    NodeId first_id) const {
-  // The CommonNeighborValidator witness already links u and w directly, so
-  // it satisfies the extra has_edge conjunct as-is.
-  return CommonNeighborValidator(t_).minimum_deployment(first_id);
-}
-
-std::string LinkThresholdValidator::name() const {
-  return "link-threshold(t=" + std::to_string(t_) + ")";
-}
-
 }  // namespace snd::core

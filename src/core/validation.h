@@ -63,29 +63,9 @@ class CommonNeighborValidator final : public ValidationFunction {
   std::size_t t_;
 };
 
-/// The full functional-topology rule of Definition 5: u accepts v iff the
-/// tentative relation u -> v exists AND the threshold predicate holds. This
-/// is the F(u, v, B) the long-lived validation service (service/) serves:
-/// CommonNeighborValidator alone would accept pairs that never heard each
-/// other, which a functional topology by definition excludes.
-class LinkThresholdValidator final : public ValidationFunction {
- public:
-  explicit LinkThresholdValidator(std::size_t threshold_t) : t_(threshold_t) {}
-
-  [[nodiscard]] bool validate(NodeId u, NodeId v, const topology::Digraph& B) const override;
-  /// Same witness as CommonNeighborValidator (u and w are adjacent in it).
-  [[nodiscard]] std::size_t minimum_deployment_size() const override { return t_ + 3; }
-  [[nodiscard]] MinimumDeployment minimum_deployment(NodeId first_id) const override;
-  [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] std::size_t threshold() const { return t_; }
-
- private:
-  std::size_t t_;
-};
-
-/// Shared threshold predicate: |N(u) ∩ N(v)| >= t + 1. Used by both the
-/// graph-level validator above and the wire protocol's record check. Stops
+/// Shared threshold predicate: |N(u) ∩ N(v)| >= t + 1. Used by the
+/// graph-level validator above, the wire protocol's record check and the
+/// validation service. Stops
 /// merging as soon as the verdict is decided, so it never walks further than
 /// topology::intersection_size.
 bool meets_threshold(const topology::NeighborList& nu, const topology::NeighborList& nv,

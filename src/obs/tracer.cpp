@@ -64,15 +64,4 @@ void Tracer::accumulate_into(TraceSummary& summary) const {
   summary.ring_overflow += ring_overflow_;
 }
 
-void Tracer::reset() {
-  events_ = 0;
-  ring_overflow_ = 0;
-  node_phases_ = {};
-  rejects_ = {};
-  accepts_ = {};
-  injects_ = {};
-  ring_.clear();
-  next_slot_ = 0;
-}
-
 }  // namespace snd::obs

@@ -83,8 +83,6 @@ class Tracer {
   /// sim::Metrics; sim::Network::trace_summary() combines both.
   void accumulate_into(TraceSummary& summary) const;
 
-  void reset();
-
  private:
   void count(const Event& event) {
     const std::size_t code = event.code;

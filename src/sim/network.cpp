@@ -50,6 +50,7 @@ DeviceId Network::add_device(NodeId identity, util::Vec2 position) {
   pos_y_.push_back(position.y);
   identity_index_[identity].push_back(id);
   grid_insert(id, position);
+  invalidate_audiences();
   return id;
 }
 
@@ -70,20 +71,33 @@ void Network::set_position(DeviceId id, util::Vec2 position) {
   d.position = position;
   pos_x_[id] = position.x;
   pos_y_[id] = position.y;
+  invalidate_audiences();
   if (!indexable_) return;
   const std::uint64_t old_key =
       cell_key(cell_coord(old.x, cell_size_), cell_coord(old.y, cell_size_));
   const std::uint64_t new_key =
       cell_key(cell_coord(position.x, cell_size_), cell_coord(position.y, cell_size_));
   // A move inside one cell changes no cell membership, and cached candidate
-  // lists hold only ids (queries re-check link_exists against live
-  // positions), so the caches stay valid -- no version bump needed.
+  // lists hold only ids (rescans re-check link_exists against live
+  // positions), so the block caches stay valid -- no grid version bump.
   if (old_key == new_key) return;
   std::vector<DeviceId>& old_cell = grid_[old_key];
   old_cell.erase(std::remove(old_cell.begin(), old_cell.end(), id), old_cell.end());
   std::vector<DeviceId>& new_cell = grid_[new_key];
   new_cell.insert(std::lower_bound(new_cell.begin(), new_cell.end(), id), id);
   ++grid_version_;
+}
+
+void Network::set_alive(DeviceId id, bool alive) {
+  Device& d = devices_.at(id);
+  if (d.alive == alive) return;
+  d.alive = alive;
+  invalidate_audiences();
+}
+
+void Network::set_spatial_index_enabled(bool enabled) {
+  use_spatial_index_ = enabled && indexable_;
+  invalidate_audiences();
 }
 
 const std::vector<DeviceId>& Network::candidates_near(util::Vec2 center) const {
@@ -124,7 +138,7 @@ void Network::drain(DeviceId id, double joules) {
   energy_j_[id] -= joules;
   if (energy_j_[id] <= 0.0) {
     energy_j_[id] = 0.0;
-    devices_[id].alive = false;
+    set_alive(id, false);
   }
 }
 
@@ -145,8 +159,10 @@ std::vector<DeviceId> Network::devices_with_identity(NodeId identity) const {
   return out;
 }
 
-void Network::set_receiver(DeviceId id, std::function<void(const Packet&)> handler) {
-  receivers_.at(id) = std::move(handler);
+void Network::set_receiver(DeviceId id, std::function<void(const Packet&)> handler,
+                           PacketTypes overheard) {
+  receivers_.at(id) = Receiver{std::move(handler), overheard};
+  invalidate_audiences();
 }
 
 Time Network::transmission_time(std::size_t wire_bytes) const {
@@ -239,25 +255,29 @@ void Network::deliver(std::uint32_t slot) {
   // until the loop is done.
   Delivery& d = deliveries_[slot];
   const Packet& packet = packets_[d.packet].packet;
+  const CopyContext copy{
+      .packet = &packet,
+      .start = d.start,
+      .airtime_end = d.airtime_end,
+      .sender_identity = devices_[packet.sender_device].identity,
+      .rx_bytes = static_cast<std::uint32_t>(packet.wire_bytes()),
+      .rx_joules = energy_.rx_j_per_byte * static_cast<double>(packet.wire_bytes()),
+      .phase = d.phase};
   if (d.to != kNoDevice) {
-    deliver_copy(d.to, packet, d.start, d.airtime_end, d.phase);
+    deliver_copy(d.to, copy);
   } else {
-    for (const DeviceId to : d.overhearers) {
-      deliver_copy(to, packet, d.start, d.airtime_end, d.phase);
-    }
+    for (const DeviceId to : d.overhearers) deliver_copy(to, copy);
     recycle_group(std::move(d.overhearers));
   }
   release_packet(d.packet);
   free_deliveries_.push_back(slot);
 }
 
-void Network::deliver_copy(DeviceId to, const Packet& packet, Time start, Time airtime_end,
-                           obs::Phase phase) {
+void Network::deliver_copy(DeviceId to, const CopyContext& copy) {
   const Device& d = devices_[to];
-  const NodeId sender_identity = devices_[packet.sender_device].identity;
-  const auto rx_bytes = static_cast<std::uint32_t>(packet.wire_bytes());
-  if (!d.alive || !receivers_[to]) {
-    note_drop(obs::DropCause::kReceiverDead, d.identity, sender_identity, rx_bytes);
+  const Receiver& receiver = receivers_[to];
+  if (!d.alive || !receiver.handler) {
+    note_drop(obs::DropCause::kReceiverDead, d.identity, copy.sender_identity, copy.rx_bytes);
     return;
   }
   // Half-duplex: the receiver missed the packet iff its own transmit run
@@ -268,27 +288,34 @@ void Network::deliver_copy(DeviceId to, const Packet& packet, Time start, Time a
   // contiguous run is tracked: an overlapping run that ended and was
   // replaced by a non-overlapping one inside the ~0.5 ms delivery lag
   // would be forgiven, a vanishingly rare and optimistic approximation.
-  if (config_.half_duplex && tx_run_start_[to] < airtime_end && tx_busy_until_[to] > start) {
-    note_drop(obs::DropCause::kHalfDuplex, d.identity, sender_identity, rx_bytes);
+  if (config_.half_duplex && tx_run_start_[to] < copy.airtime_end &&
+      tx_busy_until_[to] > copy.start) {
+    note_drop(obs::DropCause::kHalfDuplex, d.identity, copy.sender_identity, copy.rx_bytes);
     return;
   }
-  drain(to, energy_.rx_j_per_byte * static_cast<double>(packet.wire_bytes()));
+  drain(to, copy.rx_joules);
   if (!devices_[to].alive) {
-    note_drop(obs::DropCause::kReceiverDead, d.identity, sender_identity, rx_bytes);
+    note_drop(obs::DropCause::kReceiverDead, d.identity, copy.sender_identity, copy.rx_bytes);
     return;
   }
   metrics_.count_delivery();
   if (tracer_.recording()) {
     tracer_.emit(obs::Event{.kind = obs::EventKind::kDelivery,
-                            .code = static_cast<std::uint8_t>(phase),
+                            .code = static_cast<std::uint8_t>(copy.phase),
                             .node = d.identity,
-                            .peer = sender_identity,
-                            .bytes = rx_bytes,
+                            .peer = copy.sender_identity,
+                            .bytes = copy.rx_bytes,
                             .t_ns = scheduler_.now().ns()});
   } else {
     tracer_.count_radio_event();
   }
-  receivers_[to](packet);
+  // An overheard unicast -- addressed to another identity -- reaches the
+  // callback only if it reads that type.
+  const Packet& packet = *copy.packet;
+  if (packet.is_broadcast() || packet.dst == d.identity ||
+      receiver.overheard.contains(packet.type)) {
+    receiver.handler(packet);
+  }
 }
 
 void Network::transmit(DeviceId from, Packet packet, obs::Phase phase) {
@@ -332,14 +359,223 @@ void Network::transmit_impl(DeviceId from, Packet packet, obs::Phase phase) {
     }
     tx_busy_until_[from] = start + tx_time;
   }
-  const Time airtime_end = start + tx_time;
-  const util::Vec2 origin = sender.position;
-  const NodeId sender_identity = sender.identity;
-  const bool sender_jammed = jammed(origin);
+  Transmission tx{.origin = sender.position,
+                  .sender_identity = sender.identity,
+                  .wire_bytes = wire_bytes,
+                  .phase = phase,
+                  .start = start,
+                  .airtime_end = start + tx_time};
 
+  // The receivers, ascending by device id: the sender's cached audience,
+  // or, when the tracer records events, a rescan that also lists the
+  // out-of-range candidates, so their drops keep their place in the event
+  // stream. Either way only the kOutOfRange count depends on the candidate
+  // superset (the grid's 3x3 block or the whole field).
+  const bool recording = tracer_.recording();
+  const Audience* cached = nullptr;
+  std::span<const DeviceId> linked;
+  std::span<const DeviceId> unlinked;
+  std::size_t out_of_range = 0;
+  if (recording) {
+    const auto [n_linked, n_unlinked] = rescan(from, tx.origin);
+    linked = {linked_.data(), n_linked};
+    unlinked = {unlinked_.data(), n_unlinked};
+    out_of_range = n_unlinked;
+  } else {
+    cached = &audience(from, tx.origin);
+    linked = audience_ids(*cached);
+    out_of_range = cached->out_of_range;
+    metrics_.count_drop(obs::DropCause::kOutOfRange, out_of_range);
+    tracer_.count_radio_event(out_of_range);
+  }
+  metrics_.count_candidate(linked.size() + out_of_range);
+
+  // Receivers the packet is *addressed to* get exact per-receiver timing:
+  // protocols that measure time of flight (distance bounding) depend on
+  // it. Overhearers share one delivery record -- their propagation-delay
+  // differences are nanoseconds against the ~0.5 ms processing delay, and
+  // one event per transmission keeps the queue small on dense fields. Its
+  // delay uses sqrt(max d²), which equals the largest distance exactly
+  // (sqrt is correctly rounded and monotone).
+  tx.packet = store_packet(std::move(packet));
+  // Held until this transmission is resolved, so a corrupted copy stored
+  // below cannot take the slot.
+  ++packets_[tx.packet].holders;
+  std::vector<DeviceId> overhearers = take_group();
+  overhearers.reserve(linked.size());
+  const bool jamming = std::any_of(jammers_.begin(), jammers_.end(),
+                                   [](const auto& jammer) { return jammer.has_value(); });
+  const bool quiet =
+      !recording && !jamming && !(config_.loss_probability > 0.0) && fault_ == nullptr;
+  const double max_distance_squared =
+      quiet ? split_audience(tx, *cached, overhearers)
+            : resolve_copies(tx, linked, unlinked, overhearers);
+  if (overhearers.empty()) {
+    recycle_group(std::move(overhearers));
+  } else {
+    schedule_delivery(arrival(tx, std::sqrt(max_distance_squared)), tx.packet, kNoDevice,
+                      std::move(overhearers), tx.start, tx.airtime_end, phase);
+  }
+  release_packet(tx.packet);
+}
+
+Time Network::arrival(const Transmission& tx, double distance) const {
+  return tx.airtime_end + PropagationModel::propagation_delay(distance) +
+         config_.processing_delay;
+}
+
+double Network::split_audience(const Transmission& tx, const Audience& audience,
+                               std::vector<DeviceId>& overhearers) {
+  const std::span<const DeviceId> ids = audience_ids(audience);
+  const Packet& shared = packets_[tx.packet].packet;
+  // The addressed devices are the audience members carrying the destination
+  // identity: usually one, several under replication. The identity index
+  // and the audience both ascend by device id.
+  std::size_t copied = 0;
+  std::size_t addressed = 0;
+  DeviceId last_addressed = kNoDevice;
+  const auto holders = shared.is_broadcast() ? identity_index_.end()
+                                             : identity_index_.find(shared.dst);
+  if (holders != identity_index_.end()) {
+    for (const DeviceId id : holders->second) {
+      const auto at = std::lower_bound(ids.begin() + static_cast<std::ptrdiff_t>(copied),
+                                       ids.end(), id);
+      if (at == ids.end() || *at != id) continue;
+      schedule_delivery(arrival(tx, util::distance(tx.origin, devices_[id].position)), tx.packet,
+                        id, {}, tx.start, tx.airtime_end, tx.phase);
+      overhearers.insert(overhearers.end(), ids.begin() + static_cast<std::ptrdiff_t>(copied), at);
+      copied = static_cast<std::size_t>(at - ids.begin()) + 1;
+      ++addressed;
+      last_addressed = id;
+    }
+  }
+  overhearers.insert(overhearers.end(), ids.begin() + static_cast<std::ptrdiff_t>(copied),
+                     ids.end());
+  if (addressed == 0) return audience.max_d2;
+  if (addressed == 1) {
+    return last_addressed == audience.farthest ? audience.runner_up_d2 : audience.max_d2;
+  }
+  double max_distance_squared = 0.0;
+  for (const DeviceId id : overhearers) {
+    max_distance_squared =
+        std::max(max_distance_squared, util::distance_squared(tx.origin, devices_[id].position));
+  }
+  return max_distance_squared;
+}
+
+double Network::resolve_copies(const Transmission& tx, std::span<const DeviceId> linked,
+                               std::span<const DeviceId> unlinked,
+                               std::vector<DeviceId>& overhearers) {
+  const Packet& shared = packets_[tx.packet].packet;
+  const bool sender_jammed = jammed(tx.origin);
+  std::size_t next_unlinked = 0;
+  const auto drop_out_of_range_before = [&](DeviceId id) {
+    for (; next_unlinked < unlinked.size() && unlinked[next_unlinked] < id; ++next_unlinked) {
+      note_drop(obs::DropCause::kOutOfRange, devices_[unlinked[next_unlinked]].identity,
+                tx.sender_identity, tx.wire_bytes);
+    }
+  };
+  // The fault hook is consulted strictly after the channel resolved a copy
+  // as deliverable, so an uninstalled hook perturbs nothing -- not even RNG
+  // draw order.
+  double max_distance_squared = 0.0;
+  for (const DeviceId id : linked) {
+    drop_out_of_range_before(id);
+    const Device& receiver = devices_[id];
+    if (sender_jammed || jammed(receiver.position)) {
+      note_drop(obs::DropCause::kCollision, receiver.identity, tx.sender_identity, tx.wire_bytes);
+      continue;
+    }
+    if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {
+      note_drop(obs::DropCause::kLoss, receiver.identity, tx.sender_identity, tx.wire_bytes);
+      continue;
+    }
+
+    if (fault_ != nullptr) {
+      const FaultDecision fd =
+          fault_->on_delivery(tx.sender_identity, receiver.identity, tx.phase, scheduler_.now());
+      if (fd.drop) {
+        note_inject(fd.drop_kind, receiver.identity, tx.sender_identity, tx.wire_bytes);
+        note_drop(obs::DropCause::kInjected, receiver.identity, tx.sender_identity, tx.wire_bytes);
+        continue;
+      }
+      if (fd.perturbs()) {
+        // Perturbed copies always get dedicated per-receiver events with
+        // exact per-receiver timing -- an injected duplicate or delayed copy
+        // cannot ride the shared overhearer event.
+        const Time base =
+            arrival(tx, util::distance(tx.origin, receiver.position)) + fd.extra_delay;
+        std::uint32_t copy = tx.packet;
+        if (fd.corrupt) {
+          Packet mutated = shared;
+          fault_->corrupt_packet(mutated);
+          copy = store_packet(std::move(mutated));
+          note_inject(obs::InjectKind::kCorrupt, receiver.identity, tx.sender_identity,
+                      tx.wire_bytes);
+        }
+        if (fd.extra_delay > Time::zero()) {
+          note_inject(obs::InjectKind::kDelay, receiver.identity, tx.sender_identity,
+                      tx.wire_bytes);
+        }
+        schedule_delivery(base, copy, receiver.id, {}, tx.start, tx.airtime_end, tx.phase);
+        for (std::uint32_t i = 1; i <= fd.copies; ++i) {
+          // Extra copies count as fresh candidates so the conservation law
+          // (candidates == deliveries + channel drops) survives duplication.
+          metrics_.count_candidate();
+          note_inject(obs::InjectKind::kDuplicate, receiver.identity, tx.sender_identity,
+                      tx.wire_bytes);
+          schedule_delivery(
+              base + Time::nanoseconds(fd.copy_spacing.ns() * static_cast<std::int64_t>(i)),
+              copy, receiver.id, {}, tx.start, tx.airtime_end, tx.phase);
+        }
+        continue;
+      }
+    }
+
+    if (!shared.is_broadcast() && receiver.identity == shared.dst) {
+      schedule_delivery(arrival(tx, util::distance(tx.origin, receiver.position)), tx.packet,
+                        receiver.id, {}, tx.start, tx.airtime_end, tx.phase);
+    } else {
+      overhearers.push_back(receiver.id);
+      max_distance_squared =
+          std::max(max_distance_squared, util::distance_squared(tx.origin, receiver.position));
+    }
+  }
+  drop_out_of_range_before(kNoDevice);
+  return max_distance_squared;
+}
+
+const Network::Audience& Network::audience(DeviceId from, util::Vec2 origin) {
+  if (audiences_.size() < devices_.size()) audiences_.resize(devices_.size());
+  Audience& cached = audiences_[from];
+  if (cached.version == audience_version_) return cached;
+  if (arena_version_ != audience_version_) {
+    audience_ids_.clear();
+    arena_version_ = audience_version_;
+  }
+  const auto [n_linked, n_unlinked] = rescan(from, origin);
+  cached = Audience{.version = audience_version_,
+                    .offset = static_cast<std::uint32_t>(audience_ids_.size()),
+                    .size = static_cast<std::uint32_t>(n_linked),
+                    .out_of_range = static_cast<std::uint32_t>(n_unlinked)};
+  audience_ids_.insert(audience_ids_.end(), linked_.begin(),
+                       linked_.begin() + static_cast<std::ptrdiff_t>(n_linked));
+  for (std::size_t i = 0; i < n_linked; ++i) {
+    const double d2 = util::distance_squared(origin, devices_[linked_[i]].position);
+    if (d2 > cached.max_d2) {
+      cached.runner_up_d2 = cached.max_d2;
+      cached.max_d2 = d2;
+      cached.farthest = linked_[i];
+    } else {
+      cached.runner_up_d2 = std::max(cached.runner_up_d2, d2);
+    }
+  }
+  return cached;
+}
+
+std::pair<std::size_t, std::size_t> Network::rescan(DeviceId from, util::Vec2 origin) {
   // The candidate list, ascending by device id: the grid's 3x3 block, or
-  // every device on the linear path. Both give bit-identical deliveries;
-  // only the kOutOfRange count depends on the superset enumerated.
+  // every device on the linear path.
   std::span<const DeviceId> cands;
   const double* xs = pos_x_.data();
   const double* ys = pos_y_.data();
@@ -375,11 +611,11 @@ void Network::transmit_impl(DeviceId from, Packet packet, obs::Phase phase) {
     std::fill(strip_class_.begin(), strip_class_.end(), kLinkCheck);
   }
 
-  // Pass 1: keep the candidates that can receive at all (not the sender,
-  // alive, receiver installed), split them into linked and out of range,
-  // and record both as positions in `cands`. Every candidate is written to
-  // both lists and the counts advance by its verdict, so the loop does not
-  // branch on the candidate; only a kLinkCheck verdict calls link_exists.
+  // Keep the candidates that can receive at all (not the sender, alive,
+  // receiver installed) and split them into linked and out of range. Every
+  // candidate is written to both lists and the counts advance by its
+  // verdict, so the loop does not branch on the candidate; only a
+  // kLinkCheck verdict calls link_exists.
   linked_.resize(n);
   unlinked_.resize(n);
   std::size_t n_linked = 0;
@@ -387,130 +623,17 @@ void Network::transmit_impl(DeviceId from, Packet packet, obs::Phase phase) {
   for (std::size_t i = 0; i < n; ++i) {
     const DeviceId id = cands[i];
     const Device& d = devices_[id];
-    const bool eligible = (id != from) & d.alive & static_cast<bool>(receivers_[id]);
+    const bool eligible = (id != from) & d.alive & static_cast<bool>(receivers_[id].handler);
     bool linked = strip_class_[i] == kLinkIn;
     if (strip_class_[i] == kLinkCheck && eligible) {
       linked = propagation_->link_exists(origin, d.position);
     }
-    linked_[n_linked] = static_cast<std::uint32_t>(i);
-    unlinked_[n_unlinked] = static_cast<std::uint32_t>(i);
+    linked_[n_linked] = id;
+    unlinked_[n_unlinked] = id;
     n_linked += static_cast<std::size_t>(eligible & linked);
     n_unlinked += static_cast<std::size_t>(eligible & !linked);
   }
-  metrics_.count_candidate(n_linked + n_unlinked);
-
-  // Out-of-range drops: one bulk count, unless the tracer records events,
-  // in which case each is emitted where a single per-candidate pass would
-  // have emitted it -- before the first linked candidate after it.
-  const bool recording = tracer_.recording();
-  std::size_t next_unlinked = 0;
-  const auto drop_out_of_range_before = [&](std::size_t pos) {
-    for (; next_unlinked < n_unlinked && unlinked_[next_unlinked] < pos; ++next_unlinked) {
-      note_drop(obs::DropCause::kOutOfRange, devices_[cands[unlinked_[next_unlinked]]].identity,
-                sender_identity, wire_bytes);
-    }
-  };
-  if (!recording) {
-    metrics_.count_drop(obs::DropCause::kOutOfRange, n_unlinked);
-    tracer_.count_radio_event(n_unlinked);
-  }
-
-  // Pass 2, in ascending device id, so the loss-RNG draws, fault-hook calls
-  // and event ids are consumed in the order of the linear scan. The fault
-  // hook is consulted strictly after the channel resolved a copy as
-  // deliverable, so an uninstalled hook perturbs nothing -- not even RNG
-  // draw order. Receivers the packet is *addressed to* get exact
-  // per-receiver timing: protocols that measure time of flight (distance
-  // bounding) depend on it. Overhearers share one delivery record -- their
-  // propagation-delay differences are nanoseconds against the ~0.5 ms
-  // processing delay, and one event per transmission keeps the queue small
-  // on dense fields. Its delay uses sqrt(max d²), which equals the largest
-  // distance exactly (sqrt is correctly rounded and monotone), so only
-  // addressed and perturbed copies compute a distance of their own.
-  const std::uint32_t packet_slot = store_packet(std::move(packet));
-  const Packet& shared = packets_[packet_slot].packet;
-  // Held until this transmission is resolved, so a corrupted copy stored
-  // below cannot take the slot.
-  ++packets_[packet_slot].holders;
-  std::vector<DeviceId> overhearers = take_group();
-  overhearers.reserve(n_linked);
-  double max_distance_squared = 0.0;
-  for (std::size_t j = 0; j < n_linked; ++j) {
-    const std::uint32_t pos = linked_[j];
-    if (recording) drop_out_of_range_before(pos);
-    const Device& receiver = devices_[cands[pos]];
-    if (sender_jammed || jammed(receiver.position)) {
-      note_drop(obs::DropCause::kCollision, receiver.identity, sender_identity, wire_bytes);
-      continue;
-    }
-    if (config_.loss_probability > 0.0 && rng_.chance(config_.loss_probability)) {
-      note_drop(obs::DropCause::kLoss, receiver.identity, sender_identity, wire_bytes);
-      continue;
-    }
-
-    if (fault_ != nullptr) {
-      const FaultDecision fd =
-          fault_->on_delivery(sender_identity, receiver.identity, phase, scheduler_.now());
-      if (fd.drop) {
-        note_inject(fd.drop_kind, receiver.identity, sender_identity, wire_bytes);
-        note_drop(obs::DropCause::kInjected, receiver.identity, sender_identity, wire_bytes);
-        continue;
-      }
-      if (fd.perturbs()) {
-        // Perturbed copies always get dedicated per-receiver events with
-        // exact per-receiver timing -- an injected duplicate or delayed copy
-        // cannot ride the shared overhearer event.
-        const Time base = start + tx_time +
-                          PropagationModel::propagation_delay(
-                              util::distance(origin, receiver.position)) +
-                          config_.processing_delay + fd.extra_delay;
-        std::uint32_t copy = packet_slot;
-        if (fd.corrupt) {
-          Packet mutated = shared;
-          fault_->corrupt_packet(mutated);
-          copy = store_packet(std::move(mutated));
-          note_inject(obs::InjectKind::kCorrupt, receiver.identity, sender_identity, wire_bytes);
-        }
-        if (fd.extra_delay > Time::zero()) {
-          note_inject(obs::InjectKind::kDelay, receiver.identity, sender_identity, wire_bytes);
-        }
-        schedule_delivery(base, copy, receiver.id, {}, start, airtime_end, phase);
-        for (std::uint32_t i = 1; i <= fd.copies; ++i) {
-          // Extra copies count as fresh candidates so the conservation law
-          // (candidates == deliveries + channel drops) survives duplication.
-          metrics_.count_candidate();
-          note_inject(obs::InjectKind::kDuplicate, receiver.identity, sender_identity, wire_bytes);
-          schedule_delivery(
-              base + Time::nanoseconds(fd.copy_spacing.ns() * static_cast<std::int64_t>(i)),
-              copy, receiver.id, {}, start, airtime_end, phase);
-        }
-        continue;
-      }
-    }
-
-    if (!shared.is_broadcast() && receiver.identity == shared.dst) {
-      const Time at = start + tx_time +
-                      PropagationModel::propagation_delay(
-                          util::distance(origin, receiver.position)) +
-                      config_.processing_delay;
-      schedule_delivery(at, packet_slot, receiver.id, {}, start, airtime_end, phase);
-    } else {
-      overhearers.push_back(receiver.id);
-      max_distance_squared =
-          std::max(max_distance_squared, util::distance_squared(origin, receiver.position));
-    }
-  }
-  if (recording) drop_out_of_range_before(n);
-
-  if (overhearers.empty()) {
-    recycle_group(std::move(overhearers));
-  } else {
-    schedule_delivery(start + tx_time +
-                          PropagationModel::propagation_delay(std::sqrt(max_distance_squared)) +
-                          config_.processing_delay,
-                      packet_slot, kNoDevice, std::move(overhearers), start, airtime_end, phase);
-  }
-  release_packet(packet_slot);
+  return {n_linked, n_unlinked};
 }
 
 obs::TraceSummary Network::trace_summary() const {
@@ -547,7 +670,8 @@ std::size_t Network::footprint_bytes() const {
   const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   std::size_t total = bytes(devices_) + bytes(receivers_) + bytes(tx_bytes_) + bytes(energy_j_) +
                       bytes(tx_busy_until_) + bytes(tx_run_start_) + bytes(jammers_) +
-                      bytes(pos_x_) + bytes(pos_y_) + bytes(strip_x_) + bytes(strip_y_) +
+                      bytes(audiences_) + bytes(audience_ids_) + bytes(pos_x_) +
+                      bytes(pos_y_) + bytes(strip_x_) + bytes(strip_y_) +
                       bytes(strip_class_) + bytes(linear_ids_) + bytes(linked_) +
                       bytes(unlinked_) + bytes(free_packets_) + bytes(free_deliveries_) +
                       bytes(spare_groups_) + scheduler_.footprint_bytes();

@@ -12,7 +12,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/tracer.h"
@@ -27,7 +29,9 @@
 namespace snd::sim {
 
 /// A physical radio in the field. Replicas are separate devices sharing a
-/// compromised identity.
+/// compromised identity. Network::device() hands out read-only views; every
+/// write goes through a Network method, which keeps the spatial index and
+/// the receiver cache in step with the field.
 struct Device {
   DeviceId id = kNoDevice;
   NodeId identity = kNoNode;
@@ -76,17 +80,21 @@ class Network {
   DeviceId add_device(NodeId identity, util::Vec2 position);
   DeviceId add_replica(NodeId identity, util::Vec2 position);
 
-  [[nodiscard]] Device& device(DeviceId id) { return devices_.at(id); }
   [[nodiscard]] const Device& device(DeviceId id) const { return devices_.at(id); }
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
   [[nodiscard]] const std::vector<Device>& devices() const { return devices_; }
 
   /// Moves a device (mobility tooling, attacker repositioning): updates the
-  /// ground-truth position AND re-buckets the spatial index, invalidating
-  /// the cached candidate lists. Writing Device::position directly leaves
-  /// the index stale -- transmissions would resolve receivers against the
-  /// old cell -- so every position mutation must go through here.
+  /// ground-truth position, re-buckets the spatial index and invalidates
+  /// every cached audience, even for a move inside one cell.
   void set_position(DeviceId id, util::Vec2 position);
+
+  /// Kills or revives a device (churn, capture, battery swaps). A dead
+  /// device neither sends nor receives; it stays indexed.
+  void set_alive(DeviceId id, bool alive);
+
+  /// Marks a device as adversary-controlled (ground truth for auditing).
+  void mark_compromised(DeviceId id) { devices_.at(id).compromised = true; }
 
   /// All alive devices currently claiming `identity` (> 1 under
   /// replication), ascending by device id. Served from the identity index
@@ -96,9 +104,15 @@ class Network {
   [[nodiscard]] std::vector<DeviceId> devices_with_identity(NodeId identity) const;
 
   // -- Radio ----------------------------------------------------------------
-  /// Installs the receive callback for a device (one per device; protocol
-  /// stacks multiplex on Packet::type).
-  void set_receiver(DeviceId id, std::function<void(const Packet&)> handler);
+  /// Installs (or clears, with nullptr) the receive callback for a device
+  /// (one per device; protocol stacks multiplex on Packet::type).
+  /// `overheard` names the types the callback reads when it overhears a
+  /// unicast addressed to another identity. Such a copy of any other type
+  /// is still received -- counted, traced and charged rx energy -- but not
+  /// handed to the callback. Broadcasts and unicasts addressed to the
+  /// device's identity always are.
+  void set_receiver(DeviceId id, std::function<void(const Packet&)> handler,
+                    PacketTypes overheard = PacketTypes::all());
 
   /// Transmits over the air from `from`. Every alive device with a radio
   /// link to the sender receives a copy (promiscuous delivery; agents filter
@@ -116,8 +130,9 @@ class Network {
   /// Results are identical either way -- candidates enumerate in device-id
   /// order, so even the per-receiver loss-RNG draws match the linear scan
   /// bit for bit. The linear fallback exists for the bit-identity tests and
-  /// the before/after micro_sim benchmark.
-  void set_spatial_index_enabled(bool enabled) { use_spatial_index_ = enabled && indexable_; }
+  /// the before/after micro_sim benchmark. Invalidates every cached
+  /// audience, whose out-of-range counts depend on the candidate source.
+  void set_spatial_index_enabled(bool enabled);
   [[nodiscard]] bool spatial_index_enabled() const { return use_spatial_index_; }
 
   // -- Fault injection ---------------------------------------------------
@@ -166,33 +181,63 @@ class Network {
   void set_energy_j(DeviceId id, double joules) { energy_j_.at(id) = joules; }
   [[nodiscard]] const EnergyConfig& energy_config() const { return energy_; }
 
-  /// Heap bytes held by the per-device arrays, the packet and delivery
-  /// slabs with their payload and receiver buffers, the transmit scratch
-  /// and the scheduler (capacity × element size; a deque slab counts its
-  /// slots). The spatial index's hash maps are not counted.
+  /// Heap bytes held by the per-device arrays, the audience cache, the
+  /// packet and delivery slabs with their payload and receiver buffers, the
+  /// transmit scratch and the scheduler (capacity × element size; a deque
+  /// slab counts its slots). The spatial index's hash maps are not counted.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
  private:
   /// Drains `joules` from a device; kills it at exhaustion.
   void drain(DeviceId id, double joules);
 
-  /// Resolves receivers in two passes over the candidate list (the grid's
-  /// 3x3 block or the whole field). Pass 1 filters every candidate without
-  /// branching on it -- self, alive, receiver installed, link class -- and
-  /// counts candidates and out-of-range drops in bulk. Pass 2 visits only
-  /// the linked candidates, in ascending device id: jamming, the loss draw,
-  /// the fault hook, addressed scheduling and overhearer collection. When
-  /// the tracer records, out-of-range drops are emitted between the linked
-  /// candidates in candidate order, so the event stream is the one a single
-  /// per-candidate pass would emit.
+  /// Puts a packet on the air: resolves its receivers (the sender's cached
+  /// audience, or a rescan when the tracer records events) and schedules
+  /// their copies. When no copy can be perturbed, the overhearers are the
+  /// audience less the addressed devices; otherwise resolve_copies() decides
+  /// each copy in turn.
   void transmit_impl(DeviceId from, Packet packet, obs::Phase phase);
 
-  /// Delivers one in-flight copy of `packet` to `to`, re-running the
-  /// delivery-time checks (alive, receiver installed, half-duplex overlap
-  /// against [start, airtime_end), rx energy) before handing the packet to
-  /// the receive callback.
-  void deliver_copy(DeviceId to, const Packet& packet, Time start, Time airtime_end,
-                    obs::Phase phase);
+  /// One transmission, as the receiver-side scheduling sees it.
+  struct Transmission {
+    util::Vec2 origin;
+    NodeId sender_identity = kNoNode;
+    std::uint32_t wire_bytes = 0;
+    obs::Phase phase = obs::Phase::kOther;
+    Time start;
+    Time airtime_end;
+    /// The packet's slot in packets_.
+    std::uint32_t packet = 0;
+  };
+  /// When a copy `distance` meters away reaches its receiver.
+  [[nodiscard]] Time arrival(const Transmission& tx, double distance) const;
+  /// The per-copy pass over the linked receivers, in ascending device id,
+  /// so the loss-RNG draws, fault-hook calls and event ids are consumed in
+  /// the order of the linear scan: jamming, the loss draw, the fault hook,
+  /// then addressed scheduling or overhearer collection. `unlinked`
+  /// (non-empty only when the tracer records) is emitted as kOutOfRange
+  /// drops between the linked receivers in device-id order, so the event
+  /// stream is the one a single per-candidate pass would emit. Returns the
+  /// overhearers' largest d².
+  double resolve_copies(const Transmission& tx, std::span<const DeviceId> linked,
+                        std::span<const DeviceId> unlinked, std::vector<DeviceId>& overhearers);
+
+  /// What every copy of one delivery record shares, computed once per
+  /// record rather than once per receiver.
+  struct CopyContext {
+    const Packet* packet = nullptr;
+    Time start;
+    Time airtime_end;
+    NodeId sender_identity = kNoNode;
+    std::uint32_t rx_bytes = 0;
+    double rx_joules = 0.0;
+    obs::Phase phase = obs::Phase::kOther;
+  };
+  /// Delivers one in-flight copy to `to`, re-running the delivery-time
+  /// checks (alive, receiver installed, half-duplex overlap against
+  /// [start, airtime_end), rx energy), counting and tracing it, then
+  /// handing it to the receive callback if the callback reads it.
+  void deliver_copy(DeviceId to, const CopyContext& copy);
 
   /// Counts an undelivered copy in both the typed metrics and the tracer.
   void note_drop(obs::DropCause cause, NodeId node, NodeId peer, std::uint32_t bytes);
@@ -209,8 +254,8 @@ class Network {
   // dead devices stay indexed and are filtered at query time, because
   // `alive` is ground-truth state that tooling toggles in both directions
   // (kill/revive). The merged, id-sorted candidate list of each 3x3 block
-  // is cached per cell (deployment is rare, transmission constant), so
-  // steady-state receiver resolution is one hash lookup.
+  // is cached per cell (deployment is rare, transmission constant), so a
+  // rescan starts from one hash lookup.
   void grid_insert(DeviceId id, util::Vec2 position);
   /// Device ids in cells reachable from `center`, ascending id order -- a
   /// superset of the linked set; callers re-filter with link_exists. The
@@ -274,28 +319,77 @@ class Network {
   /// order, then frees the record, its buffer and its hold on the packet.
   void deliver(std::uint32_t slot);
 
+  // -- Audience cache ----------------------------------------------------
+  // No node moves, dies or re-registers while a deployed round runs, so
+  // each sender's receivers are resolved once and reused: its *audience*
+  // is its eligible (alive, receiver installed, not itself) linked
+  // receivers in ascending device id, the number of eligible candidates
+  // out of range, and the overhearer delay's largest d² with its argmax and
+  // the runner-up, so the delay without one addressed device needs no
+  // distance. The lists of all senders share one arena. Every change that
+  // can alter any audience bumps audience_version_: add_device, every
+  // set_position, set_alive (an energy death in drain too), set_receiver
+  // and set_spatial_index_enabled. An entry is current iff it carries that
+  // version; the first resolution under a new version empties the arena.
+  struct Audience {
+    std::uint64_t version = 0;
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+    std::uint32_t out_of_range = 0;
+    DeviceId farthest = kNoDevice;
+    double max_d2 = 0.0;
+    /// The largest d² with `farthest` left out.
+    double runner_up_d2 = 0.0;
+  };
+  std::vector<Audience> audiences_;
+  std::vector<DeviceId> audience_ids_;
+  std::uint64_t audience_version_ = 1;
+  std::uint64_t arena_version_ = 0;
+
+  void invalidate_audiences() { ++audience_version_; }
+  /// `from`'s audience under the current version, resolved by rescan() when
+  /// stale. The table grows to the device count here, at transmit time.
+  const Audience& audience(DeviceId from, util::Vec2 origin);
+  [[nodiscard]] std::span<const DeviceId> audience_ids(const Audience& audience) const {
+    return {audience_ids_.data() + audience.offset, audience.size};
+  }
+  /// The receivers of a transmission no copy of which can be perturbed:
+  /// schedules each addressed device's copy (ascending device id, as the
+  /// per-copy pass does) and fills `overhearers` with the rest of the
+  /// audience. Returns the overhearers' largest d².
+  double split_audience(const Transmission& tx, const Audience& audience,
+                        std::vector<DeviceId>& overhearers);
+
+  /// Resolves `from`'s receivers afresh in one pass over the candidate
+  /// list (the grid's 3x3 block or the whole field), filtering every
+  /// candidate without branching on it -- self, alive, receiver installed,
+  /// link class. Leaves the eligible linked candidates in linked_ and the
+  /// eligible out-of-range ones in unlinked_, ascending by device id, and
+  /// returns both counts.
+  std::pair<std::size_t, std::size_t> rescan(DeviceId from, util::Vec2 origin);
+
   // -- Strip filter ------------------------------------------------------
   // SoA mirrors of every device's position, maintained by add_device and
-  // set_position alongside Device::position. transmit_impl feeds candidate
+  // set_position alongside Device::position. rescan() feeds candidate
   // strips from these (contiguous doubles, not scattered Device fields)
   // into PropagationModel::classify_links, which emits a survivor-class
-  // mask ahead of the scalar delivery bookkeeping. Deliveries are
-  // bit-identical to a per-candidate link_exists filter at every SIMD tier
-  // (definite verdicts imply the scalar predicate; borderline candidates
-  // re-check scalar; a model without a classifier marks every candidate
-  // for the scalar check).
+  // mask ahead of the scalar filter. Audiences are bit-identical to a
+  // per-candidate link_exists filter at every SIMD tier (definite verdicts
+  // imply the scalar predicate; borderline candidates re-check scalar; a
+  // model without a classifier marks every candidate for the scalar
+  // check).
   std::vector<double> pos_x_;
   std::vector<double> pos_y_;
-  /// Scratch reused across transmissions: gathered candidate positions
-  /// (grid path), the per-candidate class mask, the linear path's
-  /// candidate list (every device id), and receiver resolution's two
-  /// candidate-position lists (linked, and eligible but out of range).
+  /// Scratch reused across rescans: gathered candidate positions (grid
+  /// path), the per-candidate class mask, the linear path's candidate list
+  /// (every device id), and the two eligible-candidate lists (linked, and
+  /// out of range).
   std::vector<double> strip_x_;
   std::vector<double> strip_y_;
   std::vector<std::uint8_t> strip_class_;
   std::vector<DeviceId> linear_ids_;
-  std::vector<std::uint32_t> linked_;
-  std::vector<std::uint32_t> unlinked_;
+  std::vector<DeviceId> linked_;
+  std::vector<DeviceId> unlinked_;
 
   std::unique_ptr<PropagationModel> propagation_;
   ChannelConfig config_;
@@ -305,7 +399,11 @@ class Network {
   Metrics metrics_;
   obs::Tracer tracer_;
   std::vector<Device> devices_;
-  std::vector<std::function<void(const Packet&)>> receivers_;
+  struct Receiver {
+    std::function<void(const Packet&)> handler;
+    PacketTypes overheard = PacketTypes::all();
+  };
+  std::vector<Receiver> receivers_;
   std::vector<std::uint64_t> tx_bytes_;
   std::vector<double> energy_j_;
   /// Half-duplex: each device's latest contiguous transmit run,

@@ -8,7 +8,9 @@
 // auditing, never by protocol logic).
 #pragma once
 
+#include <bitset>
 #include <cstdint>
+#include <initializer_list>
 
 #include "util/bytes.h"
 #include "util/ids.h"
@@ -33,6 +35,27 @@ struct Packet {
 
   [[nodiscard]] std::size_t wire_bytes() const { return kHeaderBytes + payload.size(); }
   [[nodiscard]] bool is_broadcast() const { return dst == kNoNode; }
+};
+
+/// A set of Packet::type values. A receiver names the types it still reads
+/// when it overhears a unicast addressed to another identity
+/// (Network::set_receiver); the radio does not hand it the others.
+class PacketTypes {
+ public:
+  /// Every type: the receiver reads all the traffic it overhears.
+  static PacketTypes all() {
+    PacketTypes types;
+    types.bits_.set();
+    return types;
+  }
+  PacketTypes() = default;
+  PacketTypes(std::initializer_list<std::uint8_t> types) {
+    for (const std::uint8_t type : types) bits_.set(type);
+  }
+  [[nodiscard]] bool contains(std::uint8_t type) const { return bits_[type]; }
+
+ private:
+  std::bitset<256> bits_;
 };
 
 }  // namespace snd::sim

@@ -32,11 +32,13 @@ using Owner = std::uint32_t;
 /// plans).
 inline constexpr Owner kNoOwner = 0;
 
-/// Scheduled-event callable. The inline capacity covers every closure the
-/// simulator queues (protocol timers, adversary steps, and Network's
-/// delivery events, which capture only a slab index); anything bigger
-/// transparently falls back to one heap allocation.
-using EventAction = util::InplaceFunction<void(), 88>;
+/// Scheduled-event callable: a 32-byte slot. The inline capacity covers the
+/// closures the simulator queues per packet and per timer -- Network's
+/// delivery events capture `this` and a slab index, SndNode's timers `this`
+/// and at most one id or count. Anything bigger (a closure that copies a
+/// Packet, the validation burst) transparently falls back to one heap
+/// allocation.
+using EventAction = util::InplaceFunction<void(), 24>;
 
 class Scheduler {
  public:

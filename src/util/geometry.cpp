@@ -6,8 +6,6 @@
 
 namespace snd::util {
 
-double dot(Vec2 a, Vec2 b) { return a.x * b.x + a.y * b.y; }
-
 double cross(Vec2 a, Vec2 b) { return a.x * b.y - a.y * b.x; }
 
 bool Circle::contains(Vec2 p, double eps) const {

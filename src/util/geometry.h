@@ -28,7 +28,6 @@ struct Vec2 {
 // per candidate.
 inline double distance(Vec2 a, Vec2 b) { return (a - b).norm(); }
 inline double distance_squared(Vec2 a, Vec2 b) { return (a - b).norm_squared(); }
-double dot(Vec2 a, Vec2 b);
 /// z-component of the 3-D cross product; sign gives orientation.
 double cross(Vec2 a, Vec2 b);
 

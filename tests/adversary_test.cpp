@@ -264,7 +264,7 @@ TEST(ChaffTest, DoesNotReduceBenignAccuracy) {
   // Identical run with a chaff attacker planted mid-field.
   SndDeployment attacked(config);
   const sim::DeviceId chaff_device = attacked.network().add_device(90000, {50, 50});
-  attacked.network().device(chaff_device).compromised = true;
+  attacked.network().mark_compromised(chaff_device);
   ChaffAttacker chaff(attacked.network(), chaff_device, 100000, 5);
   chaff.start();
   attacked.deploy_round(120);
@@ -293,7 +293,7 @@ TEST(ChaffTest, FakeIdentitiesNeverBecomeFunctionalEvenUnverified) {
   SndDeployment deployment(config);
   deployment.set_verifier(std::make_shared<verify::NaiveVerifier>());
   const sim::DeviceId chaff_device = deployment.network().add_device(90000, {50, 50});
-  deployment.network().device(chaff_device).compromised = true;
+  deployment.network().mark_compromised(chaff_device);
   ChaffAttacker chaff(deployment.network(), chaff_device, 100000, 6);
   chaff.start();
   deployment.deploy_round(80);

@@ -82,7 +82,7 @@ TEST(GeoRouterTest, RouteToPositionStopsAtClosestNode) {
 
 TEST(GeoRouterTest, DeadDevicesNotUsed) {
   auto network = line_network(5, 10.0, 15.0);
-  network->device(2).alive = false;  // middle of the line
+  network->set_alive(2, false);  // middle of the line
   GeoRouter router(*network);
   const Route route = router.route(0, 4);
   EXPECT_FALSE(route.success);
@@ -241,7 +241,7 @@ TEST(FloodingTest, StopsAtPartitionBoundary) {
 
 TEST(FloodingTest, DeadOriginCostsNothing) {
   auto network = line_network(4, 10.0, 15.0);
-  network->device(0).alive = false;
+  network->set_alive(0, false);
   const FloodCost cost = estimate_flood(*network, 0, 10);
   EXPECT_EQ(cost.reached, 0u);
   EXPECT_EQ(cost.bytes, 0u);
@@ -249,7 +249,7 @@ TEST(FloodingTest, DeadOriginCostsNothing) {
 
 TEST(FloodingTest, DeadNodesDoNotRelay) {
   auto network = line_network(5, 10.0, 15.0);
-  network->device(2).alive = false;  // severs the chain
+  network->set_alive(2, false);  // severs the chain
   const FloodCost cost = estimate_flood(*network, 0, 10);
   EXPECT_EQ(cost.reached, 2u);
 }

@@ -70,7 +70,7 @@ TEST(DeploymentDriverTest, ActualGraphExcludesCompromisedDevices) {
   SndDeployment deployment(small_config());
   deployment.deploy_round(20);
   deployment.run();
-  deployment.network().device(deployment.agent(2)->device()).compromised = true;
+  deployment.network().mark_compromised(deployment.agent(2)->device());
   const topology::Digraph actual = deployment.actual_benign_graph();
   EXPECT_FALSE(actual.has_node(2));
 }

@@ -65,7 +65,7 @@ TEST(RecordExchangeTest, StaleRecordSubstitutionDefeated) {
   // Attacker radio replays the stale version-0 record continuously while a
   // fresh node discovers.
   const sim::DeviceId attacker = deployment.network().add_device(90000, {41, 41});
-  deployment.network().device(attacker).compromised = true;
+  deployment.network().mark_compromised(attacker);
   auto replay = [&deployment, attacker, &stale]() {
     deployment.network().transmit(
         attacker,
@@ -108,7 +108,7 @@ TEST(RecordExchangeTest, ForgedRecordBroadcastIgnored) {
   // enter anyone's validation, whatever identity it claims.
   SndDeployment deployment(exchange_config(15));
   const sim::DeviceId attacker = deployment.network().add_device(90000, {40, 40});
-  deployment.network().device(attacker).compromised = true;
+  deployment.network().mark_compromised(attacker);
 
   // Forge a record for identity 1 naming everyone (wrong key -> bad C).
   const crypto::SymmetricKey wrong_key = crypto::SymmetricKey::from_seed(777);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -85,13 +87,13 @@ TEST(NetworkTest, DeadDeviceNeitherSendsNorReceives) {
   int received = 0;
   net->set_receiver(b, [&](const Packet&) { ++received; });
 
-  net->device(b).alive = false;
+  net->set_alive(b, false);
   net->transmit(a, Packet{.src = 1, .dst = kNoNode, .type = 1, .payload = {}}, obs::Phase::kOther);
   net->scheduler().run();
   EXPECT_EQ(received, 0);
 
-  net->device(b).alive = true;
-  net->device(a).alive = false;
+  net->set_alive(b, true);
+  net->set_alive(a, false);
   net->transmit(a, Packet{.src = 1, .dst = kNoNode, .type = 1, .payload = {}}, obs::Phase::kOther);
   net->scheduler().run();
   EXPECT_EQ(received, 0);
@@ -369,7 +371,7 @@ TEST(SpatialIndexTest, DevicesInRangeMatchesLinearScan) {
   net.add_device(500, {50.0, 0.0});
   net.add_device(501, {100.0, 0.0});
   net.add_device(502, {0.0, -50.0});
-  net.device(5).alive = false;  // dead devices stay indexed but invisible
+  net.set_alive(5, false);  // dead devices stay indexed but invisible
 
   for (DeviceId d = 0; d < net.device_count(); ++d) {
     net.set_spatial_index_enabled(true);
@@ -594,7 +596,7 @@ void run_hostile_traffic(std::unique_ptr<PropagationModel> model, bool half_dupl
       }
     });
   }
-  net.scheduler().schedule_at(Time::milliseconds(20), [&net] { net.device(42).alive = false; });
+  net.scheduler().schedule_at(Time::milliseconds(20), [&net] { net.set_alive(42, false); });
 
   // Staggered senders, so half-duplex radios are mostly free to listen.
   for (DeviceId d = 0; d < net.device_count(); ++d) {
@@ -634,6 +636,306 @@ TEST(TraceDigestTest, HostileDenseTrafficTraceMatchesRecordedDigest) {
   run_hostile_traffic(std::make_unique<LogNormalModel>(50.0, 3.0, 4.0, 8), true, 5, sha);
   EXPECT_EQ(sha.finalize().hex(),
             "51479d349dda83b7181057b5de803e1abc66e76b78478a3c8c54374bc023b1a9");
+}
+
+// -- Audience cache and the overheard-types filter -----------------------------
+
+/// One copy a receive callback was handed: (time, receiver, claimed src,
+/// type).
+using CopyLog = std::vector<std::tuple<std::int64_t, DeviceId, NodeId, std::uint8_t>>;
+
+/// Every Metrics counter, plus the tracer's event count and the events the
+/// scheduler ran, in one comparable list.
+std::vector<std::uint64_t> all_counters(Network& net) {
+  const Metrics& m = net.metrics();
+  std::vector<std::uint64_t> out{m.deliveries(), m.candidates(), net.tracer().events(),
+                                 net.scheduler().executed()};
+  for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+    out.push_back(m.phase(static_cast<obs::Phase>(p)).messages);
+    out.push_back(m.phase(static_cast<obs::Phase>(p)).bytes);
+  }
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c) {
+    out.push_back(m.drops(static_cast<obs::DropCause>(c)));
+  }
+  return out;
+}
+
+/// Consulted for every copy, perturbs none: its presence alone sends each
+/// transmission through the per-copy pass.
+class NoOpFaultHook final : public FaultHook {
+ public:
+  FaultDecision on_delivery(NodeId /*src*/, NodeId /*dst*/, obs::Phase /*phase*/,
+                            Time /*now*/) override {
+    ++calls;
+    return {};
+  }
+  void corrupt_packet(Packet& /*packet*/) override {}
+  [[nodiscard]] double timer_drift(NodeId /*node*/) const override { return 1.0; }
+  [[nodiscard]] bool skews_timers() const override { return false; }
+
+  std::uint64_t calls = 0;
+};
+
+enum class Channel { kQuiet, kLossy, kJammed, kNoOpHook };
+
+struct LockstepRun {
+  CopyLog copies;
+  std::vector<std::uint64_t> counters;
+  std::size_t dead = 0;
+  std::uint64_t hook_calls = 0;
+};
+
+/// A dense field (about 20 neighbors each) under churn: kills and revivals,
+/// energy deaths, moves inside and across grid cells, receivers removed and
+/// installed, a device added mid-run, the linear scan switched on and off,
+/// and three devices sharing identity 5 that unicasts address.
+/// Every device broadcasts and sends one unicast per round. With `rescan`,
+/// the tracer records every event (into a null sink), which makes each
+/// transmission resolve its receivers afresh instead of reading the cache;
+/// the field, the traffic and the churn do not depend on it.
+LockstepRun run_lockstep(Channel channel, bool rescan) {
+  ChannelConfig config;
+  config.loss_probability = channel == Channel::kLossy ? 0.2 : 0.0;
+  Network net(std::make_unique<UnitDiskModel>(50.0), config, 21,
+              EnergyConfig{.enabled = true, .initial_j = 1.0});
+  NoOpFaultHook hook;
+  if (channel == Channel::kNoOpHook) net.set_fault_hook(&hook);
+  if (rescan) {
+    net.tracer() = obs::Tracer(obs::TraceLevel::kEvents, std::make_shared<obs::NullSink>());
+  }
+
+  constexpr std::size_t n = 60;
+  util::Rng place(77);
+  for (std::size_t i = 0; i < n; ++i) {
+    net.add_device(static_cast<NodeId>(i + 1),
+                   {place.uniform(0.0, 150.0), place.uniform(0.0, 150.0)});
+  }
+  net.add_replica(5, {40.0, 40.0});
+  net.add_replica(5, {70.0, 45.0});
+  const DeviceId wanderer = net.add_device(static_cast<NodeId>(n + 1), {52.0, 52.0});
+
+  LockstepRun run;
+  const auto recorder = [&run, &net](DeviceId d) {
+    return [&run, &net, d](const Packet& p) {
+      run.copies.emplace_back(net.now().ns(), d, p.src, p.type);
+    };
+  };
+  for (DeviceId d = 0; d < net.device_count(); ++d) {
+    if (d != 13) net.set_receiver(d, recorder(d));
+    if (d % 9 == 0) net.set_energy_j(d, 0.02);  // dies in the first rounds
+  }
+
+  // Rounds start every 2 ms and last 1.6 ms. Each change but the jammer's
+  // falls in the gap after a round, and a whole round without another
+  // change follows it, so a cache that missed the change serves stale
+  // audiences for a round. The weak batteries run out before the first.
+  Scheduler& sched = net.scheduler();
+  const auto after_round = [](std::int64_t round) {
+    return Time::microseconds(2000 * round + 1800);
+  };
+  sched.schedule_at(after_round(2), [&net] { net.set_alive(4, false); });
+  // Same cell, [50, 100)²: links and distances change, cell membership not.
+  sched.schedule_at(after_round(3), [&net, wanderer] { net.set_position(wanderer, {97.0, 95.0}); });
+  sched.schedule_at(after_round(4), [&net] { net.set_position(20, {140.0, 10.0}); });
+  sched.schedule_at(after_round(5), [&net] { net.set_receiver(11, nullptr); });
+  sched.schedule_at(after_round(6), [&net, &recorder] { net.set_receiver(13, recorder(13)); });
+  // A newcomer, which hears and is heard but never transmits.
+  sched.schedule_at(after_round(7), [&net, &recorder] {
+    const DeviceId late = net.add_device(500, {75.0, 80.0});
+    net.set_receiver(late, recorder(late));
+  });
+  // Out-of-range counts depend on the candidate source.
+  sched.schedule_at(after_round(8), [&net] { net.set_spatial_index_enabled(false); });
+  sched.schedule_at(after_round(9), [&net] { net.set_alive(4, true); });
+  sched.schedule_at(after_round(10), [&net, &recorder] {
+    net.set_spatial_index_enabled(true);
+    net.set_receiver(11, recorder(11));
+  });
+  if (channel == Channel::kJammed) {
+    sched.schedule_at(Time::microseconds(2900), [&net] {
+      const std::size_t jammer = net.add_jammer({{75.0, 75.0}, 30.0});
+      net.scheduler().schedule_at(Time::microseconds(9100),
+                                  [&net, jammer] { net.remove_jammer(jammer); });
+    });
+  }
+
+  for (std::int64_t round = 0; round < 12; ++round) {
+    for (DeviceId d = 0; d < net.device_count(); ++d) {
+      sched.schedule_at(Time::microseconds(2000 * round + 25 * d), [&net, d, round] {
+        const NodeId self = net.device(d).identity;
+        net.transmit(d, Packet{.src = self, .dst = kNoNode, .type = 1, .payload = util::Bytes(12)},
+                     obs::Phase::kHello);
+        const NodeId dst = (d + static_cast<DeviceId>(round)) % 3 == 0
+                               ? NodeId{5}
+                               : static_cast<NodeId>((d * 7 + round) % n + 1);
+        net.transmit(d,
+                     Packet{.src = self,
+                            .dst = dst,
+                            .type = static_cast<std::uint8_t>(2 + round % 2),
+                            .payload = util::Bytes(20)},
+                     obs::Phase::kRecord);
+      });
+    }
+  }
+  sched.run();
+
+  run.counters = all_counters(net);
+  for (const Device& d : net.devices()) run.dead += d.alive ? 0 : 1;
+  run.hook_calls = hook.calls;
+  return run;
+}
+
+TEST(AudienceCacheTest, CachedAudiencesMatchRescansThroughChurn) {
+  for (const Channel channel :
+       {Channel::kQuiet, Channel::kLossy, Channel::kJammed, Channel::kNoOpHook}) {
+    SCOPED_TRACE(static_cast<int>(channel));
+    const LockstepRun cached = run_lockstep(channel, false);
+    const LockstepRun rescanned = run_lockstep(channel, true);
+    EXPECT_GT(cached.copies.size(), 10'000u);
+    EXPECT_GT(cached.dead, 0u);  // energy deaths happened
+    EXPECT_EQ(cached.copies, rescanned.copies);
+    EXPECT_EQ(cached.counters, rescanned.counters);
+  }
+}
+
+TEST(AudienceCacheTest, PerCopyPassSchedulesExactlyWhatTheFastPathDoes) {
+  // The hook perturbs nothing, so the per-copy pass runs where a quiet
+  // channel takes the fast path; both must hand out the same copies at the
+  // same times and count the same.
+  const LockstepRun fast = run_lockstep(Channel::kQuiet, false);
+  const LockstepRun per_copy = run_lockstep(Channel::kNoOpHook, false);
+  EXPECT_EQ(fast.hook_calls, 0u);
+  EXPECT_GT(per_copy.hook_calls, 10'000u);
+  EXPECT_EQ(fast.copies, per_copy.copies);
+  EXPECT_EQ(fast.counters, per_copy.counters);
+}
+
+/// Receivers on a line from the sender at the origin, as (identity, x);
+/// an identity listed twice is a replica. Transmits to `dst` twice -- the
+/// first warms the sender's audience, and `rescan` invalidates it before the
+/// second -- and returns when each receiver heard the second copy, as
+/// (device, ns after the send), in device order.
+std::vector<std::pair<DeviceId, std::int64_t>> arrivals_on_a_line(
+    const std::vector<std::pair<NodeId, double>>& line, NodeId dst, bool rescan) {
+  ChannelConfig config;
+  config.processing_delay = Time::zero();
+  auto net = make_network(50.0, config);
+  const DeviceId sender = net->add_device(1, {0, 0});
+  std::vector<std::pair<DeviceId, std::int64_t>> heard;
+  std::int64_t sent_at = 0;
+  for (const auto& [identity, x] : line) {
+    const DeviceId d = net->devices_with_identity(identity).empty()
+                           ? net->add_device(identity, {x, 0})
+                           : net->add_replica(identity, {x, 0});
+    net->set_receiver(d, [&heard, &net, &sent_at, d](const Packet&) {
+      heard.emplace_back(d, net->now().ns() - sent_at);
+    });
+  }
+  const Packet unicast{.src = 1, .dst = dst, .type = 2, .payload = {}};
+  net->transmit(sender, unicast, obs::Phase::kOther);
+  net->scheduler().run();
+  heard.clear();
+  if (rescan) net->set_position(sender, {0, 0});
+  sent_at = net->now().ns();
+  net->transmit(sender, unicast, obs::Phase::kOther);
+  net->scheduler().run();
+  std::sort(heard.begin(), heard.end());
+  return heard;
+}
+
+TEST(AudienceCacheTest, AddressedCopiesAndTheOverhearerDelayWithoutACache) {
+  // Addressed receivers -- every holder of a replicated identity -- get
+  // their own propagation delay; the shared overhearer event waits for the
+  // farthest receiver that is not addressed. The cases cover no addressed
+  // receiver, one that is not the farthest, one that is, and two that
+  // include the farthest.
+  const std::vector<std::pair<NodeId, double>> replica_far = {
+      {2, 3.0}, {2, 49.0}, {3, 30.0}, {4, 45.0}};
+  std::vector<std::pair<NodeId, double>> rim_far = replica_far;
+  rim_far.emplace_back(6, 49.5);
+  const Time airtime = make_network()->transmission_time(Packet::kHeaderBytes);
+  for (const auto& [line, dst] :
+       std::initializer_list<std::pair<std::vector<std::pair<NodeId, double>>, NodeId>>{
+           {replica_far, kNoNode}, {replica_far, 4}, {rim_far, 6}, {replica_far, 2}}) {
+    double group = 0.0;
+    for (const auto& [identity, x] : line) {
+      if (identity != dst) group = std::max(group, x);
+    }
+    std::vector<std::pair<DeviceId, std::int64_t>> expected;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      const double distance = line[i].first == dst ? line[i].second : group;
+      expected.emplace_back(static_cast<DeviceId>(i + 1),
+                            (airtime + PropagationModel::propagation_delay(distance)).ns());
+    }
+    for (const bool rescan : {false, true}) {
+      SCOPED_TRACE("dst " + std::to_string(dst) + (rescan ? " rescan" : " cached"));
+      EXPECT_EQ(arrivals_on_a_line(line, dst, rescan), expected);
+    }
+  }
+}
+
+/// Delivered copies as the tracer records them, in JSON-lines form.
+class DeliveryLog final : public obs::Sink {
+ public:
+  void on_event(const obs::Event& event) override {
+    if (event.kind == obs::EventKind::kDelivery) {
+      lines.push_back(obs::JsonLinesSink::to_json(event));
+    }
+  }
+  std::vector<std::string> lines;
+};
+
+struct FilterRun {
+  std::vector<std::tuple<NodeId, NodeId, std::uint8_t>> handled;  // (src, dst, type)
+  std::uint64_t deliveries = 0;
+  double energy_j = 0.0;
+  std::vector<std::string> traced;
+};
+
+/// Device 1 broadcasts, unicasts to the listener (identity 3) and unicasts
+/// three types to identity 2, which the listener overhears.
+FilterRun run_filtered_listener(PacketTypes overheard) {
+  Network net(std::make_unique<UnitDiskModel>(50.0), ChannelConfig{}, 3,
+              EnergyConfig{.enabled = true});
+  auto log = std::make_shared<DeliveryLog>();
+  net.tracer().set_level(obs::TraceLevel::kEvents);
+  net.tracer().set_sink(log);
+  const DeviceId a = net.add_device(1, {0, 0});
+  const DeviceId b = net.add_device(2, {10, 0});
+  const DeviceId listener = net.add_device(3, {5, 5});
+  net.set_receiver(a, [](const Packet&) {});
+  net.set_receiver(b, [](const Packet&) {});
+  FilterRun run;
+  net.set_receiver(
+      listener, [&run](const Packet& p) { run.handled.emplace_back(p.src, p.dst, p.type); },
+      overheard);
+  for (const auto& [dst, type] : std::initializer_list<std::pair<NodeId, std::uint8_t>>{
+           {kNoNode, 1}, {3, 1}, {2, 2}, {2, 3}, {2, 1}}) {
+    net.transmit(a, Packet{.src = 1, .dst = dst, .type = type, .payload = util::Bytes(8)},
+                 obs::Phase::kOther);
+  }
+  net.scheduler().run();
+  std::sort(run.handled.begin(), run.handled.end());
+  run.deliveries = net.metrics().deliveries();
+  run.energy_j = net.energy_j(listener);
+  run.traced = log->lines;
+  return run;
+}
+
+TEST(OverheardTypesTest, ListenerIsHandedOnlyTheOverheardTypesItReads) {
+  const FilterRun filtered = run_filtered_listener(PacketTypes{2});
+  const FilterRun everything = run_filtered_listener(PacketTypes::all());
+  using Copy = std::tuple<NodeId, NodeId, std::uint8_t>;
+  EXPECT_EQ(filtered.handled, (std::vector<Copy>{{1, 2, 2}, {1, 3, 1}, {1, kNoNode, 1}}));
+  EXPECT_EQ(everything.handled,
+            (std::vector<Copy>{{1, 2, 1}, {1, 2, 2}, {1, 2, 3}, {1, 3, 1}, {1, kNoNode, 1}}));
+  // The unread copies were still received: counted, charged and traced.
+  EXPECT_EQ(filtered.deliveries, 10u);
+  EXPECT_EQ(filtered.deliveries, everything.deliveries);
+  EXPECT_EQ(filtered.energy_j, everything.energy_j);
+  EXPECT_LT(filtered.energy_j, EnergyConfig{}.initial_j);
+  EXPECT_EQ(filtered.traced.size(), 10u);
+  EXPECT_EQ(filtered.traced, everything.traced);
 }
 
 TEST(MetricsTest, ResetClears) {

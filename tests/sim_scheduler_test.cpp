@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/ids.h"
 #include "util/rng.h"
 
 namespace snd::sim {
@@ -197,17 +198,29 @@ TEST(SchedulerTest, PendingCountsUnexecuted) {
 }
 
 TEST(SchedulerTest, TypicalEventActionStaysInline) {
-  // The whole point of the SBO action type: simulator-sized captures must
-  // not reach the heap fallback.
+  // The whole point of the SBO action type: the closures the simulator
+  // queues per packet and per timer must not reach the heap fallback.
+  // Network's delivery event captures [this, slot]; SndNode's timers
+  // capture [this], [this, v] and [this, remaining].
+  struct Agent {
+    std::uint64_t fired = 0;
+  } agent;
+  Agent* self = &agent;
+  const std::uint32_t slot = 7;
+  const NodeId v = 11;
+  const std::size_t remaining = 300;
+  std::vector<EventAction> actions;
+  actions.emplace_back([self, slot] { self->fired += slot; });
+  actions.emplace_back([self] { self->fired += 1; });
+  actions.emplace_back([self, v] { self->fired += v; });
+  actions.emplace_back([self, remaining] { self->fired += remaining; });
   Scheduler scheduler;
-  std::array<std::uint8_t, 64> capture{};
-  capture[0] = 42;
-  int seen = 0;
-  EventAction action = [capture, &seen] { seen = capture[0]; };
-  EXPECT_FALSE(action.heap_allocated());
-  scheduler.schedule_at(Time::zero(), std::move(action));
+  for (EventAction& action : actions) {
+    EXPECT_FALSE(action.heap_allocated());
+    scheduler.schedule_at(Time::zero(), std::move(action));
+  }
   scheduler.run();
-  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(agent.fired, 7u + 1u + 11u + 300u);
 }
 
 TEST(SchedulerTest, OversizedCaptureFallsBackToHeapAndStillRuns) {

@@ -118,9 +118,7 @@ TEST_F(RttProbeTest, NearbyReplicaAnswersInTime) {
   // exactly the bypass the paper's protocol (not the verifier) must handle.
   auto [a_dev, a] = add_probe_node(1, {0, 0});
   add_probe_node(2, {500, 0});  // original: unreachable
-  const sim::DeviceId replica = network_.add_device(2, {30, 0});
-  network_.device(replica).replica = true;
-  network_.device(replica).compromised = true;
+  const sim::DeviceId replica = network_.add_replica(2, {30, 0});
   auto replica_responder = std::make_shared<RttResponder>(network_, replica, 2, keys_);
   network_.set_receiver(replica, [replica_responder](const sim::Packet& packet) {
     (void)replica_responder->handle(packet);

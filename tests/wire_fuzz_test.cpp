@@ -4,11 +4,17 @@
 // radio, so these paths are attack surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <vector>
+
 #include "core/binding_record.h"
 #include "core/deployment_driver.h"
 #include "core/wire.h"
 #include "proptest/observation.h"
 #include "proptest/oracles.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace snd::core {
@@ -89,6 +95,75 @@ TEST(MutationTest, ExtendedPayloadsRejected) {
     extended.insert(extended.end(), extra, 0xcc);
     EXPECT_FALSE(BindingRecord::parse(extended).has_value()) << "extra " << extra;
   }
+}
+
+/// The record decode BindingRecord::parse replaced: one bounds-checked
+/// reader call per field. The one-pass parse must accept and reject exactly
+/// the inputs this does, and decode the same record.
+std::optional<BindingRecord> reader_parse(std::span<const std::uint8_t> data) {
+  util::ByteReader reader(data);
+  BindingRecord record;
+  const auto node = reader.u32();
+  const auto version = reader.u32();
+  const auto count = reader.u16();
+  if (!node || !version || !count) return std::nullopt;
+  record.node = *node;
+  record.version = *version;
+  record.neighbors.reserve(*count);
+  for (std::uint16_t i = 0; i < *count; ++i) {
+    const auto n = reader.u32();
+    if (!n) return std::nullopt;
+    record.neighbors.push_back(*n);
+  }
+  const auto digest = reader.bytes_view(crypto::kDigestSize);
+  if (!digest || !reader.exhausted()) return std::nullopt;
+  std::copy(digest->begin(), digest->end(), record.commitment.bytes.begin());
+  return record;
+}
+
+TEST(RecordParseDifferentialTest, OnePassParseMatchesReaderDecode) {
+  util::Rng rng(20090622);
+  std::size_t accepted = 0;
+  std::size_t checked = 0;
+  const auto check = [&](const util::Bytes& data) {
+    const auto fast = BindingRecord::parse(data);
+    const auto reference = reader_parse(data);
+    ASSERT_EQ(fast.has_value(), reference.has_value()) << util::to_hex(data);
+    if (fast) {
+      EXPECT_EQ(*fast, *reference);
+      ++accepted;
+    }
+    ++checked;
+  };
+  // Random bytes, with the count field forced to fit the length half the
+  // time so that well-formed structures are drawn too.
+  for (int i = 0; i < 2000; ++i) {
+    util::Bytes data = random_bytes(rng, 120);
+    if (data.size() >= 10 && rng.chance(0.5)) {
+      const std::size_t count = data.size() >= 42 ? (data.size() - 42) / 4 : 0;
+      data[8] = static_cast<std::uint8_t>(count >> 8);
+      data[9] = static_cast<std::uint8_t>(count);
+    }
+    check(data);
+  }
+  // Every prefix and several extensions of valid records, including the
+  // empty neighbor list and a count whose u16 high byte is set.
+  std::vector<NodeId> many(300);
+  for (std::size_t i = 0; i < many.size(); ++i) many[i] = static_cast<NodeId>(7 * i + 1);
+  for (const topology::NeighborList& neighbors :
+       {topology::NeighborList{}, topology::NeighborList{2, 3, 5, 8, 13}, many}) {
+    const util::Bytes valid = BindingRecord::make(kMaster, 42, 3, neighbors).serialize();
+    for (std::size_t cut = 0; cut <= valid.size(); ++cut) {
+      check(util::Bytes(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(cut)));
+    }
+    for (const std::size_t extra : {1u, 3u, 4u, 32u, 1000u}) {
+      util::Bytes extended = valid;
+      extended.insert(extended.end(), extra, static_cast<std::uint8_t>(extra));
+      check(extended);
+    }
+  }
+  EXPECT_GT(accepted, 3u);  // the three valid records, plus lucky random ones
+  EXPECT_GT(checked, 2500u);
 }
 
 // -- Corruption through the fault layer ------------------------------------
